@@ -33,6 +33,16 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer: {text!r}")
+    return value
+
+
 def _read_symbol(args, text_attr: str, json_attr: str, what: str) -> PhaseSymbol:
     text = getattr(args, text_attr, None)
     path = getattr(args, json_attr, None)
@@ -271,14 +281,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("solve-metric", _cmd_solve_metric, "perturbative metric series for p^2 + g*V(x)")
     p.add_argument("--potential", required=True)
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", type=_positive_int, required=True)
 
     for name, func, help_text in (
             ("log-metric", _cmd_log_metric, "star-logarithm of a metric series"),
             ("positivity", _cmd_positivity, "hermiticity report for the star-log")):
         p = add(name, func, help_text)
         p.add_argument("--potential")
-        p.add_argument("--order", type=int, default=1)
+        p.add_argument("--order", type=_positive_int, default=1)
         p.add_argument("--from-json", metavar="PATH", help="metric series document")
 
     p = add("swanson", _cmd_swanson, "quadratic-model couplings from ladder parameters")
@@ -310,10 +320,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else int(exc.code)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except InvalidDocument as exc:
+    except (ParseError, InvalidDocument) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MoyalError as exc:

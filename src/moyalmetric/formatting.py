@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .rationals import GaussianRational, HbarScalar
-from .symbols import ExpQuadratic, MonoKey, PhaseSymbol
+from .symbols import ExpQuadratic, MonoKey, PhaseSymbol, _canon_key
 
 _VAR_ORDER = (("g", 3), ("x", 0), ("p", 1), ("hbar", 2))
 
@@ -58,7 +58,7 @@ def _monomial_text(key: MonoKey, coeff: GaussianRational) -> tuple[bool, str]:
 
 def _poly_text(poly: dict[MonoKey, GaussianRational]) -> str:
     pieces = []
-    for key in sorted(poly, key=lambda k: (k[3], k[0], k[1], k[2])):
+    for key in sorted(poly, key=_canon_key):
         pieces.append(_monomial_text(key, poly[key]))
     return _join_signed(pieces)
 
@@ -93,7 +93,7 @@ def format_text(sym: PhaseSymbol) -> str:
     for eq in sorted(parts, key=ExpQuadratic.sort_key):
         poly = parts[eq]
         if eq.is_trivial:
-            for key in sorted(poly, key=lambda k: (k[3], k[0], k[1], k[2])):
+            for key in sorted(poly, key=_canon_key):
                 pieces.append(_monomial_text(key, poly[key]))
             continue
         etext = _exp_text(eq)
@@ -151,7 +151,7 @@ def _latex_monomial(key: MonoKey, coeff: GaussianRational) -> tuple[bool, str]:
 
 def _latex_poly(poly: dict[MonoKey, GaussianRational]) -> str:
     pieces = [_latex_monomial(key, poly[key])
-              for key in sorted(poly, key=lambda k: (k[3], k[0], k[1], k[2]))]
+              for key in sorted(poly, key=_canon_key)]
     return _join_signed(pieces)
 
 
@@ -163,7 +163,7 @@ def format_latex(sym: PhaseSymbol) -> str:
     for eq in sorted(parts, key=ExpQuadratic.sort_key):
         poly = parts[eq]
         if eq.is_trivial:
-            for key in sorted(poly, key=lambda k: (k[3], k[0], k[1], k[2])):
+            for key in sorted(poly, key=_canon_key):
                 pieces.append(_latex_monomial(key, poly[key]))
             continue
         etext = f"e^{{{_latex_poly(_quadratic_poly(eq))}}}"

@@ -10,6 +10,7 @@ output byte-deterministic.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .errors import InvalidDocument
@@ -17,7 +18,27 @@ from .pde import DifferentialOperator, SwansonParams
 from .rationals import GaussianRational, HbarScalar
 from .series import MetricSeries
 from .starlog import PositivityReport
-from .symbols import ExpQuadratic, PhaseSymbol
+from .symbols import ExpQuadratic, PhaseSymbol, _canon_key
+
+_DECIMAL = re.compile(r"-?[0-9]+")
+_RATIONAL_FIELDS = tuple(f"rational entry {name}" for name in ("reN", "reD", "imN", "imD"))
+
+
+def _int(value, field: str) -> int:
+    """A JSON integer; floats, booleans and strings are rejected."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise InvalidDocument(f"{field} must be an integer, got {value!r:.40}")
+
+
+def _decimal(value, field: str) -> int:
+    """A decimal-string integer as written by rational_to_obj, or a JSON integer."""
+    if isinstance(value, str) and _DECIMAL.fullmatch(value):
+        try:
+            return int(value)
+        except ValueError as exc:  # past the interpreter's int digit limit
+            raise InvalidDocument(f"{field} has too many digits") from exc
+    return _int(value, field)
 
 
 def rational_to_obj(c: GaussianRational) -> list[str]:
@@ -26,12 +47,13 @@ def rational_to_obj(c: GaussianRational) -> list[str]:
 
 
 def rational_from_obj(obj) -> GaussianRational:
+    if not isinstance(obj, list) or len(obj) != 4:
+        raise InvalidDocument(f"bad rational entry {obj!r:.40}")
+    ren, red, imn, imd = [_decimal(v, field) for v, field in zip(obj, _RATIONAL_FIELDS)]
     try:
-        ren, red, imn, imd = obj
-        return GaussianRational(Fraction(int(ren), int(red)),
-                                Fraction(int(imn), int(imd)))
-    except (TypeError, ValueError) as exc:
-        raise InvalidDocument(f"bad rational entry {obj!r}") from exc
+        return GaussianRational(Fraction(ren, red), Fraction(imn, imd))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InvalidDocument(f"bad rational entry {obj!r:.40}: {exc}") from exc
 
 
 def hbar_scalar_to_obj(scalar: HbarScalar) -> list:
@@ -45,7 +67,7 @@ def hbar_scalar_from_obj(obj) -> HbarScalar:
     for entry in obj:
         if not isinstance(entry, list) or len(entry) != 5:
             raise InvalidDocument(f"bad hbar scalar entry {entry!r}")
-        terms.append((int(entry[0]), rational_from_obj(entry[1:])))
+        terms.append((_int(entry[0], "hbar scalar power"), rational_from_obj(entry[1:])))
     return HbarScalar(terms)
 
 
@@ -55,7 +77,7 @@ def symbol_to_obj(sym: PhaseSymbol) -> dict:
     for eq in sorted(parts, key=ExpQuadratic.sort_key):
         poly = parts[eq]
         poly_entries = []
-        for key in sorted(poly, key=lambda k: (k[3], k[0], k[1], k[2])):
+        for key in sorted(poly, key=_canon_key):
             xd, pd, hd, gd = key
             poly_entries.append({"coeff": rational_to_obj(poly[key]),
                                  "x": xd, "p": pd, "hbar": hd, "g": gd})
@@ -77,8 +99,10 @@ def symbol_from_obj(obj) -> PhaseSymbol:
                               hbar_scalar_from_obj(term["exp"]["t"]))
             poly = {}
             for entry in term["poly"]:
-                key = (int(entry["x"]), int(entry["p"]),
-                       int(entry["hbar"]), int(entry["g"]))
+                key = (_int(entry["x"], "symbol term field 'x'"),
+                       _int(entry["p"], "symbol term field 'p'"),
+                       _int(entry["hbar"], "symbol term field 'hbar'"),
+                       _int(entry["g"], "symbol term field 'g'"))
                 poly[key] = poly.get(key, GaussianRational()) + rational_from_obj(entry["coeff"])
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidDocument(f"malformed symbol term: {exc}") from exc
@@ -100,7 +124,7 @@ def series_from_obj(obj) -> MetricSeries:
         raise InvalidDocument("series document must have 'max_order' and 'orders'")
     try:
         orders = {int(n): symbol_from_obj(sub) for n, sub in obj["orders"].items()}
-        return MetricSeries(orders, int(obj["max_order"]))
+        return MetricSeries(orders, _int(obj["max_order"], "max_order"))
     except (TypeError, ValueError) as exc:
         raise InvalidDocument(f"malformed series document: {exc}") from exc
 
@@ -116,7 +140,7 @@ def operator_from_obj(obj) -> DifferentialOperator:
     try:
         terms = {}
         for entry in obj["terms"]:
-            key = (int(entry["dx"]), int(entry["dp"]))
+            key = (_int(entry["dx"], "dx"), _int(entry["dp"], "dp"))
             coeff = symbol_from_obj(entry["coeff"])
             terms[key] = terms.get(key, PhaseSymbol.zero()) + coeff
         return DifferentialOperator(terms)

@@ -11,6 +11,7 @@ calculus can deliver for a metric series.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -72,15 +73,8 @@ def star_exp(series: MetricSeries) -> MetricSeries:
             power = _graded_star(power, tail, n_max)
         if not power:
             break
-        _graded_add_scaled(total, power, Fraction(1, _factorial(m)))
+        _graded_add_scaled(total, power, Fraction(1, math.factorial(m)))
     return MetricSeries({n: sym for n, sym in total.items() if sym}, n_max)
-
-
-def _factorial(m: int) -> int:
-    out = 1
-    for k in range(2, m + 1):
-        out *= k
-    return out
 
 
 @dataclass(frozen=True)

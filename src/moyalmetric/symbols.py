@@ -29,11 +29,10 @@ from .rationals import HS_ZERO, GaussianRational, HbarScalar, I, ONE as C_ONE
 # Monomial exponents, in storage order: (xdeg, pdeg, hdeg, gdeg).
 MonoKey = tuple[int, int, int, int]
 
-_CANON = (3, 0, 1, 2)  # canonical ordering permutation: (gdeg, xdeg, pdeg, hdeg)
-
 
 def _canon_key(key: MonoKey):
-    return tuple(key[i] for i in _CANON)
+    """Canonical term order: by (gdeg, xdeg, pdeg, hdeg)."""
+    return (key[3], key[0], key[1], key[2])
 
 
 class ExpQuadratic(NamedTuple):
@@ -300,41 +299,54 @@ class PhaseSymbol:
         Terminates when either every exponential factor on the left is free
         of x (s = t = 0), or the right factor has no p in exponents and no
         negative p powers; otherwise raises NonTerminatingStar.
+
+        Pairs of parts whose left exponent is free of x and whose right
+        exponent is free of p go through the closed-form integer kernel; the
+        remaining pairs take the chain-rule series.
         """
         o = self._coerce(other)
         if o is None:
             raise TypeError("star product needs a PhaseSymbol operand")
-        if not (self._x_series_terminates() or o._p_series_terminates()):
-            raise NonTerminatingStar(
-                "star series does not terminate: left factor has x-dependent "
-                "exponentials and right factor has p-dependent exponentials "
-                "or negative p powers")
-        total = PhaseSymbol.zero()
-        left, right = self, o
-        k = 0
-        while left and right:
-            coeff = PhaseSymbol.monomial(I ** k * Fraction(1, math.factorial(k)), hbar=k)
-            total = total + left * right * coeff
-            left = left.diff("x")
-            right = right.diff("p")
-            k += 1
+        _check_star(self, o)
+        left = {eq: _integer_terms(poly) for eq, poly in self._parts.items()
+                if eq.s.is_zero and eq.t.is_zero}
+        right = {eq: _integer_terms(poly) for eq, poly in o._parts.items()
+                 if eq.r.is_zero and eq.s.is_zero}
+        total = PhaseSymbol({
+            eq1.combined(eq2): _falling_kernel(_star_term_pairs(t1, t2), d1 * d2, 1)
+            for eq1, (d1, t1) in left.items() for eq2, (d2, t2) in right.items()})
+        # The guard keeps the series finite on the other pairs: left parts
+        # with x in the exponent only occur when the right p-series ends.
+        left_rest = PhaseSymbol({eq: poly for eq, poly in self._parts.items()
+                                 if eq not in left})
+        if left_rest:
+            total = total + _star_series(left_rest, o)
+        right_rest = PhaseSymbol({eq: poly for eq, poly in o._parts.items()
+                                  if eq not in right})
+        if left and right_rest:
+            total = total + _star_series(
+                PhaseSymbol({eq: self._parts[eq] for eq in left}), right_rest)
         return total
 
     def exp_twist(self, sign: int) -> PhaseSymbol:
-        """Apply exp(sign * i * hbar * d_x d_p) as an exact finite series."""
-        if sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-        if not (self._x_series_terminates() or self._p_series_terminates()):
-            raise NonTerminatingTwist(
-                "twist series does not terminate for this symbol")
-        total = PhaseSymbol.zero()
-        cur = self
-        k = 0
-        while cur:
-            coeff = PhaseSymbol.monomial((I * sign) ** k * Fraction(1, math.factorial(k)), hbar=k)
-            total = total + cur * coeff
-            cur = cur.diff("x").diff("p")
-            k += 1
+        """Apply exp(sign * i * hbar * d_x d_p) as an exact finite series.
+
+        Parts without an exponential factor go through the closed-form
+        integer kernel; the others take the chain-rule series.
+        """
+        _check_twist(self, sign)
+        out = {}
+        rest = {}
+        for eq, poly in self._parts.items():
+            if eq.is_trivial:
+                den, terms = _integer_terms(poly)
+                out[eq] = _falling_kernel(
+                    ((key[0], key[1], key, re, im) for key, re, im in terms), den, sign)
+            else:
+                rest[eq] = poly
+        total = PhaseSymbol(out)
+        if rest:
+            total = total + _twist_series(PhaseSymbol(rest), sign)
         return total
 
     def dagger(self) -> PhaseSymbol:
@@ -390,6 +402,98 @@ G = PhaseSymbol.monomial(1, g=1)
 
 # exp(2*i*x*p/hbar): the x-constant kernel of every p^2 + g*V(x) metric equation
 KERNEL_EXP = ExpQuadratic(HS_ZERO, HbarScalar.hbar_power(I * 2, -1), HS_ZERO)
+
+
+# -- star and twist kernels ---------------------------------------------------
+
+def _check_star(left: PhaseSymbol, right: PhaseSymbol) -> None:
+    if not (left._x_series_terminates() or right._p_series_terminates()):
+        raise NonTerminatingStar(
+            "star series does not terminate: left factor has x-dependent "
+            "exponentials and right factor has p-dependent exponentials "
+            "or negative p powers")
+
+
+def _check_twist(sym: PhaseSymbol, sign: int) -> None:
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
+    if not (sym._x_series_terminates() or sym._p_series_terminates()):
+        raise NonTerminatingTwist(
+            "twist series does not terminate for this symbol")
+
+
+def _star_series(left: PhaseSymbol, right: PhaseSymbol) -> PhaseSymbol:
+    """Star product by the chain-rule series over whole symbols."""
+    _check_star(left, right)
+    total = PhaseSymbol.zero()
+    k = 0
+    while left and right:
+        coeff = PhaseSymbol.monomial(I ** k * Fraction(1, math.factorial(k)), hbar=k)
+        total = total + left * right * coeff
+        left = left.diff("x")
+        right = right.diff("p")
+        k += 1
+    return total
+
+
+def _twist_series(sym: PhaseSymbol, sign: int) -> PhaseSymbol:
+    """exp(sign * i * hbar * d_x d_p) by the chain-rule series over the symbol."""
+    _check_twist(sym, sign)
+    total = PhaseSymbol.zero()
+    k = 0
+    while sym:
+        coeff = PhaseSymbol.monomial((I * sign) ** k * Fraction(1, math.factorial(k)), hbar=k)
+        total = total + sym * coeff
+        sym = sym.diff("x").diff("p")
+        k += 1
+    return total
+
+
+def _integer_terms(poly: dict[MonoKey, GaussianRational]):
+    """A part's coefficients as Gaussian-integer numerators over their lcm denominator."""
+    den = 1
+    for c in poly.values():
+        den = math.lcm(den, c.re.denominator, c.im.denominator)
+    return den, [(key, c.re.numerator * (den // c.re.denominator),
+                  c.im.numerator * (den // c.im.denominator))
+                 for key, c in poly.items()]
+
+
+def _star_term_pairs(left, right):
+    """Kernel input for x^a p^b * x^c p^d: falling parameters a and d."""
+    for k1, re1, im1 in left:
+        a = k1[0]
+        for k2, re2, im2 in right:
+            yield (a, k2[1], (a + k2[0], k1[1] + k2[1], k1[2] + k2[2], k1[3] + k2[3]),
+                   re1 * re2 - im1 * im2, re1 * im2 + im1 * re2)
+
+
+def _falling_kernel(terms, den: int, sign: int) -> dict[MonoKey, GaussianRational]:
+    """Closed form of sum_k (sign*i*hbar)^k / k! * d_x^k d_p^k on monomials.
+
+    Each term (a, d, key, re, im) stands for (re + i*im)/den times the
+    monomial `key`, where the x-derivatives act on a power x^a and the
+    p-derivatives on a power p^d.  Its k-th summand has the integer weight
+    C(a, k) * d^(k) (falling factorial, also for negative d) and the key
+    shifted by x^-k p^-k hbar^k; the weight vanishes for every k > a.
+    """
+    acc: dict[MonoKey, list[int]] = {}
+    for a, d, (x, p, h, g), re, im in terms:
+        w, k = 1, 0
+        while w:
+            key = (x - k, p - k, h + k, g)
+            slot = acc.get(key)
+            if slot is None:
+                acc[key] = [w * re, w * im]
+            else:
+                slot[0] += w * re
+                slot[1] += w * im
+            # multiply by sign * i
+            re, im = (-im, re) if sign > 0 else (im, -re)
+            w = w * (a - k) * (d - k) // (k + 1)
+            k += 1
+    return {key: GaussianRational(Fraction(re, den), Fraction(im, den))
+            for key, (re, im) in acc.items() if re or im}
 
 
 def star(a: PhaseSymbol, b: PhaseSymbol) -> PhaseSymbol:

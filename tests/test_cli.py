@@ -1,8 +1,11 @@
 import json
 
+import pytest
+
 from moyalmetric import parse_expression
 from moyalmetric.cli import main
-from moyalmetric.serialize import series_from_obj, symbol_from_obj
+from moyalmetric.errors import InvalidDocument
+from moyalmetric.serialize import operator_from_obj, series_from_obj, symbol_from_obj
 
 
 def run(capsys, *argv):
@@ -98,6 +101,15 @@ class TestBasicCommands:
         assert code == 0
         assert out.strip().splitlines()[-1] == "verdict: true"
 
+    def test_order_below_one_is_a_usage_error(self, capsys):
+        for argv in (("solve-metric", "--potential", "i*x^3", "--order", "0"),
+                     ("positivity", "--potential", "i*x^3", "--order", "-1"),
+                     ("log-metric", "--potential", "i*x^3", "--order", "two")):
+            code, out, err = run(capsys, *argv)
+            assert code == 2
+            assert not out
+            assert "--order" in err
+
     def test_finite_demo(self, capsys):
         code, out, _ = run(capsys, "finite-demo", "--n", "3", "--pairs", "5")
         assert code == 0
@@ -157,6 +169,34 @@ class TestDeterminismAndJson:
         code, _, err = run(capsys, "dagger", "--from-json", str(doc))
         assert code == 2
         assert "document" in err
+
+    def test_non_integer_json_fields_exit_2(self, capsys, tmp_path):
+        def poly_entry(**fields):
+            entry = {"coeff": ["1", "1", "0", "1"], "x": 2, "p": 1, "hbar": 1, "g": 0}
+            entry.update(fields)
+            return {"terms": [{"exp": {"r": [], "s": [], "t": []}, "poly": [entry]}]}
+
+        doc = tmp_path / "sym.json"
+        for fields, named in (({"x": 2.7}, "'x'"), ({"p": True}, "'p'"),
+                              ({"hbar": "1"}, "'hbar'"),
+                              ({"coeff": ["1", "1", "0", 1.0]}, "imD"),
+                              ({"coeff": ["1", "0", "0", "1"]}, "rational")):
+            doc.write_text(json.dumps(poly_entry(**fields)))
+            code, out, err = run(capsys, "dagger", "--from-json", str(doc))
+            assert (code, out) == (2, "")
+            assert named in err
+        doc.write_text(json.dumps(poly_entry()))
+        code, out, _ = run(capsys, "dagger", "--from-json", str(doc))
+        assert (code, out.strip()) == (0, "2*i*x*hbar^2 + x^2*p*hbar")
+
+    def test_non_integer_series_fields_exit_2(self, capsys, tmp_path):
+        doc = tmp_path / "series.json"
+        doc.write_text(json.dumps({"max_order": 1.5, "orders": {}}))
+        code, _, err = run(capsys, "log-metric", "--from-json", str(doc))
+        assert code == 2
+        assert "max_order" in err
+        with pytest.raises(InvalidDocument, match="dx"):
+            operator_from_obj({"terms": [{"dx": False, "dp": 0, "coeff": {"terms": []}}]})
 
     def test_missing_input_exits_2(self, capsys):
         code, _, err = run(capsys, "dagger")

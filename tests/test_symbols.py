@@ -1,14 +1,15 @@
 import random
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from conftest import I, poly_symbols, rand_fraction, rand_poly
+from conftest import I, exp_symbols, poly_symbols, rand_fraction, rand_poly
 from moyalmetric import (G, HBAR, KERNEL_EXP, NonTerminatingStar,
                          NonTerminatingTwist, ONE, P, PhaseSymbol, X, ZERO,
                          GaussianRational, HbarScalar)
-from moyalmetric.symbols import ExpQuadratic
+from moyalmetric.symbols import ExpQuadratic, _star_series, _twist_series
 
 mono = PhaseSymbol.monomial
 KERNEL = PhaseSymbol.exponential(KERNEL_EXP)
@@ -154,6 +155,37 @@ class TestStar:
                 ak, bk = ak.diff("x"), bk.diff("p")
                 k += 1
             assert a.star(b).evaluate_exact(xv, pv, hv, gv) == expected
+
+
+def _outcome(op, *args):
+    """The result of op(*args), or the type of the non-termination it raised."""
+    try:
+        return op(*args)
+    except (NonTerminatingStar, NonTerminatingTwist) as exc:
+        return type(exc)
+
+
+any_symbols = st.one_of(poly_symbols(), exp_symbols())
+
+
+class TestKernelOracle:
+    """The closed-form kernel against the chain-rule series it replaced."""
+
+    @given(any_symbols, any_symbols)
+    def test_star_matches_series(self, a, b):
+        assert _outcome(a.star, b) == _outcome(_star_series, a, b)
+
+    @given(any_symbols)
+    def test_twist_matches_series(self, a):
+        for sign in (1, -1):
+            assert _outcome(a.exp_twist, sign) == _outcome(_twist_series, a, sign)
+
+    def test_negative_right_p_power(self):
+        # x^3 * p^-2: the k-th term is i^k C(3,k) (-2)(-3)..(-1-k) x^(3-k) p^(-2-k) hbar^k
+        expected = (mono(1, x=3, p=-2) + mono(-6 * I, x=2, p=-3, hbar=1)
+                    + mono(-18, x=1, p=-4, hbar=2) + mono(24 * I, p=-5, hbar=3))
+        assert mono(1, x=3).star(mono(1, p=-2)) == expected
+        assert _star_series(mono(1, x=3), mono(1, p=-2)) == expected
 
 
 def _factorial(k):
