@@ -5,8 +5,8 @@ from .errors import (BadDimension, DimensionMismatch, InvalidDocument,
                      IrrationalDiscriminant, MoyalError, NegativeXPower,
                      NonPolynomialHamiltonian, NonQuadraticExponent,
                      NonTerminatingStar, NonTerminatingTwist, NonzeroLeading,
-                     NotUnitLeading, ParseError, UnsupportedKinetic,
-                     ZeroParameter)
+                     NotUnitLeading, OrderTooLarge, ParseError,
+                     UnsupportedKinetic, ZeroParameter)
 from .formatting import format_expression
 from .parsing import parse_expression, parse_hbar_scalar
 from .pde import (DifferentialOperator, SwansonParams, apply_operator,
@@ -24,7 +24,7 @@ __all__ = [
     "IrrationalDiscriminant", "KERNEL_EXP", "MetricSeries", "MoyalError",
     "NegativeXPower", "NonPolynomialHamiltonian", "NonQuadraticExponent",
     "NonTerminatingStar", "NonTerminatingTwist", "NonzeroLeading",
-    "NotUnitLeading", "ONE", "P", "ParseError", "PhaseSymbol",
+    "NotUnitLeading", "ONE", "OrderTooLarge", "P", "ParseError", "PhaseSymbol",
     "PositivityReport", "SwansonParams", "TRIVIAL_EXP", "UnsupportedKinetic",
     "X", "ZERO", "ZeroParameter", "apply_operator", "assemble", "dagger",
     "derive_metric_operator", "format_expression", "gaussian_metric_candidates",

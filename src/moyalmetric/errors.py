@@ -21,6 +21,10 @@ class UnsupportedKinetic(MoyalError):
     """The perturbative solver only handles Hamiltonians p^2 + g*V(x)."""
 
 
+class OrderTooLarge(MoyalError):
+    """Perturbative order beyond the series.MAX_ORDER budget."""
+
+
 class NotUnitLeading(MoyalError):
     """Star-logarithm input must equal 1 at order g^0."""
 

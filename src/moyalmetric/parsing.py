@@ -12,7 +12,8 @@ associate to the left):
              | "(" expr ")" | "exp" "(" expr ")"
 
 NUMBER is a non-negative integer literal; rationals are written with the
-division operator ("3/4").  A divisor must reduce to a single monomial (a
+division operator ("3/4").  Parentheses, exp(...) and unary minus may nest
+at most MAX_DEPTH levels deep.  A divisor must reduce to a single monomial (a
 product of literals and variable powers).  Arguments of exp(...) must reduce
 to quadratic forms r*p^2 + s*p*x + t*x^2 with Laurent-hbar coefficients.
 """
@@ -32,6 +33,10 @@ _VARIABLES = {
 }
 
 _PUNCT = set("+-*/^()")
+
+#: Deepest nesting of factors (parentheses, exp(...), unary minus) accepted;
+#: each level costs the recursive descent a handful of interpreter frames.
+MAX_DEPTH = 100
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -69,6 +74,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0  # factors enclosing the one being parsed
 
     def peek(self):
         return self.tokens[self.pos]
@@ -125,10 +131,18 @@ class _Parser:
                 "division would produce a negative power of x or g", offset) from None
 
     def factor(self) -> PhaseSymbol:
-        if self.peek()[0] == "-":
+        # every recursion of the grammar passes through here
+        tok = self.peek()
+        if self.depth > MAX_DEPTH:
+            raise ParseError(f"expression nests deeper than {MAX_DEPTH} levels", tok[2])
+        self.depth += 1
+        if tok[0] == "-":
             self.advance()
-            return -self.factor()
-        return self.power()
+            value = -self.factor()
+        else:
+            value = self.power()
+        self.depth -= 1
+        return value
 
     def power(self) -> PhaseSymbol:
         base_offset = self.peek()[2]

@@ -6,7 +6,16 @@ symbol coefficients:
 
     L = sum_k (i*hbar)^k / k! * ((d_x^k H) d_p^k - (d_p^k H^dag) d_x^k).
 
-Solutions of L[Theta] = 0 are metric candidates.  The quadratic model
+Solutions of L[Theta] = 0 are metric candidates.
+
+`DifferentialOperator.apply` acts on the polynomial part of a symbol in
+closed form, d_x^m d_p^n x^a p^b = a^(m) * b^(n) * x^(a-m) * p^(b-n) with
+falling factorials n^(k) (also for negative b), on Gaussian-integer
+numerators over one shared denominator.  Parts of the symbol or of the
+coefficients that carry an exponential factor take the chain-rule series
+over whole symbols, which is also the test oracle for the closed form.
+
+The quadratic model
 a*p^2 + b*x^2 + i*c*p*x additionally admits exact Gaussian solutions
 exp(r*p^2 + s*p*x + t*x^2), constructed here over the exact coefficient field
 whenever the discriminant is a perfect square.
@@ -20,13 +29,18 @@ from fractions import Fraction
 
 from .errors import IrrationalDiscriminant, NonPolynomialHamiltonian, ZeroParameter
 from .rationals import GaussianRational, HbarScalar, I
-from .symbols import ExpQuadratic, PhaseSymbol
+from .symbols import (TRIVIAL_EXP, ExpQuadratic, MonoKey, PhaseSymbol, _falling,
+                      _gaussian_terms, _integer_terms)
 
 
 class DifferentialOperator:
-    """Finite sum of PhaseSymbol coefficients times d_x^m d_p^n."""
+    """Finite sum of PhaseSymbol coefficients times d_x^m d_p^n.
 
-    __slots__ = ("_terms",)
+    The polynomial parts of the coefficients are also kept as integer terms
+    (m, n, [(key, re, im), ...]) over the shared denominator `_den`.
+    """
+
+    __slots__ = ("_terms", "_den", "_integer", "_exp_terms")
 
     def __init__(self, terms: dict[tuple[int, int], PhaseSymbol]):
         canon = {}
@@ -36,16 +50,54 @@ class DifferentialOperator:
             if coeff:
                 canon[(m, n)] = coeff
         self._terms = canon
+        integer, self._exp_terms = [], {}
+        for mn, coeff in canon.items():
+            parts = coeff.parts
+            poly = parts.pop(TRIVIAL_EXP, None)
+            if poly:
+                integer.append((mn, *_integer_terms(poly)))
+            if parts:
+                self._exp_terms[mn] = PhaseSymbol(parts)
+        self._den = den = math.lcm(*(d for _, d, _ in integer))
+        self._integer = [(m, n, [(key, re * (den // d), im * (den // d))
+                                 for key, re, im in cterms])
+                         for (m, n), d, cterms in integer]
 
     @property
     def terms(self) -> dict[tuple[int, int], PhaseSymbol]:
         return dict(self._terms)
 
     def apply(self, f: PhaseSymbol) -> PhaseSymbol:
-        out = PhaseSymbol.zero()
-        for (m, n), coeff in self._terms.items():
-            out = out + coeff * f.diff("x", m).diff("p", n)
-        return out
+        parts = f.parts
+        poly = parts.pop(TRIVIAL_EXP, None)
+        total = PhaseSymbol.zero()
+        if poly:
+            total = PhaseSymbol({TRIVIAL_EXP: self._apply_integer(poly)})
+            if self._exp_terms:
+                total = total + _apply_series(self._exp_terms, PhaseSymbol({TRIVIAL_EXP: poly}))
+        if parts:
+            total = total + _apply_series(self._terms, PhaseSymbol(parts))
+        return total
+
+    def _apply_integer(self, poly: dict[MonoKey, GaussianRational]):
+        """Polynomial coefficients applied to a polynomial part, in closed form."""
+        fden, fterms = _integer_terms(poly)
+        acc: dict[MonoKey, list[int]] = {}
+        for m, n, cterms in self._integer:
+            for (a, b, h, g), re, im in fterms:
+                w = _falling(a, m) * _falling(b, n)
+                if not w:
+                    continue
+                wre, wim, a, b = w * re, w * im, a - m, b - n
+                for (x, p, hh, gg), cre, cim in cterms:
+                    key = (a + x, b + p, h + hh, g + gg)
+                    slot = acc.get(key)
+                    if slot is None:
+                        acc[key] = [wre * cre - wim * cim, wre * cim + wim * cre]
+                    else:
+                        slot[0] += wre * cre - wim * cim
+                        slot[1] += wre * cim + wim * cre
+        return _gaussian_terms(acc, self._den * fden)
 
     def dx_order(self) -> int:
         return max((m for m, _ in self._terms), default=0)
@@ -100,6 +152,25 @@ def derive_metric_operator(hamiltonian: PhaseSymbol) -> DifferentialOperator:
         k += 1
 
     return DifferentialOperator(acc)
+
+
+def _apply_series(terms: dict[tuple[int, int], PhaseSymbol], f: PhaseSymbol) -> PhaseSymbol:
+    """sum coeff * d_x^m d_p^n f over whole symbols by the chain rule.
+
+    d_x^m f is computed once per m, and the p-derivatives step on from it.
+    """
+    by_m: dict[int, list[int]] = {}
+    for m, n in sorted(terms):
+        by_m.setdefault(m, []).append(n)
+    total = PhaseSymbol.zero()
+    fx, at = f, 0
+    for m, ns in by_m.items():
+        fx, at = fx.diff("x", m - at), m
+        cur, done = fx, 0
+        for n in ns:
+            cur, done = cur.diff("p", n - done), n
+            total = total + terms[m, n] * cur
+    return total
 
 
 def apply_operator(operator: DifferentialOperator, f: PhaseSymbol) -> PhaseSymbol:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from .errors import InvalidDocument
 from .pde import DifferentialOperator, SwansonParams
 from .rationals import GaussianRational, HbarScalar
-from .series import MetricSeries
+from .series import MetricSeries, check_order
 from .starlog import PositivityReport
 from .symbols import ExpQuadratic, PhaseSymbol, _canon_key
 
@@ -122,9 +122,11 @@ def series_to_obj(series: MetricSeries) -> dict:
 def series_from_obj(obj) -> MetricSeries:
     if not isinstance(obj, dict) or "orders" not in obj or "max_order" not in obj:
         raise InvalidDocument("series document must have 'max_order' and 'orders'")
+    max_order = _int(obj["max_order"], "max_order")
+    check_order(max_order, "max_order")
     try:
         orders = {int(n): symbol_from_obj(sub) for n, sub in obj["orders"].items()}
-        return MetricSeries(orders, _int(obj["max_order"], "max_order"))
+        return MetricSeries(orders, max_order)
     except (TypeError, ValueError) as exc:
         raise InvalidDocument(f"malformed series document: {exc}") from exc
 

@@ -9,18 +9,32 @@ where L_V is the metric operator of V alone.  The right-hand side is a
 polynomial in x with Laurent coefficients in p and hbar, and the particular
 solution is fixed by dropping both homogeneous branches (the x-constant
 function of p and the exp(2*i*p*x/hbar) kernel) at every order n >= 1.
+
+Both inner loops run on Gaussian-integer numerators: the operator applies
+in closed form (see pde), and the ODE recursion keeps each x-slice of the
+solution as [re, im] integer pairs over one denominator, reduced by their
+gcd.  Coefficients become GaussianRationals only in the returned symbols.
+Orders are bounded by MAX_ORDER.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Mapping
 
-from .errors import UnsupportedKinetic
+from .errors import OrderTooLarge, UnsupportedKinetic
 from .pde import derive_metric_operator
-from .rationals import GaussianRational
-from .symbols import PhaseSymbol
+from .symbols import TRIVIAL_EXP, PhaseSymbol, _gaussian_terms, _integer_terms
+
+#: Largest order g^n the solver computes and a series document may declare.
+MAX_ORDER = 64
+
+
+def check_order(order: int, name: str = "order") -> None:
+    """Refuse a series order past MAX_ORDER as a domain error."""
+    if order > MAX_ORDER:
+        raise OrderTooLarge(f"{name} {order} exceeds the limit of {MAX_ORDER}")
 
 
 @dataclass(frozen=True, eq=True)
@@ -73,32 +87,43 @@ def solve_kinetic_ode(rhs: PhaseSymbol) -> PhaseSymbol:
     unique polynomial solution of x-degree deg(rhs)+1 with zero x-constant
     term is produced by the descending recursion
 
-        c_{j+1} = (hbar^2*(j+2)*(j+1)*c_{j+2} - rhs_j) / (2*i*hbar*p*(j+1)).
+        c_{j+1} = (hbar^2*(j+2)*(j+1)*c_{j+2} - rhs_j) / (2*i*hbar*p*(j+1)),
+
+    run on integer numerators keyed by (pdeg, hdeg, gdeg), one denominator
+    per x-slice.
     """
     if not rhs.is_polynomial:
         raise ValueError("kinetic solve needs a polynomial right-hand side")
     if not rhs:
         return PhaseSymbol.zero()
 
-    by_xdeg: dict[int, PhaseSymbol] = {}
-    for eq, (xd, pd, hd, gd), coeff in rhs.iter_terms():
-        term = PhaseSymbol.monomial(coeff, p=pd, hbar=hd, g=gd)
-        by_xdeg[xd] = by_xdeg.get(xd, PhaseSymbol.zero()) + term
+    den, terms = _integer_terms(rhs.parts[TRIVIAL_EXP])
+    by_xdeg: dict[int, dict[tuple[int, int, int], tuple[int, int]]] = {}
+    for (xd, pd, hd, gd), re, im in terms:
+        by_xdeg.setdefault(xd, {})[(pd, hd, gd)] = (re, im)
 
-    top = max(by_xdeg)
-    coeffs: dict[int, PhaseSymbol] = {}
-    for j in range(top, -1, -1):
-        carry = coeffs.get(j + 2, PhaseSymbol.zero())
-        numerator = (carry * PhaseSymbol.monomial((j + 2) * (j + 1), hbar=2)
-                     - by_xdeg.get(j, PhaseSymbol.zero()))
-        inverse = PhaseSymbol.monomial(
-            GaussianRational(0, Fraction(-1, 2 * (j + 1))), p=-1, hbar=-1)
-        coeffs[j + 1] = numerator * inverse
-
-    solution = PhaseSymbol.zero()
-    for j, cj in coeffs.items():
-        solution = solution + cj * PhaseSymbol.monomial(1, x=j)
-    return solution
+    solution: dict = {}
+    carry_den, carry = 1, {}  # c_{j+2}: the slice the previous step solved for
+    for j in range(max(by_xdeg), -1, -1):
+        # numerator hbar^2*(j+2)*(j+1)*c_{j+2} - rhs_j over lcm(carry_den, den)
+        common = math.lcm(carry_den, den)
+        up, down = (j + 2) * (j + 1) * (common // carry_den), common // den
+        num = {(pd, hd + 2, gd): [up * re, up * im]
+               for (pd, hd, gd), (re, im) in carry.items()}
+        for key, (re, im) in by_xdeg.get(j, {}).items():
+            slot = num.setdefault(key, [0, 0])
+            slot[0] -= down * re
+            slot[1] -= down * im
+        # times -i / (2*(j+1)) * p^-1 * hbar^-1; -i maps (re, im) to (im, -re)
+        out = {(pd - 1, hd - 1, gd): (im, -re)
+               for (pd, hd, gd), (re, im) in num.items() if re or im}
+        out_den = 2 * (j + 1) * common
+        g = math.gcd(out_den, *(v for pair in out.values() for v in pair))
+        out_den //= g
+        out = {key: (re // g, im // g) for key, (re, im) in out.items()}
+        solution.update(_gaussian_terms({(j + 1, *key): pair for key, pair in out.items()}, out_den))
+        carry_den, carry = out_den, out
+    return PhaseSymbol({TRIVIAL_EXP: solution})
 
 
 def _check_potential(potential: PhaseSymbol) -> None:
@@ -120,6 +145,7 @@ def solve_metric_series(potential: PhaseSymbol, max_order: int) -> MetricSeries:
     """
     if max_order < 1:
         raise ValueError("max_order must be a positive integer")
+    check_order(max_order)
     _check_potential(potential)
 
     operator = derive_metric_operator(potential)

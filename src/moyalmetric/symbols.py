@@ -492,8 +492,20 @@ def _falling_kernel(terms, den: int, sign: int) -> dict[MonoKey, GaussianRationa
             re, im = (-im, re) if sign > 0 else (im, -re)
             w = w * (a - k) * (d - k) // (k + 1)
             k += 1
+    return _gaussian_terms(acc, den)
+
+
+def _gaussian_terms(acc: dict[MonoKey, list[int]], den: int) -> dict[MonoKey, GaussianRational]:
+    """Gaussian-integer numerators [re, im] over `den` back to coefficients."""
     return {key: GaussianRational(Fraction(re, den), Fraction(im, den))
             for key, (re, im) in acc.items() if re or im}
+
+
+def _falling(n: int, k: int) -> int:
+    """Falling factorial n^(k) = n*(n-1)*...*(n-k+1), also for negative n."""
+    if n >= 0:
+        return math.perm(n, k)
+    return math.perm(k - n - 1, k) * (-1 if k & 1 else 1)
 
 
 def star(a: PhaseSymbol, b: PhaseSymbol) -> PhaseSymbol:

@@ -110,6 +110,26 @@ class TestBasicCommands:
             assert not out
             assert "--order" in err
 
+    def test_deep_nesting_is_a_parse_error(self, capsys):
+        for left in ("(" * 5000 + "x" + ")" * 5000, "-" * 5000 + "x"):
+            code, out, err = run(capsys, "star", f"--left={left}", "--right", "p")
+            assert (code, out) == (2, "")
+            assert err.count("\n") == 1
+            assert "nests deeper" in err and "at byte 101" in err
+
+    def test_order_past_the_limit_exits_1(self, capsys, tmp_path):
+        from moyalmetric.series import MAX_ORDER
+
+        code, out, err = run(capsys, "solve-metric", "--potential", "i*x^3",
+                             "--order", str(MAX_ORDER + 1))
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and f"limit of {MAX_ORDER}" in err
+        doc = tmp_path / "series.json"
+        doc.write_text(json.dumps({"max_order": 10 ** 9, "orders": {}}))
+        code, out, err = run(capsys, "log-metric", "--from-json", str(doc))
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and "max_order" in err
+
     def test_finite_demo(self, capsys):
         code, out, _ = run(capsys, "finite-demo", "--n", "3", "--pairs", "5")
         assert code == 0

@@ -9,6 +9,7 @@ from moyalmetric import (G, KERNEL_EXP, NegativeXPower,
                          NonQuadraticExponent, ONE, P, ParseError, PhaseSymbol,
                          X, format_expression, parse_expression,
                          parse_hbar_scalar)
+from moyalmetric import parsing
 from moyalmetric.rationals import GaussianRational, HbarScalar
 from moyalmetric.symbols import ExpQuadratic
 
@@ -66,6 +67,17 @@ class TestParse:
             parse_expression("x ^ p")
         with pytest.raises(ParseError):
             parse_expression("3 @ 4")
+
+    def test_nesting_depth_is_capped(self):
+        depth = parsing.MAX_DEPTH
+        assert parse_expression("(" * depth + "x" + ")" * depth) == X
+        assert parse_expression("-" * depth + "x") == X
+        with pytest.raises(ParseError) as info:
+            parse_expression("(" * (depth + 1) + "x" + ")" * (depth + 1))
+        assert info.value.offset == depth + 1
+        with pytest.raises(ParseError) as info:
+            parse_expression("exp(" * 3000 + "x^2" + ")" * 3000)
+        assert info.value.offset == 4 * (depth + 1)
 
     def test_negative_x_power_errors(self):
         with pytest.raises(NegativeXPower):

@@ -1,15 +1,18 @@
 import random
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given
 
-from conftest import I, cubic_general_first_order, rand_poly
+from conftest import I, cubic_general_first_order, exp_symbols, poly_symbols, rand_poly
 from moyalmetric import (DifferentialOperator, G, HBAR, IrrationalDiscriminant,
                          KERNEL_EXP, NonPolynomialHamiltonian, ONE, P,
                          PhaseSymbol, SwansonParams, X, ZERO, ZeroParameter,
                          apply_operator, derive_metric_operator,
                          gaussian_metric_candidates, residual,
                          swanson_from_ladder)
+from moyalmetric.pde import _apply_series
 from moyalmetric.rationals import GaussianRational, HbarScalar, HS_ZERO
 from moyalmetric.symbols import ExpQuadratic
 
@@ -140,6 +143,40 @@ class TestApplyAndResidual:
         assert -(-L) == L
         assert DifferentialOperator({}) != L
         assert apply_operator(L, ONE) == L.apply(ONE)
+
+
+@st.composite
+def operators(draw, coefficients=poly_symbols()):
+    """Random operators with up to four (dx, dp) terms of order at most 3."""
+    keys = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                         min_size=1, max_size=4, unique=True))
+    return DifferentialOperator({key: draw(coefficients) for key in keys})
+
+
+def _apply_naive(operator, f):
+    """sum coeff * d_x^m d_p^n f with every derivative taken from f afresh."""
+    out = ZERO
+    for (m, n), coeff in operator.terms.items():
+        out = out + coeff * f.diff("x", m).diff("p", n)
+    return out
+
+
+class TestApplyOracle:
+    """The closed-form integer apply against the chain-rule series."""
+
+    @given(operators(), poly_symbols(max_terms=4))
+    def test_integer_apply_matches_series(self, L, f):
+        assert L.apply(f) == _apply_series(L.terms, f)
+
+    @given(poly_symbols(min_p=0, min_h=0, max_h=1, max_g=1), poly_symbols(max_terms=4))
+    def test_metric_operator_apply_matches_series(self, H, f):
+        L = derive_metric_operator(H)
+        assert L.apply(f) == _apply_series(L.terms, f)
+
+    @given(operators(exp_symbols()), exp_symbols())
+    def test_exponential_parts_match_naive_series(self, L, f):
+        assert L.apply(f) == _apply_naive(L, f)
+        assert _apply_series(L.terms, f) == _apply_naive(L, f)
 
 
 class TestSwanson:

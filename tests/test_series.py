@@ -1,15 +1,50 @@
 import random
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given
 
-from conftest import I, rand_poly
-from moyalmetric import (G, MetricSeries, ONE, P, PhaseSymbol,
+from conftest import I, gaussian_rationals, poly_symbols, rand_poly
+from moyalmetric import (G, MetricSeries, ONE, OrderTooLarge, P, PhaseSymbol,
                          UnsupportedKinetic, X, ZERO, assemble, residual,
                          solve_kinetic_ode, solve_metric_series)
 from moyalmetric.rationals import GaussianRational
+from moyalmetric.serialize import series_from_obj
+from moyalmetric.series import MAX_ORDER
 
 mono = PhaseSymbol.monomial
+
+
+def _kinetic_oracle(rhs):
+    """The recursion of solve_kinetic_ode over whole PhaseSymbols and Fractions."""
+    by_xdeg = {}
+    for eq, (xd, pd, hd, gd), coeff in rhs.iter_terms():
+        term = PhaseSymbol.monomial(coeff, p=pd, hbar=hd, g=gd)
+        by_xdeg[xd] = by_xdeg.get(xd, PhaseSymbol.zero()) + term
+
+    coeffs = {}
+    for j in range(max(by_xdeg, default=-1), -1, -1):
+        carry = coeffs.get(j + 2, PhaseSymbol.zero())
+        numerator = (carry * PhaseSymbol.monomial((j + 2) * (j + 1), hbar=2)
+                     - by_xdeg.get(j, PhaseSymbol.zero()))
+        inverse = PhaseSymbol.monomial(
+            GaussianRational(0, Fraction(-1, 2 * (j + 1))), p=-1, hbar=-1)
+        coeffs[j + 1] = numerator * inverse
+
+    solution = PhaseSymbol.zero()
+    for j, cj in coeffs.items():
+        solution = solution + cj * PhaseSymbol.monomial(1, x=j)
+    return solution
+
+
+@st.composite
+def potentials(draw):
+    """Random small polynomials V(x) over Q(i)."""
+    sym = PhaseSymbol.zero()
+    for deg in draw(st.lists(st.integers(0, 3), min_size=1, max_size=3)):
+        sym = sym + mono(draw(gaussian_rationals), x=deg)
+    return sym
 
 
 def kinetic_apply(f):
@@ -52,6 +87,31 @@ class TestKineticSolve:
 
         with pytest.raises(ValueError):
             solve_kinetic_ode(PhaseSymbol.exponential(KERNEL_EXP))
+
+
+class TestIntegerKernelOracle:
+    """The integer recursion and operator against the symbol-level versions."""
+
+    @given(poly_symbols(max_terms=5, max_x=6))
+    def test_kinetic_solve_matches_oracle(self, rhs):
+        assert solve_kinetic_ode(rhs) == _kinetic_oracle(rhs)
+
+    @given(potentials(), st.integers(1, 3))
+    def test_residual_vanishes_through_max_order(self, potential, n):
+        series = solve_metric_series(potential, n)
+        r = residual(P ** 2 + G * potential, series.assemble())
+        assert all(k > n for k in r.g_slices())
+
+
+class TestOrderBudget:
+    def test_solver_refuses_orders_past_the_limit(self):
+        with pytest.raises(OrderTooLarge, match=str(MAX_ORDER)):
+            solve_metric_series(I * X, MAX_ORDER + 1)
+
+    def test_series_document_refuses_orders_past_the_limit(self):
+        with pytest.raises(OrderTooLarge, match="max_order"):
+            series_from_obj({"max_order": MAX_ORDER + 1, "orders": {}})
+        assert series_from_obj({"max_order": MAX_ORDER, "orders": {}}).max_order == MAX_ORDER
 
 
 class TestSolveMetricSeries:
