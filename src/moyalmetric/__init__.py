@@ -1,9 +1,9 @@
 """Exact star-product calculus for metric operators of non-hermitian
 Hamiltonians, with a finite clock/shift Weyl algebra for cross-validation."""
 
-from .errors import (BadDimension, DimensionMismatch, InvalidDocument,
-                     IrrationalDiscriminant, MoyalError, NegativeXPower,
-                     NonPolynomialHamiltonian, NonQuadraticExponent,
+from .errors import (BadDimension, CoefficientTooLong, DimensionMismatch,
+                     InvalidDocument, IrrationalDiscriminant, MoyalError,
+                     NegativeXPower, NonPolynomialHamiltonian, NonQuadraticExponent,
                      NonTerminatingStar, NonTerminatingTwist, NonzeroLeading,
                      NotUnitLeading, OrderTooLarge, ParseError,
                      UnsupportedKinetic, ZeroParameter)
@@ -19,7 +19,8 @@ from .symbols import (ExpQuadratic, G, HBAR, KERNEL_EXP, ONE, P, PhaseSymbol,
                       TRIVIAL_EXP, X, ZERO, dagger, is_hermitian, star)
 
 __all__ = [
-    "BadDimension", "DifferentialOperator", "DimensionMismatch", "ExpQuadratic",
+    "BadDimension", "CoefficientTooLong", "DifferentialOperator",
+    "DimensionMismatch", "ExpQuadratic",
     "G", "GaussianRational", "HBAR", "HbarScalar", "InvalidDocument",
     "IrrationalDiscriminant", "KERNEL_EXP", "MetricSeries", "MoyalError",
     "NegativeXPower", "NonPolynomialHamiltonian", "NonQuadraticExponent",

@@ -9,6 +9,7 @@ and parse errors.  Output goes to stdout in the selected --format
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 
@@ -238,6 +239,7 @@ def _cmd_finite_demo(args) -> int:
     return 0 if passed else 1
 
 
+@functools.cache  # parse_args leaves the parser unchanged; build it once per process
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="moyalmetric",

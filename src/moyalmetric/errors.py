@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import sys
+
 
 class MoyalError(Exception):
     """Base class for domain errors raised by this package."""
@@ -23,6 +25,14 @@ class UnsupportedKinetic(MoyalError):
 
 class OrderTooLarge(MoyalError):
     """Perturbative order beyond the series.MAX_ORDER budget."""
+
+
+class CoefficientTooLong(MoyalError):
+    """A coefficient has more digits than the interpreter converts to text."""
+
+    def __init__(self):
+        self.limit = sys.get_int_max_str_digits()
+        super().__init__(f"coefficient has more than {self.limit} digits, too long to print")
 
 
 class NotUnitLeading(MoyalError):

@@ -1,66 +1,79 @@
-"""Canonical text and LaTeX renderers for symbols, operators and series.
+"""Canonical text and LaTeX rendering of symbols, operators and series.
 
-The text style is the inverse of the parser: rendering any symbol and parsing
-the result reproduces the symbol exactly.  Terms are emitted in the canonical
-order (g, x, p, hbar exponents, lexicographically; exponential parts sorted
-by their coefficient triples, trivial part first).
+One renderer serves both styles.  A style table spells what differs between
+them: fractions (3/4 or \\frac{3}{4}), powers (x^2 or x^{2}), products (* or
+\\,), brackets, the gap around the sign inside a complex coefficient, and the
+exponential (exp(..) or e^{..}).  The text style is the inverse of the
+parser: rendering any symbol and parsing the result reproduces the symbol
+exactly.  Terms come in canonical order (g, x, p, hbar exponents; exponential
+parts by their coefficient triples, trivial part first).  A coefficient past
+the interpreter's int-to-string digit limit raises CoefficientTooLong.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from typing import NamedTuple
 
-from .rationals import GaussianRational, HbarScalar
+from .errors import CoefficientTooLong
+from .rationals import GaussianRational
 from .symbols import ExpQuadratic, MonoKey, PhaseSymbol, _canon_key
 
-_VAR_ORDER = (("g", 3), ("x", 0), ("p", 1), ("hbar", 2))
+
+class _Style(NamedTuple):
+    frac: tuple[str, str, str]  # n/d is frac[0] + n + frac[1] + d + frac[2]
+    power: tuple[str, str]      # x^k is name + power[0] + k + power[1]
+    times: str
+    brackets: tuple[str, str]
+    gap: str                    # each side of the sign in a mixed coefficient
+    exp: tuple[str, str]
+    names: tuple[tuple[str, int], ...]  # variable name and MonoKey index
 
 
-def _fraction_text(q: Fraction) -> str:
-    return str(q) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+_STYLES = {
+    "text": _Style(("", "/", ""), ("^", ""), "*", ("(", ")"), "", ("exp(", ")"),
+                   (("g", 3), ("x", 0), ("p", 1), ("hbar", 2))),
+    "latex": _Style(("\\frac{", "}{", "}"), ("^{", "}"), "\\,", ("\\left(", "\\right)"),
+                    " ", ("e^{", "}"), (("g", 3), ("x", 0), ("p", 1), ("\\hbar", 2))),
+}
 
 
-def _imag_text(q: Fraction) -> str:
-    if q == 1:
-        return "i"
-    if q == -1:
-        return "-i"
-    return f"{_fraction_text(q)}*i"
+def _fraction(n: int, d: int, st: _Style) -> str:
+    try:
+        if d == 1:
+            return str(n)
+        sign = "-" if n < 0 else ""
+        return f"{sign}{st.frac[0]}{abs(n)}{st.frac[1]}{d}{st.frac[2]}"
+    except ValueError:  # past the interpreter's int-to-string digit limit
+        raise CoefficientTooLong from None
 
 
-def _coeff_pieces(c: GaussianRational) -> tuple[bool, str]:
-    """(negated, text of |coeff|), with mixed complex values parenthesized."""
-    if c.im == 0:
-        neg = c.re < 0
-        return neg, _fraction_text(-c.re if neg else c.re)
-    if c.re == 0:
-        neg = c.im < 0
-        return neg, _imag_text(-c.im if neg else c.im)
-    im = _imag_text(c.im)
-    joiner = "" if im.startswith("-") else "+"
-    return False, f"({_fraction_text(c.re)}{joiner}{im})"
+def _imag(n: int, d: int, st: _Style) -> str:
+    """n/d * i for n > 0."""
+    return "i" if n == d == 1 else f"{_fraction(n, d, st)}{st.times}i"
 
 
-def _monomial_text(key: MonoKey, coeff: GaussianRational) -> tuple[bool, str]:
-    neg, ctext = _coeff_pieces(coeff)
-    factors = []
-    for name, idx in _VAR_ORDER:
-        deg = key[idx]
-        if deg == 0:
-            continue
-        factors.append(name if deg == 1 else f"{name}^{deg}")
+def _coeff(c: GaussianRational, st: _Style) -> tuple[bool, str]:
+    """(negated, text of |coeff|), with mixed complex values bracketed."""
+    rn, rd = c.re.as_integer_ratio()
+    im, idn = c.im.as_integer_ratio()
+    if not im:
+        return rn < 0, _fraction(abs(rn), rd, st)
+    if not rn:
+        return im < 0, _imag(abs(im), idn, st)
+    sign = "-" if im < 0 else "+"
+    return False, (f"{st.brackets[0]}{_fraction(rn, rd, st)}{st.gap}{sign}{st.gap}"
+                   f"{_imag(abs(im), idn, st)}{st.brackets[1]}")
+
+
+def _monomial(key: MonoKey, coeff: GaussianRational, st: _Style) -> tuple[bool, str]:
+    neg, ctext = _coeff(coeff, st)
+    factors = [name if key[idx] == 1 else f"{name}{st.power[0]}{key[idx]}{st.power[1]}"
+               for name, idx in st.names if key[idx]]
     if not factors:
         return neg, ctext
-    if ctext == "1":
-        return neg, "*".join(factors)
-    return neg, "*".join([ctext] + factors)
-
-
-def _poly_text(poly: dict[MonoKey, GaussianRational]) -> str:
-    pieces = []
-    for key in sorted(poly, key=_canon_key):
-        pieces.append(_monomial_text(key, poly[key]))
-    return _join_signed(pieces)
+    if ctext != "1":
+        factors.insert(0, ctext)
+    return neg, st.times.join(factors)
 
 
 def _join_signed(pieces: list[tuple[bool, str]]) -> str:
@@ -73,19 +86,18 @@ def _join_signed(pieces: list[tuple[bool, str]]) -> str:
     return "".join(out)
 
 
-def _quadratic_poly(eq: ExpQuadratic) -> dict[MonoKey, GaussianRational]:
-    poly: dict[MonoKey, GaussianRational] = {}
-    for scalar, (xd, pd) in ((eq.r, (0, 2)), (eq.s, (1, 1)), (eq.t, (2, 0))):
-        for h, c in scalar.terms:
-            poly[(xd, pd, h, 0)] = c
-    return poly
+def _polynomial(poly: dict[MonoKey, GaussianRational], st: _Style) -> list[tuple[bool, str]]:
+    return [_monomial(key, poly[key], st) for key in sorted(poly, key=_canon_key)]
 
 
-def _exp_text(eq: ExpQuadratic) -> str:
-    return f"exp({_poly_text(_quadratic_poly(eq))})"
+def _exponential(eq: ExpQuadratic, st: _Style) -> str:
+    poly = {(xd, pd, h, 0): c
+            for scalar, (xd, pd) in ((eq.r, (0, 2)), (eq.s, (1, 1)), (eq.t, (2, 0)))
+            for h, c in scalar.terms}
+    return f"{st.exp[0]}{_join_signed(_polynomial(poly, st))}{st.exp[1]}"
 
 
-def format_text(sym: PhaseSymbol) -> str:
+def _symbol(sym: PhaseSymbol, st: _Style) -> str:
     parts = sym.parts
     if not parts:
         return "0"
@@ -93,102 +105,25 @@ def format_text(sym: PhaseSymbol) -> str:
     for eq in sorted(parts, key=ExpQuadratic.sort_key):
         poly = parts[eq]
         if eq.is_trivial:
-            for key in sorted(poly, key=_canon_key):
-                pieces.append(_monomial_text(key, poly[key]))
+            pieces.extend(_polynomial(poly, st))
             continue
-        etext = _exp_text(eq)
+        etext = _exponential(eq, st)
         if len(poly) == 1:
-            key, coeff = next(iter(poly.items()))
-            neg, body = _monomial_text(key, coeff)
-            pieces.append((neg, etext if body == "1" else f"{body}*{etext}"))
+            neg, body = _monomial(*next(iter(poly.items())), st)
+            pieces.append((neg, etext if body == "1" else f"{body}{st.times}{etext}"))
         else:
-            pieces.append((False, f"({_poly_text(poly)})*{etext}"))
-    return _join_signed(pieces)
-
-
-# -- LaTeX ------------------------------------------------------------------
-
-_LATEX_VARS = (("g", 3), ("x", 0), ("p", 1), ("\\hbar", 2))
-
-
-def _latex_fraction(q: Fraction) -> str:
-    if q.denominator == 1:
-        return str(q)
-    sign = "-" if q < 0 else ""
-    return f"{sign}\\frac{{{abs(q.numerator)}}}{{{q.denominator}}}"
-
-
-def _latex_coeff(c: GaussianRational) -> tuple[bool, str]:
-    if c.im == 0:
-        neg = c.re < 0
-        return neg, _latex_fraction(-c.re if neg else c.re)
-    if c.re == 0:
-        neg = c.im < 0
-        mag = -c.im if neg else c.im
-        return neg, "i" if mag == 1 else f"{_latex_fraction(mag)}\\,i"
-    re = _latex_fraction(c.re)
-    neg_im = c.im < 0
-    mag = -c.im if neg_im else c.im
-    im = "i" if mag == 1 else f"{_latex_fraction(mag)}\\,i"
-    return False, f"\\left({re} {'-' if neg_im else '+'} {im}\\right)"
-
-
-def _latex_monomial(key: MonoKey, coeff: GaussianRational) -> tuple[bool, str]:
-    neg, ctext = _latex_coeff(coeff)
-    factors = []
-    for name, idx in _LATEX_VARS:
-        deg = key[idx]
-        if deg == 0:
-            continue
-        factors.append(name if deg == 1 else f"{name}^{{{deg}}}")
-    if not factors:
-        return neg, ctext
-    body = "\\,".join(factors)
-    if ctext == "1":
-        return neg, body
-    return neg, f"{ctext}\\,{body}"
-
-
-def _latex_poly(poly: dict[MonoKey, GaussianRational]) -> str:
-    pieces = [_latex_monomial(key, poly[key])
-              for key in sorted(poly, key=_canon_key)]
-    return _join_signed(pieces)
-
-
-def format_latex(sym: PhaseSymbol) -> str:
-    parts = sym.parts
-    if not parts:
-        return "0"
-    pieces: list[tuple[bool, str]] = []
-    for eq in sorted(parts, key=ExpQuadratic.sort_key):
-        poly = parts[eq]
-        if eq.is_trivial:
-            for key in sorted(poly, key=_canon_key):
-                pieces.append(_latex_monomial(key, poly[key]))
-            continue
-        etext = f"e^{{{_latex_poly(_quadratic_poly(eq))}}}"
-        if len(poly) == 1:
-            key, coeff = next(iter(poly.items()))
-            neg, body = _latex_monomial(key, coeff)
-            pieces.append((neg, etext if body == "1" else f"{body}\\,{etext}"))
-        else:
-            pieces.append((False, f"\\left({_latex_poly(poly)}\\right)\\,{etext}"))
+            body = _join_signed(_polynomial(poly, st))
+            pieces.append((False, f"{st.brackets[0]}{body}{st.brackets[1]}{st.times}{etext}"))
     return _join_signed(pieces)
 
 
 def format_expression(sym: PhaseSymbol, style: str = "text") -> str:
     """Render a symbol in the requested style: text, latex or json."""
-    if style == "text":
-        return format_text(sym)
-    if style == "latex":
-        return format_latex(sym)
     if style == "json":
         from .serialize import dumps, symbol_to_obj
 
         return dumps(symbol_to_obj(sym))
-    raise ValueError(f"unknown style {style!r}")
-
-
-def format_hbar_scalar(scalar: HbarScalar) -> str:
-    poly = {(0, 0, h, 0): c for h, c in scalar.terms}
-    return _poly_text(poly) if poly else "0"
+    st = _STYLES.get(style)
+    if st is None:
+        raise ValueError(f"unknown style {style!r}")
+    return _symbol(sym, st)

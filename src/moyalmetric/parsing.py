@@ -20,6 +20,8 @@ to quadratic forms r*p^2 + s*p*x + t*x^2 with Laurent-hbar coefficients.
 
 from __future__ import annotations
 
+import sys
+
 from .errors import NegativeXPower, NonQuadraticExponent, ParseError
 from .rationals import GaussianRational, HbarScalar
 from .symbols import ExpQuadratic, PhaseSymbol
@@ -48,9 +50,9 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
         if ch.isspace():
             pos += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():  # what int() accepts; superscripts are isdigit() only
             start = pos
-            while pos < size and text[pos].isdigit():
+            while pos < size and text[pos].isdecimal():
                 pos += 1
             tokens.append(("number", text[start:pos], start))
             continue
@@ -89,6 +91,14 @@ class _Parser:
         if tok[0] != kind:
             raise ParseError(f"expected {kind!r}, found {tok[1] or 'end of input'!r}", tok[2])
         return self.advance()
+
+    def number(self) -> int:
+        _, text, offset = self.expect("number")
+        try:
+            return int(text)
+        except ValueError:  # past the interpreter's int-to-string digit limit
+            raise ParseError(f"number has more than {sys.get_int_max_str_digits()} digits",
+                             offset) from None
 
     def parse(self) -> PhaseSymbol:
         value = self.expr()
@@ -154,8 +164,7 @@ class _Parser:
         if self.peek()[0] == "-":
             self.advance()
             negate = True
-        tok = self.expect("number")
-        exponent = -int(tok[1]) if negate else int(tok[1])
+        exponent = -self.number() if negate else self.number()
         try:
             return value ** exponent
         except ValueError:
@@ -166,8 +175,7 @@ class _Parser:
         tok = self.peek()
         kind, text, offset = tok
         if kind == "number":
-            self.advance()
-            return PhaseSymbol.monomial(int(text))
+            return PhaseSymbol.monomial(self.number())
         if kind == "name":
             self.advance()
             if text == "exp":

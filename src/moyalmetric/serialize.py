@@ -13,7 +13,7 @@ import json
 import re
 from fractions import Fraction
 
-from .errors import InvalidDocument
+from .errors import CoefficientTooLong, InvalidDocument
 from .pde import DifferentialOperator, SwansonParams
 from .rationals import GaussianRational, HbarScalar
 from .series import MetricSeries, check_order
@@ -42,8 +42,11 @@ def _decimal(value, field: str) -> int:
 
 
 def rational_to_obj(c: GaussianRational) -> list[str]:
-    return [str(c.re.numerator), str(c.re.denominator),
-            str(c.im.numerator), str(c.im.denominator)]
+    try:
+        return [str(c.re.numerator), str(c.re.denominator),
+                str(c.im.numerator), str(c.im.denominator)]
+    except ValueError:  # past the interpreter's int-to-string digit limit
+        raise CoefficientTooLong from None
 
 
 def rational_from_obj(obj) -> GaussianRational:

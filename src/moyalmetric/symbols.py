@@ -406,12 +406,26 @@ KERNEL_EXP = ExpQuadratic(HS_ZERO, HbarScalar.hbar_power(I * 2, -1), HS_ZERO)
 
 # -- star and twist kernels ---------------------------------------------------
 
+def _x_blocker(sym: PhaseSymbol) -> str:
+    """The first x-dependent exp(..) of sym, which keeps d/dx alive, as text."""
+    eq = min((eq for eq in sym.parts if not (eq.s.is_zero and eq.t.is_zero)),
+             key=ExpQuadratic.sort_key)
+    return f"x-dependent {PhaseSymbol.exponential(eq)}"
+
+
+def _p_blocker(sym: PhaseSymbol) -> str:
+    """What keeps d/dp alive on sym: a p-dependent exp(..) or the lowest p^-k."""
+    eqs = [eq for eq in sym.parts if not (eq.r.is_zero and eq.s.is_zero)]
+    if eqs:
+        return f"p-dependent {PhaseSymbol.exponential(min(eqs, key=ExpQuadratic.sort_key))}"
+    return f"negative power p^{sym.min_pdeg()}"
+
+
 def _check_star(left: PhaseSymbol, right: PhaseSymbol) -> None:
     if not (left._x_series_terminates() or right._p_series_terminates()):
         raise NonTerminatingStar(
-            "star series does not terminate: left factor has x-dependent "
-            "exponentials and right factor has p-dependent exponentials "
-            "or negative p powers")
+            f"star series does not terminate: left factor has {_x_blocker(left)} "
+            f"and right factor has {_p_blocker(right)}")
 
 
 def _check_twist(sym: PhaseSymbol, sign: int) -> None:
@@ -419,7 +433,8 @@ def _check_twist(sym: PhaseSymbol, sign: int) -> None:
         raise ValueError("sign must be +1 or -1")
     if not (sym._x_series_terminates() or sym._p_series_terminates()):
         raise NonTerminatingTwist(
-            "twist series does not terminate for this symbol")
+            f"twist series does not terminate: symbol has {_x_blocker(sym)} "
+            f"and {_p_blocker(sym)}")
 
 
 def _star_series(left: PhaseSymbol, right: PhaseSymbol) -> PhaseSymbol:

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -6,6 +7,8 @@ from moyalmetric import parse_expression
 from moyalmetric.cli import main
 from moyalmetric.errors import InvalidDocument
 from moyalmetric.serialize import operator_from_obj, series_from_obj, symbol_from_obj
+
+LIMIT = sys.get_int_max_str_digits()
 
 
 def run(capsys, *argv):
@@ -116,6 +119,39 @@ class TestBasicCommands:
             assert (code, out) == (2, "")
             assert err.count("\n") == 1
             assert "nests deeper" in err and "at byte 101" in err
+
+    def test_coefficient_past_the_digit_limit_exits_1(self, capsys):
+        for fmt in ("text", "latex", "json"):
+            code, out, err = run(capsys, "dagger", "--expr", "2^99999", "--format", fmt)
+            assert (code, out) == (1, "")
+            assert err.count("\n") == 1 and f"more than {LIMIT} digits" in err
+            assert "set_int_max_str_digits" not in err
+
+    def test_number_past_the_digit_limit_is_a_parse_error(self, capsys):
+        digits = "7" * 5000
+        for expr, offset in ((digits, 0), (f"x^{digits}", 2), (f"x^-{digits}", 3)):
+            code, out, err = run(capsys, "dagger", "--expr", expr)
+            assert (code, out) == (2, "")
+            assert err.count("\n") == 1 and f"at byte {offset}" in err
+            assert f"more than {LIMIT} digits" in err
+            assert "set_int_max_str_digits" not in err
+
+    def test_non_termination_names_the_blocking_factors(self, capsys):
+        code, out, err = run(capsys, "star", "--left", "x + exp(i*x*p/hbar)",
+                             "--right", "p + 1/p^2")
+        assert (code, out) == (1, "")
+        assert err == ("error: star series does not terminate: left factor has "
+                       "x-dependent exp(i*x*p*hbar^-1) and right factor has "
+                       "negative power p^-2\n")
+        code, out, err = run(capsys, "is-hermitian", "--expr", "exp(x^2) + exp(p^2)")
+        assert (code, out) == (1, "")
+        assert err == ("error: twist series does not terminate: symbol has "
+                       "x-dependent exp(x^2) and p-dependent exp(p^2)\n")
+
+    def test_parser_is_built_once(self):
+        from moyalmetric.cli import build_parser
+
+        assert build_parser() is build_parser()
 
     def test_order_past_the_limit_exits_1(self, capsys, tmp_path):
         from moyalmetric.series import MAX_ORDER

@@ -67,6 +67,9 @@ class TestParse:
             parse_expression("x ^ p")
         with pytest.raises(ParseError):
             parse_expression("3 @ 4")
+        with pytest.raises(ParseError) as info:  # isdigit() but not a decimal digit
+            parse_expression("x^²")
+        assert info.value.offset == 2
 
     def test_nesting_depth_is_capped(self):
         depth = parsing.MAX_DEPTH
