@@ -2,7 +2,7 @@
 Hamiltonians, with a finite clock/shift Weyl algebra for cross-validation."""
 
 from .errors import (BadDimension, CoefficientTooLong, DimensionMismatch,
-                     InvalidDocument, IrrationalDiscriminant, MoyalError,
+                     ExponentTooLong, InvalidDocument, IrrationalDiscriminant, MoyalError,
                      NegativeXPower, NonPolynomialHamiltonian, NonQuadraticExponent,
                      NonTerminatingStar, NonTerminatingTwist, NonzeroLeading,
                      NotUnitLeading, OrderTooLarge, ParseError,
@@ -20,7 +20,7 @@ from .symbols import (ExpQuadratic, G, HBAR, KERNEL_EXP, ONE, P, PhaseSymbol,
 
 __all__ = [
     "BadDimension", "CoefficientTooLong", "DifferentialOperator",
-    "DimensionMismatch", "ExpQuadratic",
+    "DimensionMismatch", "ExpQuadratic", "ExponentTooLong",
     "G", "GaussianRational", "HBAR", "HbarScalar", "InvalidDocument",
     "IrrationalDiscriminant", "KERNEL_EXP", "MetricSeries", "MoyalError",
     "NegativeXPower", "NonPolynomialHamiltonian", "NonQuadraticExponent",

@@ -27,12 +27,24 @@ class OrderTooLarge(MoyalError):
     """Perturbative order beyond the series.MAX_ORDER budget."""
 
 
-class CoefficientTooLong(MoyalError):
-    """A coefficient has more digits than the interpreter converts to text."""
+class TooLongToPrint(MoyalError):
+    """A number, of the kind each subclass names in `what`, is too long to print."""
 
     def __init__(self):
         self.limit = sys.get_int_max_str_digits()
-        super().__init__(f"coefficient has more than {self.limit} digits, too long to print")
+        super().__init__(f"{self.what} has more than {self.limit} digits, too long to print")
+
+
+class CoefficientTooLong(TooLongToPrint):
+    """A coefficient has more digits than the interpreter converts to text."""
+
+    what = "coefficient"
+
+
+class ExponentTooLong(TooLongToPrint):
+    """An exponent has more digits than the interpreter converts to text."""
+
+    what = "exponent"
 
 
 class NotUnitLeading(MoyalError):

@@ -6,15 +6,16 @@ them: fractions (3/4 or \\frac{3}{4}), powers (x^2 or x^{2}), products (* or
 exponential (exp(..) or e^{..}).  The text style is the inverse of the
 parser: rendering any symbol and parsing the result reproduces the symbol
 exactly.  Terms come in canonical order (g, x, p, hbar exponents; exponential
-parts by their coefficient triples, trivial part first).  A coefficient past
-the interpreter's int-to-string digit limit raises CoefficientTooLong.
+parts by their coefficient triples, trivial part first).  A coefficient or
+an exponent past the interpreter's int-to-string digit limit raises
+CoefficientTooLong or ExponentTooLong.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import CoefficientTooLong
+from .errors import CoefficientTooLong, ExponentTooLong
 from .rationals import GaussianRational
 from .symbols import ExpQuadratic, MonoKey, PhaseSymbol, _canon_key
 
@@ -67,8 +68,11 @@ def _coeff(c: GaussianRational, st: _Style) -> tuple[bool, str]:
 
 def _monomial(key: MonoKey, coeff: GaussianRational, st: _Style) -> tuple[bool, str]:
     neg, ctext = _coeff(coeff, st)
-    factors = [name if key[idx] == 1 else f"{name}{st.power[0]}{key[idx]}{st.power[1]}"
-               for name, idx in st.names if key[idx]]
+    try:
+        factors = [name if key[idx] == 1 else f"{name}{st.power[0]}{key[idx]}{st.power[1]}"
+                   for name, idx in st.names if key[idx]]
+    except ValueError:  # past the interpreter's int-to-string digit limit
+        raise ExponentTooLong from None
     if not factors:
         return neg, ctext
     if ctext != "1":

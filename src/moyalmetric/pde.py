@@ -8,12 +8,11 @@ symbol coefficients:
 
 Solutions of L[Theta] = 0 are metric candidates.
 
-`DifferentialOperator.apply` acts on the polynomial part of a symbol in
-closed form, d_x^m d_p^n x^a p^b = a^(m) * b^(n) * x^(a-m) * p^(b-n) with
-falling factorials n^(k) (also for negative b), on Gaussian-integer
-numerators over one shared denominator.  Parts of the symbol or of the
-coefficients that carry an exponential factor take the chain-rule series
-over whole symbols, which is also the test oracle for the closed form.
+L is star_terms(H, "x") - star_terms(H^dag, "p"), and
+`DifferentialOperator.apply` runs on the operator kernel of `symbols`: the
+closed form d_x^m d_p^n x^a p^b = a^(m) * b^(n) * x^(a-m) * p^(b-n) on
+Gaussian-integer numerators when the coefficients and the symbol are
+polynomial, the chain-rule series otherwise.
 
 The quadratic model
 a*p^2 + b*x^2 + i*c*p*x additionally admits exact Gaussian solutions
@@ -29,18 +28,19 @@ from fractions import Fraction
 
 from .errors import IrrationalDiscriminant, NonPolynomialHamiltonian, ZeroParameter
 from .rationals import GaussianRational, HbarScalar, I
-from .symbols import (TRIVIAL_EXP, ExpQuadratic, MonoKey, PhaseSymbol, _falling,
-                      _gaussian_terms, _integer_terms)
+from .symbols import (TRIVIAL_EXP, ZERO, ExpQuadratic, PhaseSymbol, _apply_integer,
+                      _apply_series, _integer_terms, star_terms)
 
 
 class DifferentialOperator:
     """Finite sum of PhaseSymbol coefficients times d_x^m d_p^n.
 
-    The polynomial parts of the coefficients are also kept as integer terms
-    (m, n, [(key, re, im), ...]) over the shared denominator `_den`.
+    When every coefficient is polynomial, the coefficients are also kept as
+    integer terms (m, n, [(key, re, im), ...]), in ascending (m, n), over the
+    shared denominator `_den`; otherwise `_integer` is None.
     """
 
-    __slots__ = ("_terms", "_den", "_integer", "_exp_terms")
+    __slots__ = ("_terms", "_den", "_integer")
 
     def __init__(self, terms: dict[tuple[int, int], PhaseSymbol]):
         canon = {}
@@ -50,54 +50,26 @@ class DifferentialOperator:
             if coeff:
                 canon[(m, n)] = coeff
         self._terms = canon
-        integer, self._exp_terms = [], {}
-        for mn, coeff in canon.items():
-            parts = coeff.parts
-            poly = parts.pop(TRIVIAL_EXP, None)
-            if poly:
-                integer.append((mn, *_integer_terms(poly)))
-            if parts:
-                self._exp_terms[mn] = PhaseSymbol(parts)
-        self._den = den = math.lcm(*(d for _, d, _ in integer))
-        self._integer = [(m, n, [(key, re * (den // d), im * (den // d))
-                                 for key, re, im in cterms])
-                         for (m, n), d, cterms in integer]
+        self._den, self._integer = 1, None
+        if all(coeff.is_polynomial for coeff in canon.values()):
+            integer = [(mn, *_integer_terms(coeff.parts[TRIVIAL_EXP]))
+                       for mn, coeff in sorted(canon.items())]
+            self._den = den = math.lcm(*(d for _, d, _ in integer))
+            self._integer = [(m, n, [(key, re * (den // d), im * (den // d))
+                                     for key, re, im in cterms])
+                             for (m, n), d, cterms in integer]
 
     @property
     def terms(self) -> dict[tuple[int, int], PhaseSymbol]:
         return dict(self._terms)
 
     def apply(self, f: PhaseSymbol) -> PhaseSymbol:
-        parts = f.parts
-        poly = parts.pop(TRIVIAL_EXP, None)
-        total = PhaseSymbol.zero()
-        if poly:
-            total = PhaseSymbol({TRIVIAL_EXP: self._apply_integer(poly)})
-            if self._exp_terms:
-                total = total + _apply_series(self._exp_terms, PhaseSymbol({TRIVIAL_EXP: poly}))
-        if parts:
-            total = total + _apply_series(self._terms, PhaseSymbol(parts))
-        return total
-
-    def _apply_integer(self, poly: dict[MonoKey, GaussianRational]):
-        """Polynomial coefficients applied to a polynomial part, in closed form."""
-        fden, fterms = _integer_terms(poly)
-        acc: dict[MonoKey, list[int]] = {}
-        for m, n, cterms in self._integer:
-            for (a, b, h, g), re, im in fterms:
-                w = _falling(a, m) * _falling(b, n)
-                if not w:
-                    continue
-                wre, wim, a, b = w * re, w * im, a - m, b - n
-                for (x, p, hh, gg), cre, cim in cterms:
-                    key = (a + x, b + p, h + hh, g + gg)
-                    slot = acc.get(key)
-                    if slot is None:
-                        acc[key] = [wre * cre - wim * cim, wre * cim + wim * cre]
-                    else:
-                        slot[0] += wre * cre - wim * cim
-                        slot[1] += wre * cim + wim * cre
-        return _gaussian_terms(acc, self._den * fden)
+        """sum coeff * d_x^m d_p^n f: in closed form when the coefficients and f
+        are polynomial, otherwise by the chain-rule series."""
+        if self._integer is None or not f.is_polynomial:
+            return _apply_series(self._terms, f)
+        return PhaseSymbol({TRIVIAL_EXP: _apply_integer(self._integer, self._den,
+                                                        f.parts.get(TRIVIAL_EXP, {}))})
 
     def dx_order(self) -> int:
         return max((m for m, _ in self._terms), default=0)
@@ -130,47 +102,10 @@ def derive_metric_operator(hamiltonian: PhaseSymbol) -> DifferentialOperator:
     if not hamiltonian.is_polynomial or hamiltonian.min_pdeg() < 0:
         raise NonPolynomialHamiltonian(
             "Hamiltonian symbol must be polynomial in x and p")
-    hdag = hamiltonian.dagger()
-    acc: dict[tuple[int, int], PhaseSymbol] = {}
-
-    cur = hamiltonian
-    k = 0
-    while cur:
-        coeff = PhaseSymbol.monomial(I ** k * Fraction(1, math.factorial(k)), hbar=k)
-        key = (0, k)
-        acc[key] = acc.get(key, PhaseSymbol.zero()) + cur * coeff
-        cur = cur.diff("x")
-        k += 1
-
-    cur = hdag
-    k = 0
-    while cur:
-        coeff = PhaseSymbol.monomial(I ** k * Fraction(1, math.factorial(k)), hbar=k)
-        key = (k, 0)
-        acc[key] = acc.get(key, PhaseSymbol.zero()) - cur * coeff
-        cur = cur.diff("p")
-        k += 1
-
-    return DifferentialOperator(acc)
-
-
-def _apply_series(terms: dict[tuple[int, int], PhaseSymbol], f: PhaseSymbol) -> PhaseSymbol:
-    """sum coeff * d_x^m d_p^n f over whole symbols by the chain rule.
-
-    d_x^m f is computed once per m, and the p-derivatives step on from it.
-    """
-    by_m: dict[int, list[int]] = {}
-    for m, n in sorted(terms):
-        by_m.setdefault(m, []).append(n)
-    total = PhaseSymbol.zero()
-    fx, at = f, 0
-    for m, ns in by_m.items():
-        fx, at = fx.diff("x", m - at), m
-        cur, done = fx, 0
-        for n in ns:
-            cur, done = cur.diff("p", n - done), n
-            total = total + terms[m, n] * cur
-    return total
+    left = star_terms(hamiltonian, "x")
+    right = star_terms(hamiltonian.dagger(), "p")
+    return DifferentialOperator({key: left.get(key, ZERO) - right.get(key, ZERO)
+                                 for key in {**left, **right}})
 
 
 def apply_operator(operator: DifferentialOperator, f: PhaseSymbol) -> PhaseSymbol:

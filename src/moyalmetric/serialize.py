@@ -13,7 +13,7 @@ import json
 import re
 from fractions import Fraction
 
-from .errors import CoefficientTooLong, InvalidDocument
+from .errors import CoefficientTooLong, ExponentTooLong, InvalidDocument
 from .pde import DifferentialOperator, SwansonParams
 from .rationals import GaussianRational, HbarScalar
 from .series import MetricSeries, check_order
@@ -21,6 +21,7 @@ from .starlog import PositivityReport
 from .symbols import ExpQuadratic, PhaseSymbol, _canon_key
 
 _DECIMAL = re.compile(r"-?[0-9]+")
+_ORDER_KEY = re.compile(r"0|[1-9][0-9]*")
 _RATIONAL_FIELDS = tuple(f"rational entry {name}" for name in ("reN", "reD", "imN", "imD"))
 
 
@@ -122,13 +123,21 @@ def series_to_obj(series: MetricSeries) -> dict:
                        for n in sorted(series.orders)}}
 
 
+def _order_key(key: str) -> int:
+    """A series order key in canonical decimal, as series_to_obj writes it."""
+    if _ORDER_KEY.fullmatch(key):
+        return _decimal(key, f"series order key {key!r:.40}")
+    raise InvalidDocument(f"series order key {key!r:.40} is not a canonical decimal integer")
+
+
 def series_from_obj(obj) -> MetricSeries:
-    if not isinstance(obj, dict) or "orders" not in obj or "max_order" not in obj:
-        raise InvalidDocument("series document must have 'max_order' and 'orders'")
+    if (not isinstance(obj, dict) or "max_order" not in obj
+            or not isinstance(obj.get("orders"), dict)):
+        raise InvalidDocument("series document must have 'max_order' and an 'orders' object")
     max_order = _int(obj["max_order"], "max_order")
     check_order(max_order, "max_order")
     try:
-        orders = {int(n): symbol_from_obj(sub) for n, sub in obj["orders"].items()}
+        orders = {_order_key(n): symbol_from_obj(sub) for n, sub in obj["orders"].items()}
         return MetricSeries(orders, max_order)
     except (TypeError, ValueError) as exc:
         raise InvalidDocument(f"malformed series document: {exc}") from exc
@@ -191,7 +200,10 @@ def candidates_to_obj(candidates: list[ExpQuadratic]) -> dict:
 
 
 def dumps(obj) -> str:
-    return json.dumps(obj, indent=2)
+    try:
+        return json.dumps(obj, indent=2)
+    except ValueError:  # an int past the interpreter's int-to-string digit limit
+        raise ExponentTooLong from None
 
 
 def load_document(path: str):

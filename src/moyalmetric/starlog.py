@@ -34,47 +34,37 @@ def _graded_star(a: Graded, b: Graded, max_order: int) -> Graded:
     return {n: sym for n, sym in out.items() if sym}
 
 
-def _graded_add_scaled(total: Graded, term: Graded, scale) -> None:
-    for n, sym in term.items():
-        scaled = sym * PhaseSymbol.monomial(scale)
-        total[n] = total.get(n, PhaseSymbol.zero()) + scaled
+def _graded_power_series(series: MetricSeries, start: Graded, coeff) -> MetricSeries:
+    """start + sum_m coeff(m) * A^(*m) for the tail A of series, by g-grade."""
+    n_max = series.max_order
+    tail: Graded = {n: series.order(n) for n in range(1, n_max + 1) if series.order(n)}
+
+    total = dict(start)
+    power = dict(tail)
+    for m in range(1, n_max + 1):
+        if m > 1:
+            power = _graded_star(power, tail, n_max)
+        if not power:
+            break
+        scale = PhaseSymbol.monomial(coeff(m))
+        for n, sym in power.items():
+            total[n] = total.get(n, PhaseSymbol.zero()) + sym * scale
+    return MetricSeries({n: sym for n, sym in total.items() if sym}, n_max)
 
 
 def star_log(series: MetricSeries) -> MetricSeries:
     """log(series) with star products, truncated at the series' max order."""
     if series.order(0) != PhaseSymbol.monomial(1):
         raise NotUnitLeading("star_log needs a series starting with 1")
-    n_max = series.max_order
-    tail: Graded = {n: series.order(n) for n in range(1, n_max + 1) if series.order(n)}
-
-    total: Graded = {}
-    power = dict(tail)
-    for m in range(1, n_max + 1):
-        if m > 1:
-            power = _graded_star(power, tail, n_max)
-        if not power:
-            break
-        sign = Fraction(1, m) if m % 2 else Fraction(-1, m)
-        _graded_add_scaled(total, power, sign)
-    return MetricSeries({n: sym for n, sym in total.items() if sym}, n_max)
+    return _graded_power_series(series, {}, lambda m: Fraction(1 if m % 2 else -1, m))
 
 
 def star_exp(series: MetricSeries) -> MetricSeries:
     """exp(series) with star products; input must vanish at order g^0."""
     if series.order(0):
         raise NonzeroLeading("star_exp needs a series with zero leading order")
-    n_max = series.max_order
-    tail: Graded = {n: series.order(n) for n in range(1, n_max + 1) if series.order(n)}
-
-    total: Graded = {0: PhaseSymbol.monomial(1)}
-    power = dict(tail)
-    for m in range(1, n_max + 1):
-        if m > 1:
-            power = _graded_star(power, tail, n_max)
-        if not power:
-            break
-        _graded_add_scaled(total, power, Fraction(1, math.factorial(m)))
-    return MetricSeries({n: sym for n, sym in total.items() if sym}, n_max)
+    return _graded_power_series(series, {0: PhaseSymbol.monomial(1)},
+                                lambda m: Fraction(1, math.factorial(m)))
 
 
 @dataclass(frozen=True)

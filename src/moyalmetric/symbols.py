@@ -14,6 +14,10 @@ Hermitian conjugation on this level is complex conjugation followed by the
 twist exp(+i*hbar*d_x*d_p); a symbol is hermitian exactly when its conjugate
 equals its exp(-i*hbar*d_x*d_p) twist.  Both series are summed only when a
 structural termination condition holds, otherwise the operation raises.
+
+Star, twist and the metric operator of `pde` are all sums c_mn * d_x^m d_p^n
+acting on a symbol, applied by one kernel: `_apply_integer` in closed form on
+polynomial parts, `_apply_series` by the chain rule on exponential parts.
 """
 
 from __future__ import annotations
@@ -300,54 +304,53 @@ class PhaseSymbol:
         of x (s = t = 0), or the right factor has no p in exponents and no
         negative p powers; otherwise raises NonTerminatingStar.
 
-        Pairs of parts whose left exponent is free of x and whose right
-        exponent is free of p go through the closed-form integer kernel; the
-        remaining pairs take the chain-rule series.
+        Right parts free of p go through the closed-form integer kernel with
+        the operator terms of each left part; the other right parts, or all
+        of a left factor with x in an exponent, take the chain-rule series.
         """
         o = self._coerce(other)
         if o is None:
             raise TypeError("star product needs a PhaseSymbol operand")
         _check_star(self, o)
-        left = {eq: _integer_terms(poly) for eq, poly in self._parts.items()
-                if eq.s.is_zero and eq.t.is_zero}
-        right = {eq: _integer_terms(poly) for eq, poly in o._parts.items()
-                 if eq.r.is_zero and eq.s.is_zero}
-        total = PhaseSymbol({
-            eq1.combined(eq2): _falling_kernel(_star_term_pairs(t1, t2), d1 * d2, 1)
-            for eq1, (d1, t1) in left.items() for eq2, (d2, t2) in right.items()})
-        # The guard keeps the series finite on the other pairs: left parts
-        # with x in the exponent only occur when the right p-series ends.
-        left_rest = PhaseSymbol({eq: poly for eq, poly in self._parts.items()
-                                 if eq not in left})
-        if left_rest:
-            total = total + _star_series(left_rest, o)
-        right_rest = PhaseSymbol({eq: poly for eq, poly in o._parts.items()
-                                  if eq not in right})
-        if left and right_rest:
-            total = total + _star_series(
-                PhaseSymbol({eq: self._parts[eq] for eq in left}), right_rest)
+        if not self._x_series_terminates():
+            return _apply_series(star_terms(o, "p"), self)
+        left = {eq: _star_ops(poly) for eq, poly in self._parts.items()}
+        total = PhaseSymbol({eq1.combined(eq2): _apply_integer(ops, den, poly)
+                             for eq1, (den, ops) in left.items()
+                             for eq2, poly in o._parts.items()
+                             if eq2.r.is_zero and eq2.s.is_zero})
+        rest = PhaseSymbol({eq: poly for eq, poly in o._parts.items()
+                            if not (eq.r.is_zero and eq.s.is_zero)})
+        if rest:
+            total = total + _apply_series(star_terms(self, "x"), rest)
         return total
 
     def exp_twist(self, sign: int) -> PhaseSymbol:
         """Apply exp(sign * i * hbar * d_x d_p) as an exact finite series.
 
-        Parts without an exponential factor go through the closed-form
-        integer kernel; the others take the chain-rule series.
+        Its terms (sign*i)^k / k! * hbar^k d_x^k d_p^k act on a polynomial
+        symbol through the closed-form integer kernel, on any other through
+        the chain-rule series.
         """
         _check_twist(self, sign)
-        out = {}
-        rest = {}
-        for eq, poly in self._parts.items():
-            if eq.is_trivial:
-                den, terms = _integer_terms(poly)
-                out[eq] = _falling_kernel(
-                    ((key[0], key[1], key, re, im) for key, re, im in terms), den, sign)
-            else:
-                rest[eq] = poly
-        total = PhaseSymbol(out)
-        if rest:
-            total = total + _twist_series(PhaseSymbol(rest), sign)
-        return total
+        # the last k that leaves a term alive: d_x^k kills x^a past k = a when
+        # no exponent holds x, d_p^k kills p^b past k = b >= 0 when none holds p
+        xfree = self._x_series_terminates()
+        top = max((min(a, b) if eq.is_trivial and b >= 0 else a if xfree else b
+                   for eq, poly in self._parts.items() for a, b, _, _ in poly), default=0)
+        # numerators (sign*i)^k * top!/k! over the denominator top!
+        den = re = math.factorial(top)
+        ops, im = [], 0
+        for k in range(top + 1):
+            ops.append((k, k, [((0, 0, k, 0), re, im)]))
+            re, im = (-im, re) if sign > 0 else (im, -re)
+            re, im = re // (k + 1), im // (k + 1)
+        if self.is_polynomial:
+            return PhaseSymbol({TRIVIAL_EXP: _apply_integer(ops, den,
+                                                            self._parts.get(TRIVIAL_EXP, {}))})
+        terms = {(k, k): PhaseSymbol({TRIVIAL_EXP: _gaussian_terms({key: [re, im]}, den)})
+                 for k, _, [(key, re, im)] in ops}
+        return _apply_series(terms, self)
 
     def dagger(self) -> PhaseSymbol:
         """Symbol of the hermitian-conjugate operator."""
@@ -437,30 +440,39 @@ def _check_twist(sym: PhaseSymbol, sign: int) -> None:
             f"and {_p_blocker(sym)}")
 
 
-def _star_series(left: PhaseSymbol, right: PhaseSymbol) -> PhaseSymbol:
-    """Star product by the chain-rule series over whole symbols."""
-    _check_star(left, right)
-    total = PhaseSymbol.zero()
-    k = 0
-    while left and right:
-        coeff = PhaseSymbol.monomial(I ** k * Fraction(1, math.factorial(k)), hbar=k)
-        total = total + left * right * coeff
-        left = left.diff("x")
-        right = right.diff("p")
-        k += 1
-    return total
+def star_terms(sym: PhaseSymbol, var: str) -> dict[tuple[int, int], PhaseSymbol]:
+    """Operator terms (i*hbar)^k / k! * d_var^k sym for k = 0, 1, ...
 
-
-def _twist_series(sym: PhaseSymbol, sign: int) -> PhaseSymbol:
-    """exp(sign * i * hbar * d_x d_p) by the chain-rule series over the symbol."""
-    _check_twist(sym, sign)
-    total = PhaseSymbol.zero()
+    They stand under d_p^k for var x and under d_x^k for var p, so that
+    A * B = star_terms(A, "x") applied to B = star_terms(B, "p") applied to A.
+    The caller makes sure the derivatives of sym die out.
+    """
+    terms = {}
     k = 0
     while sym:
-        coeff = PhaseSymbol.monomial((I * sign) ** k * Fraction(1, math.factorial(k)), hbar=k)
-        total = total + sym * coeff
-        sym = sym.diff("x").diff("p")
+        coeff = PhaseSymbol.monomial(I ** k * Fraction(1, math.factorial(k)), hbar=k)
+        terms[(0, k) if var == "x" else (k, 0)] = sym * coeff
+        sym = sym.diff(var)
         k += 1
+    return terms
+
+
+def _apply_series(terms: dict[tuple[int, int], PhaseSymbol], f: PhaseSymbol) -> PhaseSymbol:
+    """sum coeff * d_x^m d_p^n f over whole symbols by the chain rule.
+
+    d_x^m f is computed once per m, and the p-derivatives step on from it.
+    """
+    by_m: dict[int, list[int]] = {}
+    for m, n in sorted(terms):
+        by_m.setdefault(m, []).append(n)
+    total = PhaseSymbol.zero()
+    fx, at = f, 0
+    for m, ns in by_m.items():
+        fx, at = fx.diff("x", m - at), m
+        cur, done = fx, 0
+        for n in ns:
+            cur, done = cur.diff("p", n - done), n
+            total = total + terms[m, n] * cur
     return total
 
 
@@ -474,53 +486,57 @@ def _integer_terms(poly: dict[MonoKey, GaussianRational]):
                  for key, c in poly.items()]
 
 
-def _star_term_pairs(left, right):
-    """Kernel input for x^a p^b * x^c p^d: falling parameters a and d."""
-    for k1, re1, im1 in left:
-        a = k1[0]
-        for k2, re2, im2 in right:
-            yield (a, k2[1], (a + k2[0], k1[1] + k2[1], k1[2] + k2[2], k1[3] + k2[3]),
-                   re1 * re2 - im1 * im2, re1 * im2 + im1 * re2)
+def _star_ops(poly: dict[MonoKey, GaussianRational]):
+    """The integer terms of star_terms(part, "x") for a polynomial left part.
 
-
-def _falling_kernel(terms, den: int, sign: int) -> dict[MonoKey, GaussianRational]:
-    """Closed form of sum_k (sign*i*hbar)^k / k! * d_x^k d_p^k on monomials.
-
-    Each term (a, d, key, re, im) stands for (re + i*im)/den times the
-    monomial `key`, where the x-derivatives act on a power x^a and the
-    p-derivatives on a power p^d.  Its k-th summand has the integer weight
-    C(a, k) * d^(k) (falling factorial, also for negative d) and the key
-    shifted by x^-k p^-k hbar^k; the weight vanishes for every k > a.
+    x^a p^b gives C(a, k) * i^k * x^(a-k) p^b hbar^k under d_p^k.  Returns
+    (den, [(0, k, [(key, re, im), ...]), ...]) for _apply_integer.
     """
+    den, terms = _integer_terms(poly)
+    by_k: dict[int, list] = {}
+    for (a, b, h, g), re, im in terms:
+        for k in range(a + 1):
+            w = math.comb(a, k)
+            by_k.setdefault(k, []).append(((a - k, b, h + k, g), w * re, w * im))
+            re, im = -im, re
+    return den, [(0, k, cterms) for k, cterms in by_k.items()]
+
+
+def _apply_integer(ops, den: int, poly: dict[MonoKey, GaussianRational]):
+    """sum c_mn * d_x^m d_p^n poly in closed form on a polynomial part.
+
+    `ops` holds integer operator terms (m, n, [(key, re, im), ...]) in
+    ascending m, each coefficient (re + i*im)/den times its monomial.
+    d_x^m d_p^n x^a p^b is a^(m) * b^(n) * x^(a-m) p^(b-n) with falling
+    factorials n^(k) = n*(n-1)*...*(n-k+1), also for negative b; sums run on
+    Gaussian-integer numerators.
+    """
+    fden, fterms = _integer_terms(poly)
     acc: dict[MonoKey, list[int]] = {}
-    for a, d, (x, p, h, g), re, im in terms:
-        w, k = 1, 0
-        while w:
-            key = (x - k, p - k, h + k, g)
-            slot = acc.get(key)
-            if slot is None:
-                acc[key] = [w * re, w * im]
-            else:
-                slot[0] += w * re
-                slot[1] += w * im
-            # multiply by sign * i
-            re, im = (-im, re) if sign > 0 else (im, -re)
-            w = w * (a - k) * (d - k) // (k + 1)
-            k += 1
-    return _gaussian_terms(acc, den)
+    for (a, b, h, g), re, im in fterms:
+        for m, n, cterms in ops:
+            w = math.perm(a, m)
+            if not w:
+                break  # a^(m) = 0, and m only grows along ops
+            w *= math.perm(b, n) if b >= 0 else (-1) ** n * math.perm(n - b - 1, n)
+            if not w:
+                continue
+            wre, wim, xd, pd = w * re, w * im, a - m, b - n
+            for (x, p, hh, gg), cre, cim in cterms:
+                key = (xd + x, pd + p, h + hh, g + gg)
+                slot = acc.get(key)
+                if slot is None:
+                    acc[key] = [wre * cre - wim * cim, wre * cim + wim * cre]
+                else:
+                    slot[0] += wre * cre - wim * cim
+                    slot[1] += wre * cim + wim * cre
+    return _gaussian_terms(acc, den * fden)
 
 
 def _gaussian_terms(acc: dict[MonoKey, list[int]], den: int) -> dict[MonoKey, GaussianRational]:
     """Gaussian-integer numerators [re, im] over `den` back to coefficients."""
     return {key: GaussianRational(Fraction(re, den), Fraction(im, den))
             for key, (re, im) in acc.items() if re or im}
-
-
-def _falling(n: int, k: int) -> int:
-    """Falling factorial n^(k) = n*(n-1)*...*(n-k+1), also for negative n."""
-    if n >= 0:
-        return math.perm(n, k)
-    return math.perm(k - n - 1, k) * (-1 if k & 1 else 1)
 
 
 def star(a: PhaseSymbol, b: PhaseSymbol) -> PhaseSymbol:

@@ -127,6 +127,14 @@ class TestBasicCommands:
             assert err.count("\n") == 1 and f"more than {LIMIT} digits" in err
             assert "set_int_max_str_digits" not in err
 
+    def test_exponent_past_the_digit_limit_exits_1(self, capsys):
+        nines = "9" * 4000
+        for expr in (f"(x^{nines})^{nines}", f"exp(p^2*(hbar^{nines})^{nines})"):
+            for fmt in ("text", "latex", "json"):
+                code, out, err = run(capsys, "dagger", "--expr", expr, "--format", fmt)
+                assert (code, out) == (1, "")
+                assert err == f"error: exponent has more than {LIMIT} digits, too long to print\n"
+
     def test_number_past_the_digit_limit_is_a_parse_error(self, capsys):
         digits = "7" * 5000
         for expr, offset in ((digits, 0), (f"x^{digits}", 2), (f"x^-{digits}", 3)):
@@ -253,6 +261,23 @@ class TestDeterminismAndJson:
         assert "max_order" in err
         with pytest.raises(InvalidDocument, match="dx"):
             operator_from_obj({"terms": [{"dx": False, "dp": 0, "coeff": {"terms": []}}]})
+
+    def test_non_canonical_series_order_keys_exit_2(self, capsys, tmp_path):
+        doc = tmp_path / "series.json"
+        slice_ = {"terms": []}
+        long_key = "1" * 5000
+        for orders, named in (({"01": slice_}, "'01'"), ({" 1": slice_}, "' 1'"),
+                              ({"+1": slice_}, "'+1'"), ({"1_0": slice_}, "'1_0'"),
+                              ({"1": slice_, "01": slice_}, "'01'"),
+                              ({long_key: slice_}, "'1111")):
+            doc.write_text(json.dumps({"max_order": 2, "orders": orders}))
+            code, out, err = run(capsys, "log-metric", "--from-json", str(doc))
+            assert (code, out) == (2, "")
+            assert err.count("\n") == 1 and f"series order key {named}" in err
+            assert "set_int_max_str_digits" not in err
+        doc.write_text(json.dumps({"max_order": 2, "orders": []}))
+        code, out, err = run(capsys, "log-metric", "--from-json", str(doc))
+        assert (code, out) == (2, "") and "'orders' object" in err
 
     def test_missing_input_exits_2(self, capsys):
         code, _, err = run(capsys, "dagger")

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -12,9 +13,9 @@ from moyalmetric import (DifferentialOperator, G, HBAR, IrrationalDiscriminant,
                          apply_operator, derive_metric_operator,
                          gaussian_metric_candidates, residual,
                          swanson_from_ladder)
-from moyalmetric.pde import _apply_series
 from moyalmetric.rationals import GaussianRational, HbarScalar, HS_ZERO
-from moyalmetric.symbols import ExpQuadratic
+from moyalmetric.symbols import (TRIVIAL_EXP, ExpQuadratic, _apply_series, _gaussian_terms,
+                                 _star_ops, star_terms)
 
 mono = PhaseSymbol.monomial
 KERNEL = PhaseSymbol.exponential(KERNEL_EXP)
@@ -97,6 +98,50 @@ class TestDeriveMetricOperator:
             f = rand_poly(rng, max_terms=3, max_x=3, min_p=-3, max_p=3)
             lhs = L.apply(f.exp_twist(+1)).exp_twist(-1)
             assert lhs == minus_conj.apply(f)
+
+
+def _derive_oracle(hamiltonian: PhaseSymbol) -> DifferentialOperator:
+    """The chain-rule loops derive_metric_operator used before star_terms, verbatim."""
+    if not hamiltonian.is_polynomial or hamiltonian.min_pdeg() < 0:
+        raise NonPolynomialHamiltonian(
+            "Hamiltonian symbol must be polynomial in x and p")
+    hdag = hamiltonian.dagger()
+    acc: dict[tuple[int, int], PhaseSymbol] = {}
+
+    cur = hamiltonian
+    k = 0
+    while cur:
+        coeff = PhaseSymbol.monomial(I ** k * Fraction(1, math.factorial(k)), hbar=k)
+        key = (0, k)
+        acc[key] = acc.get(key, PhaseSymbol.zero()) + cur * coeff
+        cur = cur.diff("x")
+        k += 1
+
+    cur = hdag
+    k = 0
+    while cur:
+        coeff = PhaseSymbol.monomial(I ** k * Fraction(1, math.factorial(k)), hbar=k)
+        key = (k, 0)
+        acc[key] = acc.get(key, PhaseSymbol.zero()) - cur * coeff
+        cur = cur.diff("p")
+        k += 1
+
+    return DifferentialOperator(acc)
+
+
+class TestDeriveOracle:
+    """star_terms and the integer star kernel against the loops they replaced."""
+
+    @given(poly_symbols(min_p=0))
+    def test_derive_matches_chain_rule_loops(self, H):
+        assert derive_metric_operator(H).terms == _derive_oracle(H).terms
+
+    @given(poly_symbols())
+    def test_integer_star_terms_match_star_terms(self, a):
+        den, ops = _star_ops(a.parts.get(TRIVIAL_EXP, {}))
+        integer = {(m, n): PhaseSymbol({TRIVIAL_EXP: _gaussian_terms(
+            {key: [re, im] for key, re, im in cterms}, den)}) for m, n, cterms in ops}
+        assert integer == star_terms(a, "x")
 
 
 class TestApplyAndResidual:
