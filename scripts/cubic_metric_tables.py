@@ -2,17 +2,21 @@
 """Print the metric series of p^2 + i*g*x^3 and its star-logarithm.
 
 Usage: python3 scripts/cubic_metric_tables.py [ORDER]
+
+Exits 1 when the residual of the series has an order <= ORDER, when a
+star-log slice is not hermitian or when star_exp does not undo the star-log,
+so it doubles as a check of the solver and of the star-log.
 """
 
 import sys
 
 from moyalmetric import (GaussianRational, PhaseSymbol, X, positivity_evidence,
-                         residual, solve_metric_series, star_log)
+                         residual, solve_metric_series, star_exp)
 
 I = GaussianRational(0, 1)
 
 
-def main() -> None:
+def main() -> int:
     order = int(sys.argv[1]) if len(sys.argv) > 1 else 3
     series = solve_metric_series(I * X ** 3, order)
 
@@ -25,15 +29,24 @@ def main() -> None:
     leftover = sorted(r.g_slices())
     print(f"residual orders (all > {order}): {leftover}")
 
-    log = star_log(series)
+    report = positivity_evidence(series)
     print("star-logarithm:")
     for n in range(1, order + 1):
-        print(f"  g^{n}: {log.order(n)}")
-
-    report = positivity_evidence(series)
+        print(f"  g^{n}: {report.log_series.order(n)}")
     print(f"star-log hermitian per order: {report.per_order_hermitian}")
     print(f"positivity evidence verdict: {report.verdict}")
 
+    problems = []
+    if any(n <= order for n in leftover):
+        problems.append(f"residual has orders <= {order}")
+    if not report.verdict:
+        problems.append("a star-log slice is not hermitian")
+    if star_exp(report.log_series) != series:
+        problems.append("star_exp does not undo the star-log")
+    for problem in problems:
+        print(f"FAIL: {problem}", file=sys.stderr)
+    return 1 if problems else 0
+
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

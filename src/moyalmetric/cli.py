@@ -34,14 +34,13 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
 
 
-def _positive_int(text: str) -> int:
-    try:
+def _int_at_least(low: int):
+    def integer(text: str) -> int:  # argparse reports a ValueError as "invalid integer value"
         value = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer: {text!r}")
-    return value
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}: {text!r}")
+        return value
+    return integer
 
 
 def _read_symbol(args, text_attr: str, json_attr: str, what: str) -> PhaseSymbol:
@@ -283,14 +282,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("solve-metric", _cmd_solve_metric, "perturbative metric series for p^2 + g*V(x)")
     p.add_argument("--potential", required=True)
-    p.add_argument("--order", type=_positive_int, required=True)
+    p.add_argument("--order", type=_int_at_least(1), required=True)
 
     for name, func, help_text in (
             ("log-metric", _cmd_log_metric, "star-logarithm of a metric series"),
             ("positivity", _cmd_positivity, "hermiticity report for the star-log")):
         p = add(name, func, help_text)
         p.add_argument("--potential")
-        p.add_argument("--order", type=_positive_int, default=1)
+        p.add_argument("--order", type=_int_at_least(1), default=1)
         p.add_argument("--from-json", metavar="PATH", help="metric series document")
 
     p = add("swanson", _cmd_swanson, "quadratic-model couplings from ladder parameters")
@@ -307,8 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("finite-demo", _cmd_finite_demo, "clock/shift matrices and isomorphism checks")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--pairs", type=int, default=50)
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--pairs", type=_int_at_least(1), default=50)
+    p.add_argument("--seed", type=_int_at_least(0), default=7)
     p.add_argument("--tolerance", type=float, default=1e-9)
 
     return parser

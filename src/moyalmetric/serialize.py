@@ -32,6 +32,13 @@ def _int(value, field: str) -> int:
     raise InvalidDocument(f"{field} must be an integer, got {value!r:.40}")
 
 
+def _bool(value, field: str) -> bool:
+    """A JSON boolean; 0, 1 and strings are rejected."""
+    if isinstance(value, bool):
+        return value
+    raise InvalidDocument(f"{field} must be a boolean, got {value!r:.40}")
+
+
 def _decimal(value, field: str) -> int:
     """A decimal-string integer as written by rational_to_obj, or a JSON integer."""
     if isinstance(value, str) and _DECIMAL.fullmatch(value):
@@ -123,11 +130,11 @@ def series_to_obj(series: MetricSeries) -> dict:
                        for n in sorted(series.orders)}}
 
 
-def _order_key(key: str) -> int:
-    """A series order key in canonical decimal, as series_to_obj writes it."""
+def _order_key(key: str, field: str = "series order key") -> int:
+    """An order key in canonical decimal, as series_to_obj writes it."""
     if _ORDER_KEY.fullmatch(key):
-        return _decimal(key, f"series order key {key!r:.40}")
-    raise InvalidDocument(f"series order key {key!r:.40} is not a canonical decimal integer")
+        return _decimal(key, f"{field} {key!r:.40}")
+    raise InvalidDocument(f"{field} {key!r:.40} is not a canonical decimal integer")
 
 
 def series_from_obj(obj) -> MetricSeries:
@@ -186,11 +193,13 @@ def report_to_obj(report: PositivityReport) -> dict:
 
 def report_from_obj(obj) -> PositivityReport:
     try:
-        flags = {int(n): bool(flag) for n, flag in obj["per_order_hermitian"].items()}
+        flags = {_order_key(n, "per_order_hermitian key"):
+                 _bool(flag, f"per_order_hermitian entry {n!r:.40}")
+                 for n, flag in obj["per_order_hermitian"].items()}
         return PositivityReport(per_order_hermitian=flags,
                                 log_series=series_from_obj(obj["log_series"]),
-                                verdict=bool(obj["verdict"]))
-    except (KeyError, TypeError, ValueError) as exc:
+                                verdict=_bool(obj["verdict"], "verdict"))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InvalidDocument(f"malformed report document: {exc}") from exc
 
 

@@ -1,9 +1,11 @@
 """Graded star-logarithm and star-exponential of metric series.
 
-On a series 1 + A with A = sum_{n>=1} g^n a_n, the logarithm and exponential
-are Taylor series in which every product is a star product.  Truncation is by
-g-grade: the g^n slice of log(1+A) only involves a_1 .. a_n, so a series
-known through g^N determines its log and exp through g^N exactly.
+The star-log of 1 + A, A = sum_{n>=1} g^n a_n, is the L with 1 + A =
+exp*(L) = sum_m L^(*m) / m!, every product a star product.  The g^n slice of
+L^(*m) is sum_j L_j * (L^(*m-1))_(n-j); each factor carries a power of g, so
+for m >= 2 only L_j with j < n enter.  Hence a_n = L_n + sum_{m=2}^{n}
+(L^(*m))_n / m! is explicit both ways, grade by grade through the max order:
+star_exp adds the sum to L_n and star_log subtracts it from a_n.
 
 Hermiticity of every g-slice of the star-log is the positivity evidence this
 calculus can deliver for a metric series.
@@ -22,49 +24,38 @@ from .symbols import PhaseSymbol
 Graded = dict[int, PhaseSymbol]
 
 
-def _graded_star(a: Graded, b: Graded, max_order: int) -> Graded:
-    out: Graded = {}
-    for j, aj in a.items():
-        for k, bk in b.items():
-            if j + k > max_order:
-                continue
-            prod = aj.star(bk)
-            if prod:
-                out[j + k] = out.get(j + k, PhaseSymbol.zero()) + prod
-    return {n: sym for n, sym in out.items() if sym}
-
-
-def _graded_power_series(series: MetricSeries, start: Graded, coeff) -> MetricSeries:
-    """start + sum_m coeff(m) * A^(*m) for the tail A of series, by g-grade."""
-    n_max = series.max_order
-    tail: Graded = {n: series.order(n) for n in range(1, n_max + 1) if series.order(n)}
-
-    total = dict(start)
-    power = dict(tail)
-    for m in range(1, n_max + 1):
-        if m > 1:
-            power = _graded_star(power, tail, n_max)
-        if not power:
-            break
-        scale = PhaseSymbol.monomial(coeff(m))
-        for n, sym in power.items():
-            total[n] = total.get(n, PhaseSymbol.zero()) + sym * scale
-    return MetricSeries({n: sym for n, sym in total.items() if sym}, n_max)
+def _exp_slices(series: MetricSeries, solve) -> tuple[Graded, Graded]:
+    """L_n and R_n = sum_{m>=2} (L^(*m))_n / m!, with L_n = solve(series.order(n), R_n)."""
+    log: Graded = {}
+    powers = [log]  # powers[m - 1][n] is (L^(*m))_n
+    rest: Graded = {}
+    for n in range(1, series.max_order + 1):
+        powers.append({})
+        rest[n] = PhaseSymbol.zero()
+        for m in range(2, n + 1):
+            lower = powers[m - 2]
+            powers[m - 1][n] = sum((l_j.star(lower[n - j]) for j, l_j in log.items()
+                                    if l_j and lower.get(n - j)), PhaseSymbol.zero())
+            rest[n] += powers[m - 1][n] * Fraction(1, math.factorial(m))
+        log[n] = solve(series.order(n), rest[n])
+    return log, rest
 
 
 def star_log(series: MetricSeries) -> MetricSeries:
     """log(series) with star products, truncated at the series' max order."""
     if series.order(0) != PhaseSymbol.monomial(1):
         raise NotUnitLeading("star_log needs a series starting with 1")
-    return _graded_power_series(series, {}, lambda m: Fraction(1 if m % 2 else -1, m))
+    log, _ = _exp_slices(series, lambda a_n, rest_n: a_n - rest_n)
+    return MetricSeries(log, series.max_order)
 
 
 def star_exp(series: MetricSeries) -> MetricSeries:
     """exp(series) with star products; input must vanish at order g^0."""
     if series.order(0):
         raise NonzeroLeading("star_exp needs a series with zero leading order")
-    return _graded_power_series(series, {0: PhaseSymbol.monomial(1)},
-                                lambda m: Fraction(1, math.factorial(m)))
+    _, rest = _exp_slices(series, lambda log_n, rest_n: log_n)
+    exp = {n: series.order(n) + rest_n for n, rest_n in rest.items()}
+    return MetricSeries({0: PhaseSymbol.monomial(1), **exp}, series.max_order)
 
 
 @dataclass(frozen=True)

@@ -188,6 +188,16 @@ class TestBasicCommands:
         assert all(dev < 1e-9 for dev in doc["checks"].values())
 
 
+    def test_finite_demo_needs_pairs_and_a_seed(self, capsys):
+        for flag, value in (("--pairs", "0"), ("--pairs", "-3"), ("--seed", "-1"),
+                            ("--seed", "x")):
+            code, out, err = run(capsys, "finite-demo", "--n", "3", flag, value)
+            assert (code, out) == (2, "")
+            assert f"argument {flag}" in err
+        code, out, _ = run(capsys, "finite-demo", "--n", "3", "--pairs", "1",
+                           "--seed", "0", "--format", "json")
+        assert code == 0 and json.loads(out)["pass"] is True
+
 class TestDeterminismAndJson:
     def test_identical_invocations_byte_identical(self, capsys):
         args = ["solve-metric", "--potential", "i*x^3", "--order", "2",
@@ -278,6 +288,25 @@ class TestDeterminismAndJson:
         doc.write_text(json.dumps({"max_order": 2, "orders": []}))
         code, out, err = run(capsys, "log-metric", "--from-json", str(doc))
         assert (code, out) == (2, "") and "'orders' object" in err
+
+    def test_report_loader_is_strict(self):
+        from moyalmetric import positivity_evidence, solve_metric_series
+        from moyalmetric.serialize import report_from_obj, report_to_obj
+
+        good = report_to_obj(positivity_evidence(
+            solve_metric_series(parse_expression("i*x^3"), 1)))
+        doc = dict(good, per_order_hermitian={"01": "false", "1_0": 0}, verdict="false")
+        with pytest.raises(InvalidDocument, match="per_order_hermitian key '01'"):
+            report_from_obj(doc)
+        for fields, named in (({"per_order_hermitian": {"1_0": True}}, "key '1_0'"),
+                              ({"per_order_hermitian": {"1": "false"}}, "entry '1'"),
+                              ({"per_order_hermitian": {"1": 0}}, "entry '1'"),
+                              ({"per_order_hermitian": []}, "report document"),
+                              ({"verdict": "false"}, "verdict"),
+                              ({"verdict": 1}, "verdict")):
+            with pytest.raises(InvalidDocument, match=named):
+                report_from_obj(dict(good, **fields))
+        assert report_from_obj(good).per_order_hermitian == {1: True}
 
     def test_missing_input_exits_2(self, capsys):
         code, _, err = run(capsys, "dagger")

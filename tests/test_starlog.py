@@ -1,12 +1,18 @@
+import math
 import random
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given
 
-from conftest import I, rand_poly
-from moyalmetric import (MetricSeries, NonzeroLeading, NotUnitLeading, ONE,
-                         PhaseSymbol, X, ZERO, positivity_evidence,
-                         solve_metric_series, star_exp, star_log)
+from conftest import I, hbar_scalars, poly_symbols, rand_poly
+from moyalmetric import (ExpQuadratic, HbarScalar, MetricSeries,
+                         NonTerminatingStar, NonzeroLeading, NotUnitLeading,
+                         ONE, PhaseSymbol, X, ZERO, parse_expression,
+                         positivity_evidence, solve_metric_series, star_exp,
+                         star_log)
+from moyalmetric.starlog import Graded
 
 mono = PhaseSymbol.monomial
 
@@ -130,3 +136,98 @@ class TestPositivityEvidence:
         report = positivity_evidence(MetricSeries({0: ONE, 1: I * X}, 1))
         assert not report.verdict
         assert report.per_order_hermitian == {1: False}
+
+
+# The power series over dense powers A^(*m) of the tail that star_log and
+# star_exp summed before the graded exp recursion, kept verbatim as the
+# oracle.  The round trip star_exp(star_log(S)) == S holds by construction
+# now that both share one recursion, so these are the independent check.
+
+def _graded_star(a: Graded, b: Graded, max_order: int) -> Graded:
+    out: Graded = {}
+    for j, aj in a.items():
+        for k, bk in b.items():
+            if j + k > max_order:
+                continue
+            prod = aj.star(bk)
+            if prod:
+                out[j + k] = out.get(j + k, PhaseSymbol.zero()) + prod
+    return {n: sym for n, sym in out.items() if sym}
+
+
+def _graded_power_series(series: MetricSeries, start: Graded, coeff) -> MetricSeries:
+    """start + sum_m coeff(m) * A^(*m) for the tail A of series, by g-grade."""
+    n_max = series.max_order
+    tail: Graded = {n: series.order(n) for n in range(1, n_max + 1) if series.order(n)}
+
+    total = dict(start)
+    power = dict(tail)
+    for m in range(1, n_max + 1):
+        if m > 1:
+            power = _graded_star(power, tail, n_max)
+        if not power:
+            break
+        scale = PhaseSymbol.monomial(coeff(m))
+        for n, sym in power.items():
+            total[n] = total.get(n, PhaseSymbol.zero()) + sym * scale
+    return MetricSeries({n: sym for n, sym in total.items() if sym}, n_max)
+
+
+def oracle_log(series: MetricSeries) -> MetricSeries:
+    return _graded_power_series(series, {}, lambda m: Fraction(1 if m % 2 else -1, m))
+
+
+def oracle_exp(series: MetricSeries) -> MetricSeries:
+    return _graded_power_series(series, {0: ONE}, lambda m: Fraction(1, math.factorial(m)))
+
+
+HS_ZERO = HbarScalar([])
+slices = poly_symbols(max_terms=2, max_x=2, min_p=-2, max_p=2, min_h=-1, max_h=1, max_g=0)
+
+
+@st.composite
+def terminating_tails(draw, max_order=4):
+    """Slices g^1 .. g^N that are polynomial or carry x-free exp(r*p^2) factors.
+
+    Every star product of such slices terminates, whatever the order.
+    """
+    order = draw(st.integers(1, max_order))
+    entries = {}
+    for n in range(1, order + 1):
+        sym = draw(st.one_of(st.just(ZERO), slices))
+        if draw(st.booleans()):
+            quad = ExpQuadratic(draw(hbar_scalars()), HS_ZERO, HS_ZERO)
+            sym = sym + draw(slices) * PhaseSymbol.exponential(quad)
+        entries[n] = sym
+    return MetricSeries(entries, order)
+
+
+class TestPowerSeriesOracle:
+    """The graded exp recursion against the power series it replaced."""
+
+    @given(terminating_tails())
+    def test_log_matches_power_series(self, tail):
+        series = MetricSeries({0: ONE, **tail.orders}, tail.max_order)
+        assert star_log(series) == oracle_log(series)
+
+    @given(terminating_tails())
+    def test_exp_matches_power_series(self, tail):
+        assert star_exp(tail) == oracle_exp(tail)
+
+    @pytest.mark.parametrize("potential, order", [
+        ("i*x^3", 6), ("i*x^3", 8), ("i*x^3", 12),
+        ("i*x^3+x^2", 6), ("i*x^3+x^2", 8), ("i*x^5+x", 6)])
+    def test_acceptance_series(self, potential, order):
+        series = solve_metric_series(parse_expression(potential), order)
+        log = oracle_log(series)
+        assert star_log(series) == log
+        assert star_exp(log) == oracle_exp(log) == series
+
+    def test_non_terminating_slices_raise(self):
+        # exp(x^2) on the left of p^-1 keeps both derivative series alive
+        quad = ExpQuadratic(HS_ZERO, HS_ZERO, HbarScalar.coerce(1))
+        sym = PhaseSymbol.exponential(quad) + mono(1, p=-1)
+        for op, series in ((star_log, MetricSeries({0: ONE, 1: sym}, 2)),
+                           (star_exp, MetricSeries({1: sym}, 2))):
+            with pytest.raises(NonTerminatingStar, match="p\\^-1"):
+                op(series)
