@@ -7,6 +7,13 @@ words U(n, m) = g^n h^m form a trace-orthogonal basis, so every N x N matrix
 has a unique coefficient array a[n, m]; multiplying matrices corresponds to
 convolving coefficient arrays with the phase exp(-i*m*n'*phi), which is the
 discrete star product implemented here.
+
+Every map is whole-array numpy work with no per-element Python loop.  The
+words are cached as one (N, N, N, N) tensor, 16*N^4 bytes, so basis_words
+refuses N above MAX_BASIS_DIMENSION (64, 268 MB); to_symbol is one matvec
+against its (N^2, N^2) view, and discrete_star loops over the shift index m
+only, one circulant-matrix product per m.  The other maps take any N up to
+MAX_DIMENSION.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ import numpy as np
 from .errors import BadDimension, DimensionMismatch
 
 MAX_DIMENSION = 256
+MAX_BASIS_DIMENSION = 64  # basis_words(64) is a 268 MB tensor; 128 would be 4.3 GB
 
 _basis_cache: dict[int, np.ndarray] = {}
 
@@ -39,25 +47,22 @@ def clock(n: int) -> np.ndarray:
 def shift(n: int) -> np.ndarray:
     """Cyclic permutation sending e_k to e_{k+1 mod N}."""
     _check_dim(n)
-    h = np.zeros((n, n), dtype=complex)
-    for k in range(n):
-        h[(k + 1) % n, k] = 1.0
-    return h
+    return np.roll(np.eye(n, dtype=complex), 1, axis=0)
 
 
 def basis_words(n: int) -> np.ndarray:
     """All U(a, b) = clock^a @ shift^b, shaped (n, n, n, n)."""
     _check_dim(n)
+    if n > MAX_BASIS_DIMENSION:
+        raise BadDimension(f"the basis tensor takes 16*N^4 bytes; dimension must be at most "
+                           f"{MAX_BASIS_DIMENSION}, got {n}")
     cached = _basis_cache.get(n)
     if cached is not None:
         return cached
-    g, h = clock(n), shift(n)
-    g_pows = [np.linalg.matrix_power(g, a) for a in range(n)]
-    h_pows = [np.linalg.matrix_power(h, b) for b in range(n)]
-    words = np.empty((n, n, n, n), dtype=complex)
-    for a in range(n):
-        for b in range(n):
-            words[a, b] = g_pows[a] @ h_pows[b]
+    k = np.arange(n)
+    clock_diags = np.exp(2j * np.pi * (np.outer(k, k) % n) / n)  # [a, i]: clock^a[i, i]
+    shift_pows = (k[:, None] - k) % n == k[:, None, None]  # [b, i, j]: shift^b[i, j] = 1
+    words = clock_diags[:, None, :, None] * shift_pows
     _basis_cache[n] = words
     return words
 
@@ -92,12 +97,8 @@ def to_symbol(operator: np.ndarray) -> DiscreteSymbol:
         raise BadDimension("operator must be a square matrix")
     n = arr.shape[0]
     _check_dim(n)
-    words = basis_words(n)
-    coeffs = np.empty((n, n), dtype=complex)
-    for a in range(n):
-        for b in range(n):
-            coeffs[a, b] = np.vdot(words[a, b], arr) / n
-    return DiscreteSymbol(coeffs)
+    flat = basis_words(n).reshape(n * n, n * n)  # a view: row n*a + b is U(a, b)
+    return DiscreteSymbol(np.conj(flat @ np.conj(arr.ravel())).reshape(n, n) / n)
 
 
 def from_symbol(symbol: DiscreteSymbol) -> np.ndarray:
@@ -114,13 +115,10 @@ def discrete_star(s1: DiscreteSymbol, s2: DiscreteSymbol) -> DiscreteSymbol:
     n = s1.n
     phi = 2.0 * np.pi / n
     phases = np.exp(-1j * phi * np.outer(np.arange(n), np.arange(n)))  # [m, n']
+    shifts = (np.arange(n)[:, None] - np.arange(n)) % n  # [c, n'] -> (c - n') mod N
     out = np.zeros((n, n), dtype=complex)
-    for a in range(n):
-        for b in range(n):
-            c = s1.coeffs[a, b]
-            if c == 0:
-                continue
-            out += c * np.roll(phases[b][:, None] * s2.coeffs, (a, b), axis=(0, 1))
+    for m in range(n):  # out[c, d] += sum_n' a[c-n', m] phase[m, n'] b[n', d-m]
+        out += s1.coeffs[shifts, m] @ (phases[m][:, None] * s2.coeffs[:, shifts[:, m]])
     return DiscreteSymbol(out)
 
 

@@ -198,6 +198,40 @@ class TestBasicCommands:
                            "--seed", "0", "--format", "json")
         assert code == 0 and json.loads(out)["pass"] is True
 
+    def test_finite_demo_tolerance_must_be_finite_and_positive(self, capsys):
+        for value in ("nan", "inf", "-inf", "-1", "0", "x"):
+            code, out, err = run(capsys, "finite-demo", "--n", "3", f"--tolerance={value}")
+            assert (code, out) == (2, "")
+            assert "argument --tolerance" in err and "finite number > 0" in err
+        code, out, _ = run(capsys, "finite-demo", "--n", "3", "--pairs", "2",
+                           "--tolerance", "1e-6", "--format", "json")
+        assert code == 0 and json.loads(out)["tolerance"] == 1e-6
+
+    def test_finite_demo_nan_deviation_fails(self, capsys, monkeypatch):
+        from moyalmetric import finite
+        exact_to_symbol = finite.to_symbol
+
+        def to_symbol_with_nan(operator):
+            symbol = exact_to_symbol(operator)
+            symbol.coeffs[0, 1] = float("nan")
+            return symbol
+
+        monkeypatch.setattr(finite, "to_symbol", to_symbol_with_nan)
+        code, out, _ = run(capsys, "finite-demo", "--n", "4", "--pairs", "2")
+        assert code == 1
+        assert "round_trip: max deviation nan" in out and "result: FAILED" in out
+        code, out, _ = run(capsys, "finite-demo", "--n", "4", "--pairs", "2",
+                           "--format", "json")
+        doc = json.loads(out)  # strict JSON: the NaN is reported as null
+        assert code == 1 and doc["pass"] is False
+        assert doc["checks"]["round_trip"] is None
+        assert doc["checks"]["trace_orthogonality"] < 1e-9
+
+    def test_finite_demo_past_the_basis_budget_exits_1(self, capsys):
+        code, out, err = run(capsys, "finite-demo", "--n", "65", "--pairs", "1")
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and "at most 64, got 65" in err
+
 class TestDeterminismAndJson:
     def test_identical_invocations_byte_identical(self, capsys):
         args = ["solve-metric", "--potential", "i*x^3", "--order", "2",

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from moyalmetric import BadDimension, DimensionMismatch
-from moyalmetric.finite import (DiscreteSymbol, basis_words, clock,
+from moyalmetric import BadDimension, DimensionMismatch, finite
+from moyalmetric.cli import _finite_checks
+from moyalmetric.finite import (MAX_BASIS_DIMENSION, DiscreteSymbol, basis_words, clock,
                                 discrete_dagger, discrete_star, evaluate,
                                 from_symbol, phase_angle, shift, to_symbol)
 
@@ -193,3 +194,118 @@ class TestEvaluate:
         s = to_symbol(random_matrix(rng, n))
         grid = sum(abs(evaluate(s, k, l)) ** 2 for k in range(n) for l in range(n))
         assert abs(grid / n ** 2 - np.sum(np.abs(s.coeffs) ** 2)) < TOL
+
+
+class TestBasisBudget:
+    def test_basis_past_the_budget_is_refused(self):
+        n = 65
+        with pytest.raises(BadDimension, match=f"at most {MAX_BASIS_DIMENSION}, got 65"):
+            basis_words(n)
+        with pytest.raises(BadDimension, match=f"at most {MAX_BASIS_DIMENSION}"):
+            to_symbol(np.eye(n))
+        assert n not in finite._basis_cache
+
+    def test_basis_free_maps_keep_the_dimension_limit(self):
+        n = 65
+        g, h = clock(n), shift(n)
+        assert abs(np.trace(g @ h)) < TOL
+        s = DiscreteSymbol(np.eye(n))
+        assert discrete_star(s, s).n == n
+        assert discrete_dagger(s).n == n
+        assert np.isfinite(evaluate(s, 1, 2))
+
+
+# The loop kernels the whole-array ones replaced, kept as oracles.
+
+def loop_to_symbol(operator):
+    arr = np.asarray(operator, dtype=complex)
+    n = arr.shape[0]
+    words = basis_words(n)
+    coeffs = np.empty((n, n), dtype=complex)
+    for a in range(n):
+        for b in range(n):
+            coeffs[a, b] = np.vdot(words[a, b], arr) / n
+    return DiscreteSymbol(coeffs)
+
+
+def loop_discrete_star(s1, s2):
+    n = s1.n
+    phi = 2.0 * np.pi / n
+    phases = np.exp(-1j * phi * np.outer(np.arange(n), np.arange(n)))  # [m, n']
+    out = np.zeros((n, n), dtype=complex)
+    for a in range(n):
+        for b in range(n):
+            c = s1.coeffs[a, b]
+            if c == 0:
+                continue
+            out += c * np.roll(phases[b][:, None] * s2.coeffs, (a, b), axis=(0, 1))
+    return DiscreteSymbol(out)
+
+
+def loop_trace_orthogonality(n):
+    words = finite.basis_words(n)
+    dev = 0.0
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                for d in range(n):
+                    expected = n if (a, b) == (c, d) else 0.0
+                    dev = max(dev, abs(np.vdot(words[a, b], words[c, d]) - expected))
+    return float(dev)
+
+
+ORACLE_TOL = 1e-12
+ORACLE_DIMS = (2, 3, 5, 8, 13)
+
+
+def sparse_coeffs(rng, n):
+    """Random coefficients with about half of them exactly zero."""
+    return random_matrix(rng, n) * (rng.random((n, n)) < 0.5)
+
+
+def oracle_symbols(rng, n):
+    single = np.zeros((n, n), dtype=complex)
+    single[n - 1, 1 % n] = 2.0 - 1.0j
+    yield DiscreteSymbol(np.zeros((n, n)))
+    yield DiscreteSymbol(single)
+    yield to_symbol(clock(n))
+    yield to_symbol(shift(n))
+    for _ in range(4):
+        yield DiscreteSymbol(sparse_coeffs(rng, n))
+        yield to_symbol(random_matrix(rng, n))
+
+
+class TestLoopOracles:
+    @pytest.mark.parametrize("n", ORACLE_DIMS)
+    def test_to_symbol_matches_vdot_loop(self, n):
+        rng = np.random.default_rng(300 + n)
+        operators = [np.eye(n), clock(n), shift(n), np.zeros((n, n))]
+        operators += [from_symbol(DiscreteSymbol(sparse_coeffs(rng, n))) for _ in range(4)]
+        operators += [random_matrix(rng, n) for _ in range(4)]
+        for op in operators:
+            dev = np.max(np.abs(to_symbol(op).coeffs - loop_to_symbol(op).coeffs))
+            assert dev < ORACLE_TOL
+
+    @pytest.mark.parametrize("n", ORACLE_DIMS)
+    def test_discrete_star_matches_roll_loop(self, n):
+        rng = np.random.default_rng(400 + n)
+        symbols = list(oracle_symbols(rng, n))
+        for left in symbols:
+            for right in symbols[::3]:
+                dev = np.max(np.abs(discrete_star(left, right).coeffs
+                                    - loop_discrete_star(left, right).coeffs))
+                assert dev < ORACLE_TOL
+
+    @pytest.mark.parametrize("n", ORACLE_DIMS)
+    def test_orthogonality_check_matches_vdot_loop(self, n, monkeypatch):
+        checked = _finite_checks(n, pairs=1, seed=0)["trace_orthogonality"]
+        assert abs(checked - loop_trace_orthogonality(n)) < ORACLE_TOL
+        # A broken basis: one word rescaled, another nudged off orthogonality.
+        words = basis_words(n).copy()
+        words[1, 0] *= 1.5
+        words[n - 1, 1, 0, 0] += 0.3j
+        monkeypatch.setattr(finite, "basis_words", lambda _n: words)
+        checked = _finite_checks(n, pairs=1, seed=0)["trace_orthogonality"]
+        expected = loop_trace_orthogonality(n)
+        assert expected > 1.0
+        assert abs(checked - expected) < ORACLE_TOL
