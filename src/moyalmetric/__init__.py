@@ -5,7 +5,7 @@ from .errors import (BadDimension, CoefficientTooLong, DimensionMismatch,
                      ExponentTooLong, InvalidDocument, IrrationalDiscriminant, MoyalError,
                      NegativeXPower, NonPolynomialHamiltonian, NonQuadraticExponent,
                      NonTerminatingStar, NonTerminatingTwist, NonzeroLeading,
-                     NotUnitLeading, OrderTooLarge, ParseError,
+                     NotUnitLeading, OrderTooLarge, ParseError, PowerTooLarge,
                      UnsupportedKinetic, ZeroParameter)
 from .formatting import format_expression
 from .parsing import parse_expression, parse_hbar_scalar
@@ -26,7 +26,7 @@ __all__ = [
     "NegativeXPower", "NonPolynomialHamiltonian", "NonQuadraticExponent",
     "NonTerminatingStar", "NonTerminatingTwist", "NonzeroLeading",
     "NotUnitLeading", "ONE", "OrderTooLarge", "P", "ParseError", "PhaseSymbol",
-    "PositivityReport", "SwansonParams", "TRIVIAL_EXP", "UnsupportedKinetic",
+    "PositivityReport", "PowerTooLarge", "SwansonParams", "TRIVIAL_EXP", "UnsupportedKinetic",
     "X", "ZERO", "ZeroParameter", "apply_operator", "assemble", "dagger",
     "derive_metric_operator", "format_expression", "gaussian_metric_candidates",
     "is_hermitian", "parse_expression", "parse_hbar_scalar",

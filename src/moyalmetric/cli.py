@@ -1,5 +1,12 @@
 """Batch command-line front end.
 
+Every subcommand but finite-demo is one row of one command table,
+`_COMMANDS`: its help text, its flags in --help order, the call that computes
+its result from the parsed arguments, and a renderer that returns the whole
+text, LaTeX or JSON output as one string.  `main` computes, renders and only
+then prints, so a command that fails leaves stdout empty.  finite-demo keeps
+its own handler, which prints its check table even when a check fails.
+
 Exit codes: 0 on success, 1 on domain errors (non-terminating series,
 irrational discriminants, failed finite-dimensional checks, ...), 2 on usage
 and parse errors.  Output goes to stdout in the selected --format
@@ -13,6 +20,7 @@ import functools
 import math
 import sys
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -20,9 +28,8 @@ from . import finite, serialize
 from .errors import InvalidDocument, MoyalError, ParseError
 from .formatting import format_expression
 from .parsing import parse_expression, parse_hbar_scalar
-from .pde import (DifferentialOperator, SwansonParams, derive_metric_operator,
-                  gaussian_metric_candidates, residual, swanson_from_ladder)
-from .rationals import GaussianRational
+from .pde import (SwansonParams, derive_metric_operator, gaussian_metric_candidates,
+                  swanson_from_ladder)
 from .series import MetricSeries, solve_metric_series
 from .starlog import positivity_evidence, star_log
 from .symbols import PhaseSymbol
@@ -54,140 +61,149 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _read_symbol(args, text_attr: str, json_attr: str, what: str) -> PhaseSymbol:
-    text = getattr(args, text_attr, None)
-    path = getattr(args, json_attr, None)
+def _symbol(args, name: str, json_name: str = "from_json") -> PhaseSymbol:
+    text, path = getattr(args, name), getattr(args, json_name)
     if (text is None) == (path is None):
-        raise InvalidDocument(f"exactly one of --{what} or its JSON variant is required")
+        raise InvalidDocument(f"exactly one of --{name} or its JSON variant is required")
     if text is not None:
         return parse_expression(text)
     return serialize.symbol_from_obj(serialize.load_document(path))
 
 
-def _read_series(args) -> MetricSeries:
-    if getattr(args, "from_json", None):
+def _series(args) -> MetricSeries:
+    if args.from_json:
         return serialize.series_from_obj(serialize.load_document(args.from_json))
     if args.potential is None:
         raise InvalidDocument("either --potential/--order or --from-json is required")
     return solve_metric_series(parse_expression(args.potential), args.order)
 
 
-def _print_symbol(sym: PhaseSymbol, fmt: str) -> None:
-    print(format_expression(sym, fmt))
-
-
-def _print_series(series: MetricSeries, fmt: str) -> None:
-    if fmt == "json":
-        print(serialize.dumps(serialize.series_to_obj(series)))
-        return
-    for n in range(series.max_order + 1):
-        label = f"g^{n}" if fmt == "text" else f"g^{{{n}}}"
-        print(f"{label}: {format_expression(series.order(n), fmt)}")
-
-
-def _print_operator(op: DifferentialOperator, fmt: str) -> None:
-    if fmt == "json":
-        print(serialize.dumps(serialize.operator_to_obj(op)))
-        return
-    for (m, n), coeff in sorted(op.terms.items()):
-        if fmt == "text":
-            print(f"Dx^{m} Dp^{n}: {format_expression(coeff, 'text')}")
-        else:
-            print(f"\\partial_x^{{{m}}}\\partial_p^{{{n}}}: {format_expression(coeff, 'latex')}")
-
-
-def _cmd_star(args) -> int:
-    left = _read_symbol(args, "left", "left_from_json", "left")
-    right = _read_symbol(args, "right", "right_from_json", "right")
-    _print_symbol(left.star(right), args.format)
-    return 0
-
-
-def _cmd_dagger(args) -> int:
-    sym = _read_symbol(args, "expr", "from_json", "expr")
-    _print_symbol(sym.dagger(), args.format)
-    return 0
-
-
-def _cmd_conj(args) -> int:
-    sym = _read_symbol(args, "expr", "from_json", "expr")
-    _print_symbol(sym.conjugate(), args.format)
-    return 0
-
-
-def _cmd_is_hermitian(args) -> int:
-    sym = _read_symbol(args, "expr", "from_json", "expr")
-    verdict = sym.is_hermitian()
-    if args.format == "json":
-        print(serialize.dumps({"hermitian": verdict}))
-    else:
-        print("true" if verdict else "false")
-    return 0
-
-
-def _cmd_derive_pde(args) -> int:
-    ham = _read_symbol(args, "hamiltonian", "from_json", "hamiltonian")
-    _print_operator(derive_metric_operator(ham), args.format)
-    return 0
-
-
-def _cmd_apply_pde(args) -> int:
+def _applied(args, name: str) -> PhaseSymbol:
+    """apply-pde and residual: L_H applied to --<name>, i.e. pde.residual(H, <name>)."""
     ham = parse_expression(args.hamiltonian)
-    target = _read_symbol(args, "target", "target_from_json", "target")
-    _print_symbol(derive_metric_operator(ham).apply(target), args.format)
-    return 0
+    target = _symbol(args, name, f"{name}_from_json")
+    return derive_metric_operator(ham).apply(target)
 
 
-def _cmd_residual(args) -> int:
-    ham = parse_expression(args.hamiltonian)
-    metric = _read_symbol(args, "metric", "metric_from_json", "metric")
-    _print_symbol(residual(ham, metric), args.format)
-    return 0
+def _lines(lines) -> str:
+    return "".join(f"{line}\n" for line in lines)
 
 
-def _cmd_solve_metric(args) -> int:
-    series = solve_metric_series(parse_expression(args.potential), args.order)
-    _print_series(series, args.format)
-    return 0
+def _word(flag: bool) -> str:
+    return "true" if flag else "false"
 
 
-def _cmd_log_metric(args) -> int:
-    _print_series(star_log(_read_series(args)), args.format)
-    return 0
+def _show_symbol(sym: PhaseSymbol, fmt: str) -> str:
+    return format_expression(sym, fmt) + "\n"
 
 
-def _cmd_positivity(args) -> int:
-    report = positivity_evidence(_read_series(args))
-    if args.format == "json":
-        print(serialize.dumps(serialize.report_to_obj(report)))
-        return 0
-    for n, flag in sorted(report.per_order_hermitian.items()):
-        print(f"g^{n}: {'true' if flag else 'false'}")
-    print(f"verdict: {'true' if report.verdict else 'false'}")
-    return 0
+def _show_verdict(verdict: bool, fmt: str) -> str:
+    return (serialize.dumps({"hermitian": verdict}) if fmt == "json" else _word(verdict)) + "\n"
 
 
-def _cmd_swanson(args) -> int:
-    params = swanson_from_ladder(args.omega, args.alpha, args.beta)
-    if args.format == "json":
-        print(serialize.dumps(serialize.swanson_to_obj(params)))
-    else:
-        for name in ("a", "b", "c"):
-            print(f"{name} = {getattr(params, name)}")
-    return 0
+def _show_operator(op, fmt: str) -> str:
+    if fmt == "json":
+        return serialize.dumps(serialize.operator_to_obj(op)) + "\n"
+    term = "Dx^{} Dp^{}" if fmt == "text" else "\\partial_x^{{{}}}\\partial_p^{{{}}}"
+    return _lines(f"{term.format(m, n)}: {format_expression(coeff, fmt)}"
+                  for (m, n), coeff in sorted(op.terms.items()))
 
 
-def _cmd_gaussian_candidates(args) -> int:
-    params = SwansonParams(a=GaussianRational(args.a), b=GaussianRational(args.b),
-                           c=GaussianRational(args.c))
-    s = parse_hbar_scalar(args.s)
-    candidates = gaussian_metric_candidates(params, s)
-    if args.format == "json":
-        print(serialize.dumps(serialize.candidates_to_obj(candidates)))
-        return 0
-    for eq in candidates:
-        print(format_expression(PhaseSymbol.exponential(eq), args.format))
-    return 0
+def _show_series(series: MetricSeries, fmt: str) -> str:
+    if fmt == "json":
+        return serialize.dumps(serialize.series_to_obj(series)) + "\n"
+    label = "g^{}" if fmt == "text" else "g^{{{}}}"
+    return _lines(f"{label.format(n)}: {format_expression(series.order(n), fmt)}"
+                  for n in range(series.max_order + 1))
+
+
+def _show_report(report, fmt: str) -> str:
+    if fmt == "json":
+        return serialize.dumps(serialize.report_to_obj(report)) + "\n"
+    flags = sorted(report.per_order_hermitian.items())
+    return _lines([*(f"g^{n}: {_word(flag)}" for n, flag in flags),
+                   f"verdict: {_word(report.verdict)}"])
+
+
+def _show_swanson(params: SwansonParams, fmt: str) -> str:
+    if fmt == "json":
+        return serialize.dumps(serialize.swanson_to_obj(params)) + "\n"
+    return _lines(f"{name} = {getattr(params, name)}" for name in ("a", "b", "c"))
+
+
+def _show_candidates(candidates, fmt: str) -> str:
+    if fmt == "json":
+        return serialize.dumps(serialize.candidates_to_obj(candidates)) + "\n"
+    return _lines(format_expression(PhaseSymbol.exponential(eq), fmt) for eq in candidates)
+
+
+class _Command(NamedTuple):
+    help: str
+    flags: tuple  # (flag, add_argument keywords) pairs, in --help order after --format
+    compute: Callable[[argparse.Namespace], object]
+    render: Callable[[object, str], str]  # (result, format) -> the whole stdout
+
+
+def _symbol_flags(name: str, json_flag: str = "--from-json") -> tuple:
+    return (f"--{name}", {}), (json_flag, {"metavar": "PATH"})
+
+
+def _series_flags() -> tuple:
+    return (("--potential", {}), ("--order", {"type": _int_at_least(1), "default": 1}),
+            ("--from-json", {"metavar": "PATH", "help": "metric series document"}))
+
+
+def _fraction_flags(*names: str) -> tuple:
+    return tuple((f"--{name}", {"type": _fraction, "required": True}) for name in names)
+
+
+_COMMANDS = {
+    "star": _Command(
+        "star product of two symbols",
+        _symbol_flags("left", "--left-from-json") + _symbol_flags("right", "--right-from-json"),
+        lambda args: _symbol(args, "left", "left_from_json").star(
+            _symbol(args, "right", "right_from_json")),
+        _show_symbol),
+    "dagger": _Command("symbol of the hermitian-conjugate operator", _symbol_flags("expr"),
+                       lambda args: _symbol(args, "expr").dagger(), _show_symbol),
+    "conj": _Command("complex conjugate of a symbol", _symbol_flags("expr"),
+                     lambda args: _symbol(args, "expr").conjugate(), _show_symbol),
+    "is-hermitian": _Command("test the hermiticity criterion", _symbol_flags("expr"),
+                             lambda args: _symbol(args, "expr").is_hermitian(), _show_verdict),
+    "derive-pde": _Command("differential operator of the metric equation",
+                           _symbol_flags("hamiltonian"),
+                           lambda args: derive_metric_operator(_symbol(args, "hamiltonian")),
+                           _show_operator),
+    "apply-pde": _Command("apply the metric operator of H to a symbol",
+                          (("--hamiltonian", {"required": True}),
+                           *_symbol_flags("target", "--target-from-json")),
+                          lambda args: _applied(args, "target"), _show_symbol),
+    "residual": _Command("metric-equation residual of a candidate",
+                         (("--hamiltonian", {"required": True}),
+                          *_symbol_flags("metric", "--metric-from-json")),
+                         lambda args: _applied(args, "metric"), _show_symbol),
+    "solve-metric": _Command(
+        "perturbative metric series for p^2 + g*V(x)",
+        (("--potential", {"required": True}),
+         ("--order", {"type": _int_at_least(1), "required": True})),
+        lambda args: solve_metric_series(parse_expression(args.potential), args.order),
+        _show_series),
+    "log-metric": _Command("star-logarithm of a metric series", _series_flags(),
+                           lambda args: star_log(_series(args)), _show_series),
+    "positivity": _Command("hermiticity report for the star-log", _series_flags(),
+                           lambda args: positivity_evidence(_series(args)), _show_report),
+    "swanson": _Command("quadratic-model couplings from ladder parameters",
+                        _fraction_flags("omega", "alpha", "beta"),
+                        lambda args: swanson_from_ladder(args.omega, args.alpha, args.beta),
+                        _show_swanson),
+    "gaussian-candidates": _Command(
+        "exact Gaussian metrics of the quadratic model",
+        (*_fraction_flags("a", "b", "c"),
+         ("--s", {"default": "0", "help": "hbar-Laurent scalar expression"})),
+        lambda args: gaussian_metric_candidates(SwansonParams(args.a, args.b, args.c),
+                                                parse_hbar_scalar(args.s)),
+        _show_candidates),
+}
 
 
 def _finite_checks(n: int, pairs: int, seed: int) -> dict[str, float]:
@@ -256,70 +272,19 @@ def build_parser() -> argparse.ArgumentParser:
                     "non-hermitian Hamiltonians.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text):
+    def add(name, help_text, flags):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--format", choices=("text", "latex", "json"), default="text")
-        p.set_defaults(func=func)
-        return p
+        for flag, options in flags:
+            p.add_argument(flag, **options)
 
-    p = add("star", _cmd_star, "star product of two symbols")
-    p.add_argument("--left")
-    p.add_argument("--left-from-json", metavar="PATH")
-    p.add_argument("--right")
-    p.add_argument("--right-from-json", metavar="PATH")
-
-    for name, func, help_text in (
-            ("dagger", _cmd_dagger, "symbol of the hermitian-conjugate operator"),
-            ("conj", _cmd_conj, "complex conjugate of a symbol"),
-            ("is-hermitian", _cmd_is_hermitian, "test the hermiticity criterion")):
-        p = add(name, func, help_text)
-        p.add_argument("--expr")
-        p.add_argument("--from-json", metavar="PATH")
-
-    p = add("derive-pde", _cmd_derive_pde, "differential operator of the metric equation")
-    p.add_argument("--hamiltonian")
-    p.add_argument("--from-json", metavar="PATH")
-
-    p = add("apply-pde", _cmd_apply_pde, "apply the metric operator of H to a symbol")
-    p.add_argument("--hamiltonian", required=True)
-    p.add_argument("--target")
-    p.add_argument("--target-from-json", metavar="PATH")
-
-    p = add("residual", _cmd_residual, "metric-equation residual of a candidate")
-    p.add_argument("--hamiltonian", required=True)
-    p.add_argument("--metric")
-    p.add_argument("--metric-from-json", metavar="PATH")
-
-    p = add("solve-metric", _cmd_solve_metric, "perturbative metric series for p^2 + g*V(x)")
-    p.add_argument("--potential", required=True)
-    p.add_argument("--order", type=_int_at_least(1), required=True)
-
-    for name, func, help_text in (
-            ("log-metric", _cmd_log_metric, "star-logarithm of a metric series"),
-            ("positivity", _cmd_positivity, "hermiticity report for the star-log")):
-        p = add(name, func, help_text)
-        p.add_argument("--potential")
-        p.add_argument("--order", type=_int_at_least(1), default=1)
-        p.add_argument("--from-json", metavar="PATH", help="metric series document")
-
-    p = add("swanson", _cmd_swanson, "quadratic-model couplings from ladder parameters")
-    p.add_argument("--omega", type=_fraction, required=True)
-    p.add_argument("--alpha", type=_fraction, required=True)
-    p.add_argument("--beta", type=_fraction, required=True)
-
-    p = add("gaussian-candidates", _cmd_gaussian_candidates,
-            "exact Gaussian metrics of the quadratic model")
-    p.add_argument("--a", type=_fraction, required=True)
-    p.add_argument("--b", type=_fraction, required=True)
-    p.add_argument("--c", type=_fraction, required=True)
-    p.add_argument("--s", default="0", help="hbar-Laurent scalar expression")
-
-    p = add("finite-demo", _cmd_finite_demo, "clock/shift matrices and isomorphism checks")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--pairs", type=_int_at_least(1), default=50)
-    p.add_argument("--seed", type=_int_at_least(0), default=7)
-    p.add_argument("--tolerance", type=_positive_float, default=1e-9)
-
+    for name, command in _COMMANDS.items():
+        add(name, command.help, command.flags)
+    add("finite-demo", "clock/shift matrices and isomorphism checks", (
+        ("--n", {"type": int, "required": True}),
+        ("--pairs", {"type": _int_at_least(1), "default": 50}),
+        ("--seed", {"type": _int_at_least(0), "default": 7}),
+        ("--tolerance", {"type": _positive_float, "default": 1e-9})))
     return parser
 
 
@@ -330,16 +295,18 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
     try:
-        return args.func(args)
+        if args.command == "finite-demo":
+            return _cmd_finite_demo(args)
+        command = _COMMANDS[args.command]
+        out = command.render(command.compute(args), args.format)
     except (ParseError, InvalidDocument) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except MoyalError as exc:
+    except (MoyalError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, ZeroDivisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    sys.stdout.write(out)
+    return 0
 
 
 def run() -> None:

@@ -27,6 +27,10 @@ class OrderTooLarge(MoyalError):
     """Perturbative order beyond the series.MAX_ORDER budget."""
 
 
+class PowerTooLarge(MoyalError):
+    """A power of a symbol needs a product past symbols.MAX_POWER_TERM_PAIRS."""
+
+
 class TooLongToPrint(MoyalError):
     """A number, of the kind each subclass names in `what`, is too long to print."""
 

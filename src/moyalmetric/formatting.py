@@ -1,4 +1,7 @@
-"""Canonical text and LaTeX rendering of symbols, operators and series.
+"""Canonical text and LaTeX rendering of one symbol (JSON goes to serialize).
+
+Operators, series and reports are laid out line by line by the renderers of
+the command table in `cli`, which call this module once per coefficient.
 
 One renderer serves both styles.  A style table spells what differs between
 them: fractions (3/4 or \\frac{3}{4}), powers (x^2 or x^{2}), products (* or

@@ -27,11 +27,16 @@ import math
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
-from .errors import NonTerminatingStar, NonTerminatingTwist
+from .errors import NonTerminatingStar, NonTerminatingTwist, PowerTooLarge
 from .rationals import HS_ZERO, GaussianRational, HbarScalar, I, ONE as C_ONE
 
 # Monomial exponents, in storage order: (xdeg, pdeg, hdeg, gdeg).
 MonoKey = tuple[int, int, int, int]
+
+# Budget of PhaseSymbol.__pow__: the largest product of the two factors' term
+# counts that one multiplication in a power may take.  (1+x+p)^30 fits (its
+# largest product is 120 x 153 terms); (1+x+p)^31 needs 136 x 153 and does not.
+MAX_POWER_TERM_PAIRS = 20_000
 
 
 def _canon_key(key: MonoKey):
@@ -171,14 +176,22 @@ class PhaseSymbol:
         if n < 0:
             inv = self._invert_monomial()
             return inv ** (-n)
-        result = ONE
-        base = self
-        while n:
+
+        def times(a: PhaseSymbol, b: PhaseSymbol) -> PhaseSymbol:
+            pairs = sum(map(len, a._parts.values())) * sum(map(len, b._parts.values()))
+            if pairs > MAX_POWER_TERM_PAIRS:
+                raise PowerTooLarge(f"power needs {pairs} term pairs in one product, "
+                                    f"past the limit of {MAX_POWER_TERM_PAIRS}")
+            return a * b
+
+        result, base = ONE, self
+        while True:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = times(result, base)
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = times(base, base)
 
     def _invert_monomial(self) -> PhaseSymbol:
         if len(self._parts) != 1:

@@ -1,12 +1,18 @@
 import json
+import re
 import sys
+import time
+from pathlib import Path
 
 import pytest
 
 from moyalmetric import parse_expression
 from moyalmetric.cli import main
 from moyalmetric.errors import InvalidDocument
-from moyalmetric.serialize import operator_from_obj, series_from_obj, symbol_from_obj
+from moyalmetric.series import MetricSeries
+from moyalmetric.serialize import (operator_from_obj, series_from_obj, series_to_obj,
+                                   symbol_from_obj, symbol_to_obj)
+from moyalmetric.symbols import MAX_POWER_TERM_PAIRS, PhaseSymbol
 
 LIMIT = sys.get_int_max_str_digits()
 
@@ -135,6 +141,24 @@ class TestBasicCommands:
                 assert (code, out) == (1, "")
                 assert err == f"error: exponent has more than {LIMIT} digits, too long to print\n"
 
+    def test_result_too_long_to_print_prints_nothing(self, capsys, tmp_path):
+        # g^0 and g^1 of the log print; its g^2 slice carries the 7999-digit square
+        series = MetricSeries({0: PhaseSymbol.monomial(1),
+                               1: PhaseSymbol.monomial(10 ** 3999 + 7, x=1)}, 2)
+        doc = tmp_path / "series.json"
+        doc.write_text(json.dumps(series_to_obj(series)))
+        for fmt in ("text", "latex", "json"):
+            code, out, err = run(capsys, "log-metric", "--from-json", str(doc), "--format", fmt)
+            assert (code, out) == (1, "")
+            assert err.count("\n") == 1 and f"more than {LIMIT} digits" in err
+
+    def test_power_past_the_budget_exits_1(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "dagger", "--expr", "(1+x+p)^1000")
+        assert time.perf_counter() - start < 5
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and f"limit of {MAX_POWER_TERM_PAIRS}" in err
+
     def test_number_past_the_digit_limit_is_a_parse_error(self, capsys):
         digits = "7" * 5000
         for expr, offset in ((digits, 0), (f"x^{digits}", 2), (f"x^-{digits}", 3)):
@@ -155,6 +179,16 @@ class TestBasicCommands:
         assert (code, out) == (1, "")
         assert err == ("error: twist series does not terminate: symbol has "
                        "x-dependent exp(x^2) and p-dependent exp(p^2)\n")
+
+    def test_help_text_is_unchanged(self, capsys, monkeypatch):
+        # cli_help.txt holds argparse's layout on CPython 3.11, the version CI runs
+        monkeypatch.setenv("COLUMNS", "80")
+        golden = (Path(__file__).parent / "cli_help.txt").read_text()
+        pieces = re.split(r"^==> moyalmetric (.*?)--help <==\n", golden, flags=re.M)[1:]
+        assert len(pieces) == 2 * 14  # the top level and every subcommand
+        for command, expected in zip(pieces[::2], pieces[1::2]):
+            code, out, _ = run(capsys, *command.split(), "--help")
+            assert (code, out) == (0, expected), command
 
     def test_parser_is_built_once(self):
         from moyalmetric.cli import build_parser
@@ -342,9 +376,23 @@ class TestDeterminismAndJson:
                 report_from_obj(dict(good, **fields))
         assert report_from_obj(good).per_order_hermitian == {1: True}
 
-    def test_missing_input_exits_2(self, capsys):
-        code, _, err = run(capsys, "dagger")
-        assert code == 2
+    def test_missing_input_exits_2(self, capsys, tmp_path):
+        doc = tmp_path / "sym.json"
+        doc.write_text(json.dumps(symbol_to_obj(parse_expression("x"))))
+        both = ("--from-json", str(doc))
+        for argv, flag in ((["dagger"], "--expr"),
+                           (["conj", "--expr", "x", *both], "--expr"),
+                           (["star", "--left", "x"], "--right"),
+                           (["star", "--right", "p", "--left", "x",
+                             "--left-from-json", str(doc)], "--left"),
+                           (["derive-pde", "--hamiltonian", "p^2", *both], "--hamiltonian"),
+                           (["apply-pde", "--hamiltonian", "p^2"], "--target"),
+                           (["residual", "--hamiltonian", "p^2", "--metric", "1",
+                             "--metric-from-json", str(doc)], "--metric"),
+                           (["log-metric"], "--potential")):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert err.count("\n") == 1 and flag in err, argv
 
     def test_library_round_trips_for_other_documents(self):
         from moyalmetric import (derive_metric_operator, positivity_evidence,

@@ -10,6 +10,8 @@ from conftest import I, exp_symbols, poly_symbols, rand_fraction, rand_poly
 from moyalmetric import (G, HBAR, KERNEL_EXP, NonTerminatingStar,
                          NonTerminatingTwist, ONE, P, PhaseSymbol, X, ZERO,
                          GaussianRational, HbarScalar)
+from moyalmetric import symbols
+from moyalmetric.errors import PowerTooLarge
 from moyalmetric.symbols import ExpQuadratic, _check_star, _check_twist
 
 mono = PhaseSymbol.monomial
@@ -51,6 +53,22 @@ class TestRingOps:
             X ** -1
         with pytest.raises(ValueError):
             (X + P) ** -1
+
+    def test_power_matches_repeated_products(self):
+        base = ONE + X + mono(I, p=1) + PhaseSymbol.exponential(quad(t=1))
+        product = ONE
+        for n in range(10):
+            assert base ** n == product
+            product = product * base
+
+    def test_power_budget_boundary(self, monkeypatch):
+        base = ONE + X + P  # base ** 2 is one product of 3 x 3 term pairs
+        monkeypatch.setattr(symbols, "MAX_POWER_TERM_PAIRS", 9)
+        assert base ** 2 == base * base
+        monkeypatch.setattr(symbols, "MAX_POWER_TERM_PAIRS", 8)
+        with pytest.raises(PowerTooLarge, match="9 term pairs.*limit of 8$"):
+            base ** 2
+        assert (X ** 7) ** 5 == mono(1, x=35)  # monomial powers are 1 x 1 products
 
     def test_scalar_coercion(self):
         assert 2 * X == mono(2, x=1)
