@@ -5,7 +5,8 @@ Every subcommand but finite-demo is one row of one command table,
 its result from the parsed arguments, and a renderer that returns the whole
 text, LaTeX or JSON output as one string.  `main` computes, renders and only
 then prints, so a command that fails leaves stdout empty.  finite-demo keeps
-its own handler, which prints its check table even when a check fails.
+its own handler, which prints its check table even when a check fails; it
+alone imports numpy and `finite`, so the other commands start without them.
 
 Exit codes: 0 on success, 1 on domain errors (non-terminating series,
 irrational discriminants, failed finite-dimensional checks, ...), 2 on usage
@@ -22,9 +23,7 @@ import sys
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-import numpy as np
-
-from . import finite, serialize
+from . import serialize
 from .errors import InvalidDocument, MoyalError, ParseError
 from .formatting import format_expression
 from .parsing import parse_expression, parse_hbar_scalar
@@ -207,6 +206,10 @@ _COMMANDS = {
 
 
 def _finite_checks(n: int, pairs: int, seed: int) -> dict[str, float]:
+    import numpy as np
+
+    from . import finite
+
     rng = np.random.default_rng(seed)
     g, h = finite.clock(n), finite.shift(n)
     phi = finite.phase_angle(n)
@@ -242,6 +245,10 @@ def _finite_checks(n: int, pairs: int, seed: int) -> dict[str, float]:
 
 
 def _cmd_finite_demo(args) -> int:
+    import numpy as np
+
+    from . import finite
+
     n = args.n
     checks = _finite_checks(n, args.pairs, args.seed)
     passed = all(dev < args.tolerance for dev in checks.values())

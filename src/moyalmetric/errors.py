@@ -28,7 +28,8 @@ class OrderTooLarge(MoyalError):
 
 
 class PowerTooLarge(MoyalError):
-    """A power of a symbol needs a product past symbols.MAX_POWER_TERM_PAIRS."""
+    """A product of symbols, alone or in a power, needs more term pairs than
+    symbols.MAX_POWER_TERM_PAIRS."""
 
 
 class TooLongToPrint(MoyalError):

@@ -24,10 +24,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import IrrationalDiscriminant, NonPolynomialHamiltonian, ZeroParameter
-from .rationals import GaussianRational, HbarScalar, I
+from .rationals import ONE, GaussianRational, HbarScalar, I
 from .symbols import (TRIVIAL_EXP, ZERO, ExpQuadratic, PhaseSymbol, _apply_integer,
                       _apply_series, _integer_terms, star_terms)
 
@@ -54,7 +53,10 @@ class DifferentialOperator:
         if all(coeff.is_polynomial for coeff in canon.values()):
             integer = [(mn, *_integer_terms(coeff.parts[TRIVIAL_EXP]))
                        for mn, coeff in sorted(canon.items())]
-            self._den = den = math.lcm(*(d for _, d, _ in integer))
+            den = 1
+            for _, d, _ in integer:
+                den = math.lcm(den, d)
+            self._den = den
             self._integer = [(m, n, [(key, re * (den // d), im * (den // d))
                                      for key, re, im in cterms])
                              for (m, n), d, cterms in integer]
@@ -143,7 +145,7 @@ def swanson_from_ladder(omega, alpha, beta) -> SwansonParams:
     w = GaussianRational.coerce(omega)
     al = GaussianRational.coerce(alpha)
     be = GaussianRational.coerce(beta)
-    half = Fraction(1, 2)
+    half = ONE / 2
     return SwansonParams(a=(w - al - be) * half, b=(w + al + be) * half, c=al - be)
 
 

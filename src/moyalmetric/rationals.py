@@ -1,15 +1,20 @@
 """Exact coefficient arithmetic: Gaussian rationals and Laurent scalars in hbar.
 
-Every coefficient in the symbol calculus lives in Q(i), represented by a pair
-of arbitrary-precision `Fraction`s.  Exponents of Gaussian factors need one
-more layer: scalars that are Laurent polynomials in hbar over Q(i), e.g. the
-2i/hbar appearing in the kernel exponential.
+Every coefficient in the symbol calculus lives in Q(i).  A GaussianRational
+holds three ints, (re + i*im)/den with den > 0 and no common factor, so each
+sum or product runs on ints and is brought to lowest terms by one gcd; the
+parts come out as `Fraction`s only on request (`re`, `im`).  Exponents of
+Gaussian factors need one more layer: scalars that are Laurent polynomials
+in hbar over Q(i), e.g. the 2i/hbar appearing in the kernel exponential.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+
+_gcd = math.gcd
+_new = object.__new__
 
 
 def as_fraction(value) -> Fraction:
@@ -31,18 +36,54 @@ def sqrt_fraction(q: Fraction) -> Fraction | None:
     return Fraction(rn, rd)
 
 
+def _triple(re: int, im: int, den: int) -> GaussianRational:
+    """(re + i*im)/den from a triple already in lowest terms, den > 0."""
+    z = _new(GaussianRational)
+    z._re, z._im, z._den = re, im, den
+    return z
+
+
+def from_integers(re: int, im: int, den: int) -> GaussianRational:
+    """(re + i*im)/den for den > 0, brought to lowest terms by one gcd."""
+    g = _gcd(re, im, den)
+    z = _new(GaussianRational)
+    if g == 1:
+        z._re, z._im, z._den = re, im, den
+    else:
+        z._re, z._im, z._den = re // g, im // g, den // g
+    return z
+
+
 class GaussianRational:
     """Complex number with exact rational real and imaginary parts.
 
-    Values are immutable; both parts are `Fraction`s, so reduction to lowest
-    terms with positive denominator is automatic and equality is structural.
+    Values are immutable: three ints (re + i*im)/den with den > 0 and
+    gcd(re, im, den) == 1, zero being (0, 0, 1), so equality and hashing
+    compare the triple.  `re` and `im` are the parts as reduced `Fraction`s;
+    the integer kernels of the package read the triple `_re, _im, _den`.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_re", "_im", "_den")
 
     def __init__(self, re=0, im=0):
-        self.re = as_fraction(re)
-        self.im = as_fraction(im)
+        if type(re) is int and type(im) is int:
+            self._re, self._im, self._den = re, im, 1
+            return
+        re, im = as_fraction(re), as_fraction(im)
+        rd, idn = re.denominator, im.denominator
+        # scaled to the lcm of two reduced denominators, the numerators have
+        # no factor in common with it
+        den = rd // _gcd(rd, idn) * idn
+        self._re, self._im, self._den = (re.numerator * (den // rd),
+                                         im.numerator * (den // idn), den)
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._re, self._den)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._im, self._den)
 
     @staticmethod
     def coerce(value) -> GaussianRational:
@@ -61,18 +102,26 @@ class GaussianRational:
         return None
 
     def __add__(self, other):
-        o = GaussianRational._try_coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(self.re + o.re, self.im + o.im)
+        if type(other) is not GaussianRational:
+            other = GaussianRational._try_coerce(other)
+            if other is None:
+                return NotImplemented
+        d, f = self._den, other._den
+        if d == f:
+            return from_integers(self._re + other._re, self._im + other._im, d)
+        return from_integers(self._re * f + other._re * d, self._im * f + other._im * d, d * f)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = GaussianRational._try_coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(self.re - o.re, self.im - o.im)
+        if type(other) is not GaussianRational:
+            other = GaussianRational._try_coerce(other)
+            if other is None:
+                return NotImplemented
+        d, f = self._den, other._den
+        if d == f:
+            return from_integers(self._re - other._re, self._im - other._im, d)
+        return from_integers(self._re * f - other._re * d, self._im * f - other._im * d, d * f)
 
     def __rsub__(self, other):
         o = GaussianRational._try_coerce(other)
@@ -81,27 +130,30 @@ class GaussianRational:
         return o - self
 
     def __mul__(self, other):
-        o = GaussianRational._try_coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(self.re * o.re - self.im * o.im,
-                                self.re * o.im + self.im * o.re)
+        if type(other) is not GaussianRational:
+            other = GaussianRational._try_coerce(other)
+            if other is None:
+                return NotImplemented
+        a, b, c, e = self._re, self._im, other._re, other._im
+        return from_integers(a * c - b * e, a * e + b * c, self._den * other._den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         o = GaussianRational.coerce(other)
-        n = o.norm2()
+        c, e = o._re, o._im
+        n = c * c + e * e
         if n == 0:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussianRational((self.re * o.re + self.im * o.im) / n,
-                                (self.im * o.re - self.re * o.im) / n)
+        # (a + i*b)/d / ((c + i*e)/f) = (a + i*b)(c - i*e) * f / (d * (c^2 + e^2))
+        a, b, f = self._re, self._im, o._den
+        return from_integers((a * c + b * e) * f, (b * c - a * e) * f, self._den * n)
 
     def __rtruediv__(self, other):
         return GaussianRational.coerce(other) / self
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _triple(-self._re, -self._im, self._den)
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
@@ -117,27 +169,27 @@ class GaussianRational:
         return result
 
     def __eq__(self, other):
-        try:
-            o = GaussianRational.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return self.re == o.re and self.im == o.im
+        if type(other) is not GaussianRational:
+            other = GaussianRational._try_coerce(other)
+            if other is None:
+                return NotImplemented
+        return self._re == other._re and self._im == other._im and self._den == other._den
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash((self._re, self._im, self._den))
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return self._re != 0 or self._im != 0
 
     def conjugate(self) -> GaussianRational:
-        return GaussianRational(self.re, -self.im)
+        return _triple(self._re, -self._im, self._den)
 
     def norm2(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
+        return Fraction(self._re * self._re + self._im * self._im, self._den * self._den)
 
     @property
     def is_real(self) -> bool:
-        return self.im == 0
+        return self._im == 0
 
     def sqrt(self) -> GaussianRational | None:
         """A square root within Q(i), or None when no exact one exists."""
@@ -158,21 +210,22 @@ class GaussianRational:
         return cand if cand * cand == self else None
 
     def to_complex(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        return complex(self._re / self._den, self._im / self._den)
 
     def __str__(self):
         if not self:
             return "0"
+        re, im = self.re, self.im
         parts = []
-        if self.re:
-            parts.append(str(self.re))
-        if self.im:
-            if self.im == 1:
+        if re:
+            parts.append(str(re))
+        if im:
+            if im == 1:
                 imtxt = "i"
-            elif self.im == -1:
+            elif im == -1:
                 imtxt = "-i"
             else:
-                imtxt = f"{self.im}*i"
+                imtxt = f"{im}*i"
             if parts and not imtxt.startswith("-"):
                 imtxt = "+" + imtxt
             parts.append(imtxt)
@@ -300,12 +353,12 @@ class HbarScalar:
             return None
         root: dict[int, GaussianRational] = {half_lo: lead}
         for m in range(half_lo + 1, half_hi + 1):
-            acc = coeffs.get(m + half_lo, GaussianRational())
+            acc = coeffs.get(m + half_lo, ZERO)
             for a in range(half_lo + 1, m):
                 b = m + half_lo - a
                 if a > b:
                     break
-                prod = root.get(a, GaussianRational()) * root.get(b, GaussianRational())
+                prod = root.get(a, ZERO) * root.get(b, ZERO)
                 acc = acc - (prod if a == b else prod * 2)
             root[m] = acc / (lead * 2)
         cand = HbarScalar(root)

@@ -12,10 +12,11 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _string
 
 from .errors import CoefficientTooLong, ExponentTooLong, InvalidDocument
 from .pde import DifferentialOperator, SwansonParams
-from .rationals import GaussianRational, HbarScalar
+from .rationals import ZERO, GaussianRational, HbarScalar
 from .series import MetricSeries, check_order
 from .starlog import PositivityReport
 from .symbols import ExpQuadratic, PhaseSymbol, _canon_key
@@ -114,7 +115,7 @@ def symbol_from_obj(obj) -> PhaseSymbol:
                        _int(entry["p"], "symbol term field 'p'"),
                        _int(entry["hbar"], "symbol term field 'hbar'"),
                        _int(entry["g"], "symbol term field 'g'"))
-                poly[key] = poly.get(key, GaussianRational()) + rational_from_obj(entry["coeff"])
+                poly[key] = poly.get(key, ZERO) + rational_from_obj(entry["coeff"])
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidDocument(f"malformed symbol term: {exc}") from exc
         try:
@@ -209,10 +210,43 @@ def candidates_to_obj(candidates: list[ExpQuadratic]) -> dict:
 
 
 def dumps(obj) -> str:
+    """json.dumps(obj, indent=2), byte for byte, without its pure-Python encoder.
+
+    Dict keys must be strings.  An int past the interpreter's int-to-string
+    digit limit raises ExponentTooLong.
+    """
+    out: list[str] = []
     try:
-        return json.dumps(obj, indent=2)
-    except ValueError:  # an int past the interpreter's int-to-string digit limit
+        _encode(obj, out, "\n")
+    except ValueError:  # from int.__repr__
         raise ExponentTooLong from None
+    return "".join(out)
+
+
+def _encode(obj, out: list[str], newline: str) -> None:
+    """Append the indented JSON text of obj; newline starts each line at its depth."""
+    if isinstance(obj, str):
+        out.append(_string(obj))
+    elif isinstance(obj, int) and not isinstance(obj, bool):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, dict) and obj:
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, value in obj.items():
+            out.append(f"{sep}{_string(key)}: ")
+            _encode(value, out, inner)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(obj, (list, tuple)) and obj:
+        inner = newline + "  "
+        sep = "[" + inner
+        for value in obj:
+            out.append(sep)
+            _encode(value, out, inner)
+            sep = "," + inner
+        out.append(newline + "]")
+    else:  # None, booleans, floats, {} and []
+        out.append(json.dumps(obj))
 
 
 def load_document(path: str):

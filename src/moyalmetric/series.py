@@ -118,7 +118,9 @@ def solve_kinetic_ode(rhs: PhaseSymbol) -> PhaseSymbol:
         out = {(pd - 1, hd - 1, gd): (im, -re)
                for (pd, hd, gd), (re, im) in num.items() if re or im}
         out_den = 2 * (j + 1) * common
-        g = math.gcd(out_den, *(v for pair in out.values() for v in pair))
+        g = out_den
+        for re, im in out.values():
+            g = math.gcd(g, re, im)
         out_den //= g
         out = {key: (re // g, im // g) for key, (re, im) in out.items()}
         solution.update(_gaussian_terms({(j + 1, *key): pair for key, pair in out.items()}, out_den))

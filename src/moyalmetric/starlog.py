@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import NonzeroLeading, NotUnitLeading
+from .rationals import ONE
 from .series import MetricSeries
 from .symbols import PhaseSymbol
 
@@ -36,7 +36,7 @@ def _exp_slices(series: MetricSeries, solve) -> tuple[Graded, Graded]:
             lower = powers[m - 2]
             powers[m - 1][n] = sum((l_j.star(lower[n - j]) for j, l_j in log.items()
                                     if l_j and lower.get(n - j)), PhaseSymbol.zero())
-            rest[n] += powers[m - 1][n] * Fraction(1, math.factorial(m))
+            rest[n] += powers[m - 1][n] * (ONE / math.factorial(m))
         log[n] = solve(series.order(n), rest[n])
     return log, rest
 

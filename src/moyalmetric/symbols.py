@@ -24,18 +24,19 @@ from __future__ import annotations
 
 import cmath
 import math
-from fractions import Fraction
 from typing import Iterator, NamedTuple
 
 from .errors import NonTerminatingStar, NonTerminatingTwist, PowerTooLarge
-from .rationals import HS_ZERO, GaussianRational, HbarScalar, I, ONE as C_ONE
+from .rationals import (HS_ZERO, GaussianRational, HbarScalar, I, ONE as C_ONE, ZERO as C_ZERO,
+                        from_integers)
 
 # Monomial exponents, in storage order: (xdeg, pdeg, hdeg, gdeg).
 MonoKey = tuple[int, int, int, int]
 
-# Budget of PhaseSymbol.__pow__: the largest product of the two factors' term
-# counts that one multiplication in a power may take.  (1+x+p)^30 fits (its
-# largest product is 120 x 153 terms); (1+x+p)^31 needs 136 x 153 and does not.
+# Budget of PhaseSymbol.__mul__: the largest product of the two factors' term
+# counts that one multiplication may take.  (1+x+p)^30 fits (the largest
+# product in its power is 120 x 153 terms); (1+x+p)^31 needs 136 x 153, and
+# (1+x+p)^30 * (1+x+p)^30 needs 496 x 496, so neither does.
 MAX_POWER_TERM_PAIRS = 20_000
 
 
@@ -132,7 +133,7 @@ class PhaseSymbol:
         for eq, poly in o._parts.items():
             dst = acc.setdefault(eq, {})
             for key, coeff in poly.items():
-                dst[key] = dst.get(key, GaussianRational()) + coeff
+                dst[key] = dst.get(key, C_ZERO) + coeff
         return PhaseSymbol(acc)
 
     __radd__ = __add__
@@ -157,6 +158,10 @@ class PhaseSymbol:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        pairs = sum(map(len, self._parts.values())) * sum(map(len, o._parts.values()))
+        if pairs > MAX_POWER_TERM_PAIRS:
+            raise PowerTooLarge(f"product needs {pairs} term pairs, "
+                                f"past the limit of {MAX_POWER_TERM_PAIRS}")
         acc: dict[ExpQuadratic, dict[MonoKey, GaussianRational]] = {}
         for eq1, poly1 in self._parts.items():
             for eq2, poly2 in o._parts.items():
@@ -165,7 +170,7 @@ class PhaseSymbol:
                 for k1, c1 in poly1.items():
                     for k2, c2 in poly2.items():
                         key = (k1[0] + k2[0], k1[1] + k2[1], k1[2] + k2[2], k1[3] + k2[3])
-                        dst[key] = dst.get(key, GaussianRational()) + c1 * c2
+                        dst[key] = dst.get(key, C_ZERO) + c1 * c2
         return PhaseSymbol(acc)
 
     __rmul__ = __mul__
@@ -176,22 +181,14 @@ class PhaseSymbol:
         if n < 0:
             inv = self._invert_monomial()
             return inv ** (-n)
-
-        def times(a: PhaseSymbol, b: PhaseSymbol) -> PhaseSymbol:
-            pairs = sum(map(len, a._parts.values())) * sum(map(len, b._parts.values()))
-            if pairs > MAX_POWER_TERM_PAIRS:
-                raise PowerTooLarge(f"power needs {pairs} term pairs in one product, "
-                                    f"past the limit of {MAX_POWER_TERM_PAIRS}")
-            return a * b
-
         result, base = ONE, self
         while True:
             if n & 1:
-                result = times(result, base)
+                result = result * base
             n >>= 1
             if not n:
                 return result
-            base = times(base, base)
+            base = base * base
 
     def _invert_monomial(self) -> PhaseSymbol:
         if len(self._parts) != 1:
@@ -206,9 +203,8 @@ class PhaseSymbol:
     def _coerce(value) -> PhaseSymbol | None:
         if isinstance(value, PhaseSymbol):
             return value
-        if isinstance(value, (int, Fraction, GaussianRational)):
-            return PhaseSymbol.monomial(GaussianRational.coerce(value))
-        return None
+        coeff = GaussianRational._try_coerce(value)
+        return None if coeff is None else PhaseSymbol.monomial(coeff)
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -237,7 +233,7 @@ class PhaseSymbol:
                 yield eq, key, poly[key]
 
     def coefficient(self, x=0, p=0, hbar=0, g=0, quad: ExpQuadratic = TRIVIAL_EXP) -> GaussianRational:
-        return self._parts.get(quad, {}).get((x, p, hbar, g), GaussianRational())
+        return self._parts.get(quad, {}).get((x, p, hbar, g), C_ZERO)
 
     @property
     def is_polynomial(self) -> bool:
@@ -288,12 +284,12 @@ class PhaseSymbol:
                     newkey = list(key)
                     newkey[idx] = deg - 1
                     nk = tuple(newkey)
-                    dst[nk] = dst.get(nk, GaussianRational()) + coeff * deg
+                    dst[nk] = dst.get(nk, C_ZERO) + coeff * deg
             factor = eq.dx_poly() if var == "x" else eq.dp_poly()
             for fk, fc in factor.items():
                 for key, coeff in poly.items():
                     nk = (key[0] + fk[0], key[1] + fk[1], key[2] + fk[2], key[3] + fk[3])
-                    dst[nk] = dst.get(nk, GaussianRational()) + coeff * fc
+                    dst[nk] = dst.get(nk, C_ZERO) + coeff * fc
         return PhaseSymbol(acc)
 
     def conjugate(self) -> PhaseSymbol:
@@ -463,7 +459,7 @@ def star_terms(sym: PhaseSymbol, var: str) -> dict[tuple[int, int], PhaseSymbol]
     terms = {}
     k = 0
     while sym:
-        coeff = PhaseSymbol.monomial(I ** k * Fraction(1, math.factorial(k)), hbar=k)
+        coeff = PhaseSymbol.monomial(I ** k * from_integers(1, 0, math.factorial(k)), hbar=k)
         terms[(0, k) if var == "x" else (k, 0)] = sym * coeff
         sym = sym.diff(var)
         k += 1
@@ -493,9 +489,8 @@ def _integer_terms(poly: dict[MonoKey, GaussianRational]):
     """A part's coefficients as Gaussian-integer numerators over their lcm denominator."""
     den = 1
     for c in poly.values():
-        den = math.lcm(den, c.re.denominator, c.im.denominator)
-    return den, [(key, c.re.numerator * (den // c.re.denominator),
-                  c.im.numerator * (den // c.im.denominator))
+        den = math.lcm(den, c._den)
+    return den, [(key, c._re * (den // c._den), c._im * (den // c._den))
                  for key, c in poly.items()]
 
 
@@ -548,8 +543,7 @@ def _apply_integer(ops, den: int, poly: dict[MonoKey, GaussianRational]):
 
 def _gaussian_terms(acc: dict[MonoKey, list[int]], den: int) -> dict[MonoKey, GaussianRational]:
     """Gaussian-integer numerators [re, im] over `den` back to coefficients."""
-    return {key: GaussianRational(Fraction(re, den), Fraction(im, den))
-            for key, (re, im) in acc.items() if re or im}
+    return {key: from_integers(re, im, den) for key, (re, im) in acc.items() if re or im}
 
 
 def star(a: PhaseSymbol, b: PhaseSymbol) -> PhaseSymbol:

@@ -1,12 +1,19 @@
+import contextlib
+import io
 import json
+import os
 import re
+import subprocess
 import sys
 import time
+from datetime import timedelta
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
-from moyalmetric import parse_expression
+from moyalmetric import parse_expression, solve_metric_series
 from moyalmetric.cli import main
 from moyalmetric.errors import InvalidDocument
 from moyalmetric.series import MetricSeries
@@ -410,3 +417,126 @@ class TestDeterminismAndJson:
         report = positivity_evidence(solve_metric_series(parse_expression("i*x^3"), 2))
         round_tripped = report_from_obj(json.loads(json.dumps(report_to_obj(report))))
         assert round_tripped == report
+
+
+class TestLightImports:
+    def test_parser_loads_without_numpy(self):
+        code = ("import sys; import moyalmetric.cli as cli; cli.build_parser(); "
+                "print('numpy' in sys.modules)")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}, check=True).stdout
+        assert out == "False\n"
+
+
+class TestProductBudget:
+    def test_plain_product_of_allowed_powers_exits_1(self, capsys):
+        expr = "*".join(["(1+x+p)^30"] * 4)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "is-hermitian", "--expr", expr)
+        assert time.perf_counter() - start < 5
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1
+        assert f"product needs 246016 term pairs, past the limit of {MAX_POWER_TERM_PAIRS}" in err
+
+
+# -- fuzzing: every input ends in exit 0, 1 or 2, never a traceback ----------
+
+def _run_quiet(argv) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _check_outcome(code: int, out: str, err: str) -> None:
+    assert code in (0, 1, 2)
+    if code:
+        assert out == "" and err.count("\n") == 1 and err.endswith("\n"), (out, err)
+
+
+_ATOMS = st.sampled_from(["0", "1", "2", "7", "3/4", "i", "x", "p", "hbar", "g",
+                          "exp(i*x*p/hbar)", "exp(-p^2)", "exp(hbar*x^2)", "exp(x)"])
+
+
+def _grow(inner):
+    return st.one_of(
+        st.tuples(inner, st.sampled_from("+-*/"), inner).map("".join),
+        inner.map("({})".format),
+        inner.map("-{}".format),
+        st.tuples(inner, st.integers(-2, 3)).map(lambda t: f"({t[0]})^{t[1]}"))
+
+
+_EXPRESSIONS = st.recursive(_ATOMS, _grow, max_leaves=6)
+
+
+@st.composite
+def _grammar_strings(draw):
+    """Grammar expressions, some with one character inserted or deleted."""
+    text = draw(_EXPRESSIONS)
+    edit = draw(st.sampled_from(["none", "none", "insert", "delete"]))
+    if edit != "none" and text:
+        at = draw(st.integers(0, len(text) - 1))
+        junk = draw(st.sampled_from(list("()+-*/^ 0.ix_é\n")))
+        text = text[:at] + (junk if edit == "insert" else "") + text[at + 1:]
+    return text
+
+
+_JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False),
+              st.text(max_size=6), st.sampled_from(["0", "-1", "1", "7", "00", "1e3"])),
+    lambda inner: st.one_of(st.lists(inner, max_size=5),
+                            st.dictionaries(st.text(max_size=6), inner, max_size=3)),
+    max_leaves=6)
+
+
+def _slots(node, found):
+    """Every (container, key) in a JSON document, parents before children."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in list(items):
+        found.append((node, key))
+        if isinstance(value, (dict, list)):
+            _slots(value, found)
+    return found
+
+
+@st.composite
+def _mutated_series_documents(draw):
+    doc = json.loads(_SERIES_TEXT)
+    for _ in range(draw(st.integers(1, 3))):
+        slots = _slots(doc, [])
+        if not slots:
+            break
+        node, key = draw(st.sampled_from(slots))
+        if draw(st.booleans()):
+            node[key] = draw(_JSON_VALUES)
+        else:
+            del node[key]
+    text = json.dumps(doc)
+    if draw(st.integers(0, 9)) == 0:
+        text = text[:draw(st.integers(0, len(text)))]
+    return text
+
+
+_SERIES_TEXT = json.dumps(series_to_obj(solve_metric_series(parse_expression("i*x^3+x"), 3)))
+_FUZZ = settings(max_examples=150, deadline=timedelta(seconds=10), derandomize=True)
+
+
+class TestFuzz:
+    @_FUZZ
+    @given(st.sampled_from(["dagger", "is-hermitian"]), _grammar_strings(),
+           st.sampled_from(["text", "latex", "json"]))
+    def test_one_symbol_commands(self, command, text, fmt):
+        _check_outcome(*_run_quiet([command, f"--expr={text}", "--format", fmt]))
+
+    @_FUZZ
+    @given(_grammar_strings(), _grammar_strings())
+    def test_star(self, left, right):
+        _check_outcome(*_run_quiet(["star", f"--left={left}", f"--right={right}"]))
+
+    @_FUZZ
+    @given(_mutated_series_documents(), st.sampled_from(["text", "latex", "json"]))
+    def test_log_metric_from_mutated_series(self, tmp_path_factory, text, fmt):
+        path = tmp_path_factory.mktemp("fuzz") / "series.json"
+        path.write_text(text)
+        _check_outcome(*_run_quiet(["log-metric", "--from-json", str(path), "--format", fmt]))
