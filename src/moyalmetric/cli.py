@@ -259,12 +259,12 @@ def _cmd_finite_demo(args) -> int:
                                "tolerance": args.tolerance, "checks": finite_checks,
                                "pass": passed}))
     else:
-        np.set_printoptions(precision=6, suppress=True, linewidth=120)
         print(f"dimension {n}, phase angle 2*pi/{n}")
-        print("clock matrix:")
-        print(finite.clock(n))
-        print("shift matrix:")
-        print(finite.shift(n))
+        with np.printoptions(precision=6, suppress=True, linewidth=120):
+            print("clock matrix:")
+            print(finite.clock(n))
+            print("shift matrix:")
+            print(finite.shift(n))
         for name, dev in checks.items():
             print(f"{name}: max deviation {dev:.3e}")
         print(f"result: {'ok' if passed else 'FAILED'} (tolerance {args.tolerance:g})")

@@ -100,7 +100,7 @@ def _polynomial(poly: dict[MonoKey, GaussianRational], st: _Style) -> list[tuple
 def _exponential(eq: ExpQuadratic, st: _Style) -> str:
     poly = {(xd, pd, h, 0): c
             for scalar, (xd, pd) in ((eq.r, (0, 2)), (eq.s, (1, 1)), (eq.t, (2, 0)))
-            for h, c in scalar.terms}
+            for h, c in scalar}
     return f"{st.exp[0]}{_join_signed(_polynomial(poly, st))}{st.exp[1]}"
 
 

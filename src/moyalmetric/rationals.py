@@ -3,15 +3,20 @@
 Every coefficient in the symbol calculus lives in Q(i).  A GaussianRational
 holds three ints, (re + i*im)/den with den > 0 and no common factor, so each
 sum or product runs on ints and is brought to lowest terms by one gcd; the
-parts come out as `Fraction`s only on request (`re`, `im`).  Exponents of
-Gaussian factors need one more layer: scalars that are Laurent polynomials
-in hbar over Q(i), e.g. the 2i/hbar appearing in the kernel exponential.
+parts come out as `Fraction`s only on request (`re`, `im`), and a power too
+long ever to print is refused before it is computed.  Exponents of Gaussian
+factors need one more layer: Laurent polynomials in hbar over Q(i), e.g. the
+2i/hbar of the kernel exponential, each the tuple of its (power, coefficient)
+pairs.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
+
+from .errors import CoefficientTooLong
 
 _gcd = math.gcd
 _new = object.__new__
@@ -86,20 +91,19 @@ class GaussianRational:
         return Fraction(self._im, self._den)
 
     @staticmethod
-    def coerce(value) -> GaussianRational:
-        if isinstance(value, GaussianRational):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return GaussianRational(value)
-        raise TypeError(f"cannot interpret {type(value).__name__} as a Gaussian rational")
-
-    @staticmethod
     def _try_coerce(value) -> GaussianRational | None:
         if isinstance(value, GaussianRational):
             return value
         if isinstance(value, (int, Fraction)):
             return GaussianRational(value)
         return None
+
+    @staticmethod
+    def coerce(value) -> GaussianRational:
+        z = GaussianRational._try_coerce(value)
+        if z is None:
+            raise TypeError(f"cannot interpret {type(value).__name__} as a Gaussian rational")
+        return z
 
     def __add__(self, other):
         if type(other) is not GaussianRational:
@@ -118,10 +122,7 @@ class GaussianRational:
             other = GaussianRational._try_coerce(other)
             if other is None:
                 return NotImplemented
-        d, f = self._den, other._den
-        if d == f:
-            return from_integers(self._re - other._re, self._im - other._im, d)
-        return from_integers(self._re * f - other._re * d, self._im * f - other._im * d, d * f)
+        return self + -other
 
     def __rsub__(self, other):
         o = GaussianRational._try_coerce(other)
@@ -158,6 +159,15 @@ class GaussianRational:
     def __pow__(self, n: int):
         if not isinstance(n, int):
             raise TypeError("exponent must be an integer")
+        norm, den2 = self._re * self._re + self._im * self._im, self._den * self._den
+        limit = sys.get_int_max_str_digits()
+        if limit and norm and norm != den2:
+            # The larger part of z^n is at least |z|^n / sqrt(2), and so is its
+            # numerator; a nonzero part is at most |z|^n, so its denominator is
+            # at least |z|^-n.  Past the digit limit, z^n could never print.
+            digits = abs(math.log10(norm) - math.log10(den2)) / 2  # per unit of |n|
+            if digits and abs(n) > (limit + math.log10(2) / 2) / digits:
+                raise CoefficientTooLong
         if n < 0:
             return (ONE / self) ** (-n)
         result, base = ONE, self
@@ -239,30 +249,27 @@ ONE = GaussianRational(1)
 I = GaussianRational(0, 1)
 
 
-class HbarScalar:
+class HbarScalar(tuple):
     """Laurent polynomial in hbar with Gaussian-rational coefficients.
 
-    Stored as a sorted tuple of (hbar_power, coefficient) pairs with no zero
-    coefficients, so instances are hashable and compare structurally.
+    The scalar is the tuple of its (hbar_power, coefficient) pairs, sorted by
+    power, one pair per power and no zero coefficient, built once in
+    `__new__`.  Equality, hashing, truth and length are the tuple's, and
+    iterating a scalar yields its pairs.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
 
-    def __init__(self, terms=()):
-        if isinstance(terms, dict):
-            items = terms.items()
-        else:
-            items = terms
+    def __new__(cls, terms=()):
         acc: dict[int, GaussianRational] = {}
-        for h, c in items:
+        for h, c in terms.items() if isinstance(terms, dict) else terms:
             c = GaussianRational.coerce(c)
             if not c:
                 continue
             if not isinstance(h, int):
                 raise TypeError("hbar power must be an integer")
-            prev = acc.get(h)
-            acc[h] = c if prev is None else prev + c
-        self._terms = tuple(sorted((h, c) for h, c in acc.items() if c))
+            acc[h] = acc.get(h, ZERO) + c
+        return tuple.__new__(cls, sorted((h, c) for h, c in acc.items() if c))
 
     @staticmethod
     def constant(value) -> HbarScalar:
@@ -278,20 +285,8 @@ class HbarScalar:
             return value
         return HbarScalar.constant(GaussianRational.coerce(value))
 
-    @property
-    def terms(self) -> tuple:
-        return self._terms
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __bool__(self):
-        return bool(self._terms)
-
     def __add__(self, other):
-        o = HbarScalar.coerce(other)
-        return HbarScalar(list(self._terms) + list(o._terms))
+        return HbarScalar([*self, *HbarScalar.coerce(other)])
 
     __radd__ = __add__
 
@@ -302,51 +297,36 @@ class HbarScalar:
         return HbarScalar.coerce(other) - self
 
     def __neg__(self):
-        return HbarScalar([(h, -c) for h, c in self._terms])
+        return HbarScalar([(h, -c) for h, c in self])
 
     def __mul__(self, other):
         o = HbarScalar.coerce(other)
-        out = []
-        for h1, c1 in self._terms:
-            for h2, c2 in o._terms:
-                out.append((h1 + h2, c1 * c2))
-        return HbarScalar(out)
+        return HbarScalar([(h1 + h2, c1 * c2) for h1, c1 in self for h2, c2 in o])
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         o = HbarScalar.coerce(other)
-        if len(o._terms) != 1:
+        if len(o) != 1:
             raise ValueError("can only divide by a single-term hbar scalar")
-        h, c = o._terms[0]
-        return HbarScalar([(hd - h, cd / c) for hd, cd in self._terms])
-
-    def __eq__(self, other):
-        if not isinstance(other, HbarScalar):
-            try:
-                other = HbarScalar.coerce(other)
-            except TypeError:
-                return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self):
-        return hash(self._terms)
+        (h, c), = o
+        return HbarScalar([(hd - h, cd / c) for hd, cd in self])
 
     def shifted(self, k: int) -> HbarScalar:
         """Multiply by hbar**k."""
-        return HbarScalar([(h + k, c) for h, c in self._terms])
+        return HbarScalar([(h + k, c) for h, c in self])
 
     def conjugate(self) -> HbarScalar:
-        return HbarScalar([(h, c.conjugate()) for h, c in self._terms])
+        return HbarScalar([(h, c.conjugate()) for h, c in self])
 
     def sqrt(self) -> HbarScalar | None:
         """Exact square root in the Laurent ring, or None if not a square."""
-        if not self._terms:
+        if not self:
             return HbarScalar()
-        lo, hi = self._terms[0][0], self._terms[-1][0]
+        lo, hi = self[0][0], self[-1][0]
         if lo % 2 or hi % 2:
             return None
-        coeffs = dict(self._terms)
+        coeffs = dict(self)
         half_lo, half_hi = lo // 2, hi // 2
         lead = coeffs[lo].sqrt()
         if lead is None:
@@ -365,21 +345,13 @@ class HbarScalar:
         return cand if cand * cand == self else None
 
     def sort_key(self):
-        return tuple((h, c.re, c.im) for h, c in self._terms)
+        return tuple((h, c.re, c.im) for h, c in self)
 
     def evaluate(self, hval: complex) -> complex:
-        return sum((c.to_complex() * hval ** h for h, c in self._terms), 0j)
+        return sum((c.to_complex() * hval ** h for h, c in self), 0j)
 
     def __str__(self):
-        if not self._terms:
-            return "0"
-        chunks = []
-        for h, c in self._terms:
-            piece = f"({c})"
-            if h:
-                piece += f"*hbar^{h}"
-            chunks.append(piece)
-        return " + ".join(chunks)
+        return " + ".join(f"({c})*hbar^{h}" if h else f"({c})" for h, c in self) or "0"
 
     __repr__ = __str__
 

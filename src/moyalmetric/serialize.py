@@ -69,7 +69,7 @@ def rational_from_obj(obj) -> GaussianRational:
 
 
 def hbar_scalar_to_obj(scalar: HbarScalar) -> list:
-    return [[h] + rational_to_obj(c) for h, c in scalar.terms]
+    return [[h] + rational_to_obj(c) for h, c in scalar]
 
 
 def hbar_scalar_from_obj(obj) -> HbarScalar:

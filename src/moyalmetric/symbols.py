@@ -54,31 +54,29 @@ class ExpQuadratic(NamedTuple):
 
     @property
     def is_trivial(self) -> bool:
-        return self.r.is_zero and self.s.is_zero and self.t.is_zero
+        return not any(self)
 
     def conjugate(self) -> ExpQuadratic:
+        if self.is_trivial:
+            return self
         return ExpQuadratic(self.r.conjugate(), self.s.conjugate(), self.t.conjugate())
 
     def combined(self, other: ExpQuadratic) -> ExpQuadratic:
+        if self.is_trivial:
+            return other
+        if other.is_trivial:
+            return self
         return ExpQuadratic(self.r + other.r, self.s + other.s, self.t + other.t)
 
     def dx_poly(self) -> dict[MonoKey, GaussianRational]:
         """Chain-rule factor of d/dx: s*p + 2*t*x."""
-        out: dict[MonoKey, GaussianRational] = {}
-        for h, c in self.s.terms:
-            out[(0, 1, h, 0)] = c
-        for h, c in self.t.terms:
-            out[(1, 0, h, 0)] = c * 2
-        return out
+        return {**{(0, 1, h, 0): c for h, c in self.s},
+                **{(1, 0, h, 0): c * 2 for h, c in self.t}}
 
     def dp_poly(self) -> dict[MonoKey, GaussianRational]:
         """Chain-rule factor of d/dp: 2*r*p + s*x."""
-        out: dict[MonoKey, GaussianRational] = {}
-        for h, c in self.r.terms:
-            out[(0, 1, h, 0)] = c * 2
-        for h, c in self.s.terms:
-            out[(1, 0, h, 0)] = c
-        return out
+        return {**{(0, 1, h, 0): c * 2 for h, c in self.r},
+                **{(1, 0, h, 0): c for h, c in self.s}}
 
     def sort_key(self):
         return (self.r.sort_key(), self.s.sort_key(), self.t.sort_key())
@@ -176,11 +174,17 @@ class PhaseSymbol:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
+        """n-th power: in one step for a monomial, by squaring for other symbols."""
         if not isinstance(n, int):
             raise TypeError("exponent must be an integer")
+        if len(self._parts) == 1 and len(poly := self._parts.get(TRIVIAL_EXP, {})) == 1:
+            ((xdeg, pdeg, hdeg, gdeg), coeff), = poly.items()
+            if n < 0 and (xdeg or gdeg):
+                raise ValueError("negative power of x or g is not representable")
+            return PhaseSymbol({TRIVIAL_EXP: {(xdeg * n, pdeg * n, hdeg * n, gdeg * n):
+                                              coeff ** n}})
         if n < 0:
-            inv = self._invert_monomial()
-            return inv ** (-n)
+            raise ValueError("only a single monomial can be inverted")
         result, base = ONE, self
         while True:
             if n & 1:
@@ -189,15 +193,6 @@ class PhaseSymbol:
             if not n:
                 return result
             base = base * base
-
-    def _invert_monomial(self) -> PhaseSymbol:
-        if len(self._parts) != 1:
-            raise ValueError("only a single monomial can be inverted")
-        eq, poly = next(iter(self._parts.items()))
-        if not eq.is_trivial or len(poly) != 1:
-            raise ValueError("only a single monomial can be inverted")
-        (xdeg, pdeg, hdeg, gdeg), coeff = next(iter(poly.items()))
-        return PhaseSymbol({TRIVIAL_EXP: {(-xdeg, -pdeg, -hdeg, -gdeg): C_ONE / coeff}})
 
     @staticmethod
     def _coerce(value) -> PhaseSymbol | None:
@@ -299,11 +294,11 @@ class PhaseSymbol:
 
     def _x_series_terminates(self) -> bool:
         # repeated d/dx dies on each part: nothing regenerates x
-        return all(eq.s.is_zero and eq.t.is_zero for eq in self._parts)
+        return not any(eq.s or eq.t for eq in self._parts)
 
     def _p_series_terminates(self) -> bool:
         # repeated d/dp dies: no p in exponents, no negative p powers
-        return (all(eq.r.is_zero and eq.s.is_zero for eq in self._parts)
+        return (not any(eq.r or eq.s for eq in self._parts)
                 and self.min_pdeg() >= 0)
 
     def star(self, other) -> PhaseSymbol:
@@ -327,9 +322,9 @@ class PhaseSymbol:
         total = PhaseSymbol({eq1.combined(eq2): _apply_integer(ops, den, poly)
                              for eq1, (den, ops) in left.items()
                              for eq2, poly in o._parts.items()
-                             if eq2.r.is_zero and eq2.s.is_zero})
+                             if not (eq2.r or eq2.s)})
         rest = PhaseSymbol({eq: poly for eq, poly in o._parts.items()
-                            if not (eq.r.is_zero and eq.s.is_zero)})
+                            if eq.r or eq.s})
         if rest:
             total = total + _apply_series(star_terms(self, "x"), rest)
         return total
@@ -420,14 +415,13 @@ KERNEL_EXP = ExpQuadratic(HS_ZERO, HbarScalar.hbar_power(I * 2, -1), HS_ZERO)
 
 def _x_blocker(sym: PhaseSymbol) -> str:
     """The first x-dependent exp(..) of sym, which keeps d/dx alive, as text."""
-    eq = min((eq for eq in sym.parts if not (eq.s.is_zero and eq.t.is_zero)),
-             key=ExpQuadratic.sort_key)
+    eq = min((eq for eq in sym.parts if eq.s or eq.t), key=ExpQuadratic.sort_key)
     return f"x-dependent {PhaseSymbol.exponential(eq)}"
 
 
 def _p_blocker(sym: PhaseSymbol) -> str:
     """What keeps d/dp alive on sym: a p-dependent exp(..) or the lowest p^-k."""
-    eqs = [eq for eq in sym.parts if not (eq.r.is_zero and eq.s.is_zero)]
+    eqs = [eq for eq in sym.parts if eq.r or eq.s]
     if eqs:
         return f"p-dependent {PhaseSymbol.exponential(min(eqs, key=ExpQuadratic.sort_key))}"
     return f"negative power p^{sym.min_pdeg()}"

@@ -166,6 +166,43 @@ class TestBasicCommands:
         assert (code, out) == (1, "")
         assert err.count("\n") == 1 and f"limit of {MAX_POWER_TERM_PAIRS}" in err
 
+    def test_coefficient_powers_past_the_digit_limit_are_refused(self, capsys):
+        for expr in ("2^10000000000", "(1/3)^100000", "2^20000/2^20000"):
+            start = time.perf_counter()
+            code, out, err = run(capsys, "dagger", "--expr", expr)
+            assert time.perf_counter() - start < 5
+            assert (code, out) == (1, "")
+            assert err == f"error: coefficient has more than {LIMIT} digits, too long to print\n"
+
+    def test_coefficient_powers_within_the_digit_limit(self, capsys):
+        for expr, expected in (("2^14000", f"{2 ** 14000}\n"), ("i^1000000", "1\n"),
+                               ("(2*p)^-3", "1/8*p^-3\n")):
+            assert run(capsys, "dagger", "--expr", expr) == (0, expected, "")
+        code, out, err = run(capsys, "dagger", "--expr", "(x+p)^-1")
+        assert (code, out) == (2, "")
+        assert err == "error: negative power of x or g is not representable (at byte 0)\n"
+
+    def test_polynomial_requests_build_no_hbar_scalar(self, capsys, monkeypatch):
+        from moyalmetric.rationals import HbarScalar
+
+        built = []
+        tuple_new = HbarScalar.__new__
+
+        def counting_new(cls, terms=()):
+            built.append(terms)
+            return tuple_new(cls, terms)
+
+        monkeypatch.setattr(HbarScalar, "__new__", staticmethod(counting_new))
+        assert HbarScalar([(1, 2)]) == ((1, 2),) and len(built) == 1
+        built.clear()
+        for argv in (("positivity", "--potential", "i*x^3", "--order", "5"),
+                     ("solve-metric", "--potential", "i*x^3+x^2", "--order", "8",
+                      "--format", "json"),
+                     ("dagger", "--expr", "x^2*p^3+i*x*p")):
+            code, out, _ = run(capsys, *argv)
+            assert code == 0 and out
+        assert built == []
+
     def test_number_past_the_digit_limit_is_a_parse_error(self, capsys):
         digits = "7" * 5000
         for expr, offset in ((digits, 0), (f"x^{digits}", 2), (f"x^-{digits}", 3)):
@@ -219,6 +256,14 @@ class TestBasicCommands:
         code, out, _ = run(capsys, "finite-demo", "--n", "3", "--pairs", "5")
         assert code == 0
         assert "result: ok" in out
+
+    def test_finite_demo_leaves_numpy_print_options_alone(self, capsys):
+        import numpy as np
+
+        before = np.get_printoptions()
+        code, out, _ = run(capsys, "finite-demo", "--n", "3", "--pairs", "2")
+        assert code == 0 and "result: ok" in out
+        assert np.get_printoptions() == before
 
     def test_finite_demo_json(self, capsys):
         code, out, _ = run(capsys, "finite-demo", "--n", "4", "--pairs", "3",

@@ -82,7 +82,7 @@ def _join_signed(pieces: list[tuple[bool, str]]) -> str:
 def _quadratic_poly(eq: ExpQuadratic) -> dict[MonoKey, GaussianRational]:
     poly: dict[MonoKey, GaussianRational] = {}
     for scalar, (xd, pd) in ((eq.r, (0, 2)), (eq.s, (1, 1)), (eq.t, (2, 0))):
-        for h, c in scalar.terms:
+        for h, c in scalar:
             poly[(xd, pd, h, 0)] = c
     return poly
 

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import contextlib
 import math
 import operator
+import sys
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -9,9 +11,10 @@ import pytest
 from hypothesis import given
 
 from conftest import gaussian_rationals, hbar_scalars
-from moyalmetric import GaussianRational, HbarScalar
+from moyalmetric import CoefficientTooLong, GaussianRational, HbarScalar
 
 I = GaussianRational(0, 1)
+LIMIT = sys.get_int_max_str_digits()
 
 
 class TestGaussianRational:
@@ -70,7 +73,7 @@ class TestGaussianRational:
 class TestHbarScalar:
     def test_construction_merges_terms(self):
         s = HbarScalar([(1, 2), (1, 3), (0, 0)])
-        assert s.terms == ((1, GaussianRational(5)),)
+        assert s == ((1, GaussianRational(5)),)
         assert not HbarScalar([(2, 0)])
 
     def test_ring_ops(self):
@@ -301,7 +304,7 @@ def _outcome(fn, *args):
     """fn(*args), or the type of the exception it raised."""
     try:
         return fn(*args)
-    except (ZeroDivisionError, TypeError) as exc:
+    except (ZeroDivisionError, TypeError, CoefficientTooLong) as exc:
         return type(exc)
 
 
@@ -368,3 +371,268 @@ class TestAgainstFractionPairs:
         z = GaussianRational(*a)
         assert z._den > 0 and math.gcd(z._re, z._im, z._den) == 1
         assert (z - z)._re == 0 and (z - z)._den == 1
+
+
+# -- the coefficient budget on powers -------------------------------------------
+
+@contextlib.contextmanager
+def digit_limit(limit):
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+class TestPowerBudget:
+    def test_examples(self):
+        assert GaussianRational(2) ** 14000 == 2 ** 14000  # 4215 digits
+        assert I ** 10 ** 6 == 1 and (-I) ** (10 ** 6 + 1) == -I
+        assert GaussianRational(0) ** 10 ** 12 == 0 and GaussianRational(0) ** 0 == 1
+        for z, n in ((GaussianRational(2), 10 ** 10), (GaussianRational(2), 20000),
+                     (GaussianRational(Fraction(1, 3)), 100000),
+                     (GaussianRational(3), -100000), (GaussianRational(1, 1), 30000),
+                     (GaussianRational(2), 10 ** 4000)):
+            with pytest.raises(CoefficientTooLong, match=f"more than {LIMIT} digits"):
+                z ** n
+
+    def test_modulus_one_is_computed(self):
+        z = GaussianRational(Fraction(3, 5), Fraction(4, 5))
+        assert (z ** 5000) * (z ** -5000) == 1
+        assert (z ** 5000)._den == 5 ** 5000
+
+    def test_no_budget_without_a_digit_limit(self):
+        with digit_limit(0):
+            assert GaussianRational(2) ** 20000 == 2 ** 20000
+
+    @given(pairs, st.integers(-1500, 1500))
+    def test_refusal_is_certain(self, a, n):
+        # at the lowest digit limit, a refused power has a part that could not print
+        with digit_limit(640):
+            new = _outcome(operator.pow, GaussianRational(*a), n)
+            old = _outcome(operator.pow, FractionPair(*a), n)
+            if new is CoefficientTooLong:
+                ints = (old.re.numerator, old.re.denominator,
+                        old.im.numerator, old.im.denominator)
+                assert max(map(abs, ints)) >= 10 ** 640
+            elif isinstance(old, type):  # 0 to a negative power
+                assert new is old
+            else:  # not compared as text, which may pass the limit
+                assert (new.re, new.im) == (old.re, old.im)
+
+
+# -- oracle: the HbarScalar with hand-written value semantics ----------------
+
+def _seed_scalar_class():
+    """The HbarScalar the tuple subclass replaced, verbatim but for the
+    indentation, over the current GaussianRational; its names resolve in this
+    function's scope."""
+    ZERO = GaussianRational(0)
+
+    class HbarScalar:
+        """Laurent polynomial in hbar with Gaussian-rational coefficients.
+
+        Stored as a sorted tuple of (hbar_power, coefficient) pairs with no zero
+        coefficients, so instances are hashable and compare structurally.
+        """
+
+        __slots__ = ("_terms",)
+
+        def __init__(self, terms=()):
+            if isinstance(terms, dict):
+                items = terms.items()
+            else:
+                items = terms
+            acc: dict[int, GaussianRational] = {}
+            for h, c in items:
+                c = GaussianRational.coerce(c)
+                if not c:
+                    continue
+                if not isinstance(h, int):
+                    raise TypeError("hbar power must be an integer")
+                prev = acc.get(h)
+                acc[h] = c if prev is None else prev + c
+            self._terms = tuple(sorted((h, c) for h, c in acc.items() if c))
+
+        @staticmethod
+        def constant(value) -> HbarScalar:
+            return HbarScalar([(0, GaussianRational.coerce(value))])
+
+        @staticmethod
+        def hbar_power(coeff, power: int) -> HbarScalar:
+            return HbarScalar([(power, GaussianRational.coerce(coeff))])
+
+        @staticmethod
+        def coerce(value) -> HbarScalar:
+            if isinstance(value, HbarScalar):
+                return value
+            return HbarScalar.constant(GaussianRational.coerce(value))
+
+        @property
+        def terms(self) -> tuple:
+            return self._terms
+
+        @property
+        def is_zero(self) -> bool:
+            return not self._terms
+
+        def __bool__(self):
+            return bool(self._terms)
+
+        def __add__(self, other):
+            o = HbarScalar.coerce(other)
+            return HbarScalar(list(self._terms) + list(o._terms))
+
+        __radd__ = __add__
+
+        def __sub__(self, other):
+            return self + (-HbarScalar.coerce(other))
+
+        def __rsub__(self, other):
+            return HbarScalar.coerce(other) - self
+
+        def __neg__(self):
+            return HbarScalar([(h, -c) for h, c in self._terms])
+
+        def __mul__(self, other):
+            o = HbarScalar.coerce(other)
+            out = []
+            for h1, c1 in self._terms:
+                for h2, c2 in o._terms:
+                    out.append((h1 + h2, c1 * c2))
+            return HbarScalar(out)
+
+        __rmul__ = __mul__
+
+        def __truediv__(self, other):
+            o = HbarScalar.coerce(other)
+            if len(o._terms) != 1:
+                raise ValueError("can only divide by a single-term hbar scalar")
+            h, c = o._terms[0]
+            return HbarScalar([(hd - h, cd / c) for hd, cd in self._terms])
+
+        def __eq__(self, other):
+            if not isinstance(other, HbarScalar):
+                try:
+                    other = HbarScalar.coerce(other)
+                except TypeError:
+                    return NotImplemented
+            return self._terms == other._terms
+
+        def __hash__(self):
+            return hash(self._terms)
+
+        def shifted(self, k: int) -> HbarScalar:
+            """Multiply by hbar**k."""
+            return HbarScalar([(h + k, c) for h, c in self._terms])
+
+        def conjugate(self) -> HbarScalar:
+            return HbarScalar([(h, c.conjugate()) for h, c in self._terms])
+
+        def sqrt(self) -> HbarScalar | None:
+            """Exact square root in the Laurent ring, or None if not a square."""
+            if not self._terms:
+                return HbarScalar()
+            lo, hi = self._terms[0][0], self._terms[-1][0]
+            if lo % 2 or hi % 2:
+                return None
+            coeffs = dict(self._terms)
+            half_lo, half_hi = lo // 2, hi // 2
+            lead = coeffs[lo].sqrt()
+            if lead is None:
+                return None
+            root: dict[int, GaussianRational] = {half_lo: lead}
+            for m in range(half_lo + 1, half_hi + 1):
+                acc = coeffs.get(m + half_lo, ZERO)
+                for a in range(half_lo + 1, m):
+                    b = m + half_lo - a
+                    if a > b:
+                        break
+                    prod = root.get(a, ZERO) * root.get(b, ZERO)
+                    acc = acc - (prod if a == b else prod * 2)
+                root[m] = acc / (lead * 2)
+            cand = HbarScalar(root)
+            return cand if cand * cand == self else None
+
+        def sort_key(self):
+            return tuple((h, c.re, c.im) for h, c in self._terms)
+
+        def evaluate(self, hval: complex) -> complex:
+            return sum((c.to_complex() * hval ** h for h, c in self._terms), 0j)
+
+        def __str__(self):
+            if not self._terms:
+                return "0"
+            chunks = []
+            for h, c in self._terms:
+                piece = f"({c})"
+                if h:
+                    piece += f"*hbar^{h}"
+                chunks.append(piece)
+            return " + ".join(chunks)
+
+        __repr__ = __str__
+
+    return HbarScalar
+
+
+SeedScalar = _seed_scalar_class()
+
+# raw (power, coefficient) lists, with repeated powers and zeros to merge away
+term_lists = st.lists(st.tuples(st.integers(-2, 2), gaussian_rationals), max_size=4)
+numbers = st.one_of(st.integers(-3, 3), st.fractions(max_denominator=4))
+
+
+def _same(new, old):
+    if isinstance(old, type):  # both raised
+        assert new is old
+    else:
+        assert type(new) is HbarScalar and type(old) is SeedScalar
+        assert tuple(new) == old.terms and str(new) == str(old)
+
+
+def _scalar_outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+class TestAgainstSeedScalar:
+    @given(term_lists, term_lists, numbers)
+    def test_ring_operations(self, a, b, c):
+        for new, old in (((HbarScalar(a), HbarScalar(b)), (SeedScalar(a), SeedScalar(b))),
+                         ((HbarScalar(a), c), (SeedScalar(a), c)),
+                         ((c, HbarScalar(a)), (c, SeedScalar(a)))):
+            for op in (operator.add, operator.sub, operator.mul):
+                _same(op(*new), op(*old))
+
+    @given(term_lists, term_lists, st.integers(-2, 2), gaussian_rationals)
+    def test_quotients(self, a, b, h, c):
+        for divisor in (b, [(h, c)]):
+            _same(_scalar_outcome(operator.truediv, HbarScalar(a), HbarScalar(divisor)),
+                  _scalar_outcome(operator.truediv, SeedScalar(a), SeedScalar(divisor)))
+
+    @given(term_lists, st.integers(-3, 3))
+    def test_unary_operations(self, a, k):
+        new, old = HbarScalar(a), SeedScalar(a)
+        _same(HbarScalar(dict(a)), SeedScalar(dict(a)))
+        _same(-new, -old)
+        _same(new.conjugate(), old.conjugate())
+        _same(new.shifted(k), old.shifted(k))
+        assert new.sort_key() == old.sort_key()
+        assert bool(new) == bool(old) and len(new) == len(old.terms)
+        for root_new, root_old in ((new.sqrt(), old.sqrt()), ((new * new).sqrt(), (old * old).sqrt())):
+            if root_old is None:
+                assert root_new is None
+            else:
+                _same(root_new, root_old)
+
+    @given(term_lists, term_lists)
+    def test_equality_and_hashing(self, a, b):
+        new_a, new_b = HbarScalar(a), HbarScalar(b)
+        assert (new_a == new_b) == (SeedScalar(a) == SeedScalar(b))
+        assert hash(new_a) == hash(SeedScalar(a))
+        for same in ((new_a + new_b) - new_b, -(-new_a), new_a.shifted(1).shifted(-1)):
+            assert same == new_a and hash(same) == hash(new_a)

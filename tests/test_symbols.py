@@ -70,6 +70,37 @@ class TestRingOps:
             base ** 2
         assert (X ** 7) ** 5 == mono(1, x=35)  # monomial powers are 1 x 1 products
 
+    def test_monomial_powers_take_one_step(self, monkeypatch):
+        products = []
+        monkeypatch.setattr(PhaseSymbol, "__mul__",
+                            lambda a, b: products.append(b) or NotImplemented)
+        big = int("9" * 4000)
+        assert (X ** big) ** big == mono(1, x=big * big)
+        assert mono(2, p=1) ** -3 == mono(Fraction(1, 8), p=-3)
+        assert mono(2 * I, p=2, hbar=-1, g=1) ** 3 == mono(-8 * I, p=6, hbar=-3, g=3)
+        assert mono(I, p=-1) ** (10 ** 6) == mono(1, p=-10 ** 6)
+        assert products == []
+
+    @given(poly_symbols(max_terms=1).filter(bool), st.integers(-4, 4))
+    def test_monomial_powers_match_repeated_products(self, base, n):
+        if n < 0 and (base.max_xdeg() or base.max_gdeg()):
+            with pytest.raises(ValueError, match="negative power of x or g"):
+                base ** n
+            return
+        product = ONE
+        for _ in range(abs(n)):
+            product = product * base
+        if n < 0:
+            assert base ** n * product == ONE
+        else:
+            assert base ** n == product
+
+    def test_what_has_no_inverse(self):
+        for sym in (X + P, PhaseSymbol.exponential(quad(t=1)), ZERO):
+            with pytest.raises(ValueError, match="only a single monomial can be inverted"):
+                sym ** -1
+        assert ZERO ** 0 == ONE and (X + P) ** 0 == ONE
+
     def test_scalar_coercion(self):
         assert 2 * X == mono(2, x=1)
         assert X * Fraction(1, 2) == mono(Fraction(1, 2), x=1)
