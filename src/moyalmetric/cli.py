@@ -220,14 +220,22 @@ def _finite_checks(n: int, pairs: int, seed: int) -> dict[str, float]:
     checks["h_power_n"] = float(np.max(np.abs(np.linalg.matrix_power(h, n) - eye)))
     checks["trace_gh"] = float(abs(np.trace(g @ h)))
 
-    # Gram matrix tr(U_i^dag U_j) = N * delta_ij, one row per matvec; np.max keeps a NaN
+    # Gram matrix tr(U_i^dag U_j) = N * delta_ij, one block of rows per shift b: the words
+    # U(a, b) are rows b::N, and a word with no entry in the block's columns meets the
+    # block in an exact zero off the diagonal.  On the true basis each block has N columns
+    # and N partner rows, so this is O(N^4) work; np.max keeps a NaN.
     flat = finite.basis_words(n).reshape(n * n, n * n)
-    gram_rows = np.empty(n * n)
-    for i, word in enumerate(flat):
-        row = flat @ np.conj(word)
-        row[i] -= n
-        gram_rows[i] = np.abs(row).max()
-    checks["trace_orthogonality"] = float(np.max(gram_rows))
+    block_devs = np.empty(n)
+    for b in range(n):
+        block, own = flat[b::n], np.arange(b, n * n, n)
+        cols = block.any(axis=0)
+        partners = flat[:, cols]
+        hit = partners.any(axis=1)
+        hit[own] = True
+        rows = np.flatnonzero(hit)
+        gram = np.conj(block[:, cols]) @ partners[rows].T - n * (rows == own[:, None])
+        block_devs[b] = np.abs(gram).max()
+    checks["trace_orthogonality"] = float(np.max(block_devs))
 
     devs = np.empty((pairs, 3))  # round trip, star, dagger per pair
     for k in range(pairs):

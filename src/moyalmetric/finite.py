@@ -10,10 +10,12 @@ discrete star product implemented here.
 
 Every map is whole-array numpy work with no per-element Python loop.  The
 words are cached as one (N, N, N, N) tensor, 16*N^4 bytes, so basis_words
-refuses N above MAX_BASIS_DIMENSION (64, 268 MB); to_symbol is one matvec
-against its (N^2, N^2) view, and discrete_star loops over the shift index m
-only, one circulant-matrix product per m.  The other maps take any N up to
-MAX_DIMENSION.
+refuses N above MAX_BASIS_DIMENSION (64, 268 MB).  to_symbol is one matvec
+against its (N^2, N^2) view and from_symbol one contraction with it;
+discrete_star loops over the shift index m only, one circulant-matrix product
+per m; the trace-orthogonality check of finite-demo reads the tensor one block
+of N words of equal shift at a time.  Each of these is O(N^4) work.  The other
+maps take any N up to MAX_DIMENSION.
 """
 
 from __future__ import annotations

@@ -167,9 +167,11 @@ class _Parser:
         exponent = -self.number() if negate else self.number()
         try:
             return value ** exponent
-        except ValueError:
-            raise NegativeXPower(
-                "negative power of x or g is not representable", base_offset) from None
+        except ValueError as exc:
+            if value.max_xdeg() or value.max_gdeg():
+                raise NegativeXPower(
+                    "negative power of x or g is not representable", base_offset) from None
+            raise ParseError(str(exc), base_offset) from None  # e.g. a sum or an exponential
 
     def atom(self) -> PhaseSymbol:
         tok = self.peek()

@@ -16,7 +16,7 @@ from json.encoder import encode_basestring_ascii as _string
 
 from .errors import CoefficientTooLong, ExponentTooLong, InvalidDocument
 from .pde import DifferentialOperator, SwansonParams
-from .rationals import ZERO, GaussianRational, HbarScalar
+from .rationals import HS_ZERO, ZERO, GaussianRational, HbarScalar
 from .series import MetricSeries, check_order
 from .starlog import PositivityReport
 from .symbols import ExpQuadratic, PhaseSymbol, _canon_key
@@ -75,6 +75,8 @@ def hbar_scalar_to_obj(scalar: HbarScalar) -> list:
 def hbar_scalar_from_obj(obj) -> HbarScalar:
     if not isinstance(obj, list):
         raise InvalidDocument("hbar scalar must be a list")
+    if not obj:  # the exponent fields of every polynomial part
+        return HS_ZERO
     terms = []
     for entry in obj:
         if not isinstance(entry, list) or len(entry) != 5:

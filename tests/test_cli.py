@@ -203,6 +203,36 @@ class TestBasicCommands:
             assert code == 0 and out
         assert built == []
 
+    def test_polynomial_documents_load_no_hbar_scalar(self, capsys, monkeypatch, tmp_path):
+        from moyalmetric.rationals import HbarScalar
+
+        doc = tmp_path / "series.json"
+        code, out, _ = run(capsys, "solve-metric", "--potential", "i*x^3", "--order", "5",
+                           "--format", "json")
+        assert code == 0
+        doc.write_text(out)
+        code, expected, _ = run(capsys, "positivity", "--potential", "i*x^3", "--order", "5")
+        assert code == 0
+        built = []
+        tuple_new = HbarScalar.__new__
+
+        def counting_new(cls, terms=()):
+            built.append(terms)
+            return tuple_new(cls, terms)
+
+        monkeypatch.setattr(HbarScalar, "__new__", staticmethod(counting_new))
+        assert run(capsys, "positivity", "--from-json", str(doc)) == (0, expected, "")
+        assert built == []
+
+    def test_non_invertible_power_names_its_reason(self, capsys):
+        negative = "negative power of x or g is not representable"
+        monomial = "only a single monomial can be inverted"
+        for expr, reason, offset in (("x^-1", negative, 0), ("(x+p)^-1", negative, 0),
+                                     ("p*exp(x^2)^-1", monomial, 2), ("1+0^-1", monomial, 2)):
+            code, out, err = run(capsys, "dagger", "--expr", expr)
+            assert (code, out) == (2, "")
+            assert err == f"error: {reason} (at byte {offset})\n"
+
     def test_number_past_the_digit_limit_is_a_parse_error(self, capsys):
         digits = "7" * 5000
         for expr, offset in ((digits, 0), (f"x^{digits}", 2), (f"x^-{digits}", 3)):

@@ -1,5 +1,10 @@
+import math
+import tracemalloc
+
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given
 
 from moyalmetric import BadDimension, DimensionMismatch, finite
 from moyalmetric.cli import _finite_checks
@@ -205,6 +210,17 @@ class TestBasisBudget:
             to_symbol(np.eye(n))
         assert n not in finite._basis_cache
 
+    def test_orthogonality_check_allocates_no_n4_temporary(self):
+        n = 24
+        _finite_checks(n, 2, 0)  # caches the basis tensor
+        tracemalloc.start()
+        try:
+            _finite_checks(n, 2, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * n ** 3
+
     def test_basis_free_maps_keep_the_dimension_limit(self):
         n = 65
         g, h = clock(n), shift(n)
@@ -309,3 +325,27 @@ class TestLoopOracles:
         expected = loop_trace_orthogonality(n)
         assert expected > 1.0
         assert abs(checked - expected) < ORACLE_TOL
+
+    @given(st.data())
+    def test_orthogonality_check_matches_vdot_loop_on_perturbed_bases(self, data):
+        n = data.draw(st.integers(2, 8))
+        kind = data.draw(st.sampled_from(("scale", "off_support", "zero", "nan")))
+        a, b, i = (data.draw(st.integers(0, n - 1)) for _ in range(3))
+        on_support = (i - b) % n  # shift^b has its one entry of row i there
+        value = data.draw(st.complex_numbers(max_magnitude=4))
+        words = basis_words(n).copy()
+        if kind == "scale":
+            words[a, b, i, on_support] *= value
+        elif kind == "off_support":
+            words[a, b, i, (on_support + data.draw(st.integers(1, n - 1))) % n] = value
+        elif kind == "zero":
+            words[a, b] = 0
+        else:
+            words[a, b, i, data.draw(st.integers(0, n - 1))] = np.nan
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(finite, "basis_words", lambda _n: words)
+            checked = _finite_checks(n, pairs=1, seed=0)["trace_orthogonality"]
+            if kind == "nan":
+                assert math.isnan(checked)
+            else:
+                assert abs(checked - loop_trace_orthogonality(n)) < ORACLE_TOL
