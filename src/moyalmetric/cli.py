@@ -105,7 +105,7 @@ def _show_operator(op, fmt: str) -> str:
         return serialize.dumps(serialize.operator_to_obj(op)) + "\n"
     term = "Dx^{} Dp^{}" if fmt == "text" else "\\partial_x^{{{}}}\\partial_p^{{{}}}"
     return _lines(f"{term.format(m, n)}: {format_expression(coeff, fmt)}"
-                  for (m, n), coeff in sorted(op.terms.items()))
+                  for (m, n), coeff in sorted(op.terms.items())) or "0\n"
 
 
 def _show_series(series: MetricSeries, fmt: str) -> str:

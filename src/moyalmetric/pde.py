@@ -8,11 +8,9 @@ symbol coefficients:
 
 Solutions of L[Theta] = 0 are metric candidates.
 
-L is star_terms(H, "x") - star_terms(H^dag, "p"), and
-`DifferentialOperator.apply` runs on the operator kernel of `symbols`: the
-closed form d_x^m d_p^n x^a p^b = a^(m) * b^(n) * x^(a-m) * p^(b-n) on
-Gaussian-integer numerators when the coefficients and the symbol are
-polynomial, the chain-rule series otherwise.
+L is star_terms(H, "x") - star_terms(H^dag, "p"), a `DifferentialOperator`:
+the operator type of `symbols`, which the star product and the twist apply
+too.  It is re-exported here.
 
 The quadratic model
 a*p^2 + b*x^2 + i*c*p*x additionally admits exact Gaussian solutions
@@ -22,81 +20,11 @@ whenever the discriminant is a perfect square.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .errors import IrrationalDiscriminant, NonPolynomialHamiltonian, ZeroParameter
 from .rationals import ONE, GaussianRational, HbarScalar, I
-from .symbols import (TRIVIAL_EXP, ZERO, ExpQuadratic, PhaseSymbol, _apply_integer,
-                      _apply_series, _integer_terms, star_terms)
-
-
-class DifferentialOperator:
-    """Finite sum of PhaseSymbol coefficients times d_x^m d_p^n.
-
-    When every coefficient is polynomial, the coefficients are also kept as
-    integer terms (m, n, [(key, re, im), ...]), in ascending (m, n), over the
-    shared denominator `_den`; otherwise `_integer` is None.
-    """
-
-    __slots__ = ("_terms", "_den", "_integer")
-
-    def __init__(self, terms: dict[tuple[int, int], PhaseSymbol]):
-        canon = {}
-        for (m, n), coeff in terms.items():
-            if m < 0 or n < 0:
-                raise ValueError("derivative orders must be non-negative")
-            if coeff:
-                canon[(m, n)] = coeff
-        self._terms = canon
-        self._den, self._integer = 1, None
-        if all(coeff.is_polynomial for coeff in canon.values()):
-            integer = [(mn, *_integer_terms(coeff.parts[TRIVIAL_EXP]))
-                       for mn, coeff in sorted(canon.items())]
-            den = 1
-            for _, d, _ in integer:
-                den = math.lcm(den, d)
-            self._den = den
-            self._integer = [(m, n, [(key, re * (den // d), im * (den // d))
-                                     for key, re, im in cterms])
-                             for (m, n), d, cterms in integer]
-
-    @property
-    def terms(self) -> dict[tuple[int, int], PhaseSymbol]:
-        return dict(self._terms)
-
-    def apply(self, f: PhaseSymbol) -> PhaseSymbol:
-        """sum coeff * d_x^m d_p^n f: in closed form when the coefficients and f
-        are polynomial, otherwise by the chain-rule series."""
-        if self._integer is None or not f.is_polynomial:
-            return _apply_series(self._terms, f)
-        return PhaseSymbol({TRIVIAL_EXP: _apply_integer(self._integer, self._den,
-                                                        f.parts.get(TRIVIAL_EXP, {}))})
-
-    def dx_order(self) -> int:
-        return max((m for m, _ in self._terms), default=0)
-
-    def dp_order(self) -> int:
-        return max((n for _, n in self._terms), default=0)
-
-    def conjugated(self) -> DifferentialOperator:
-        """Same derivative structure with complex-conjugated coefficients."""
-        return DifferentialOperator({k: c.conjugate() for k, c in self._terms.items()})
-
-    def __neg__(self):
-        return DifferentialOperator({k: -c for k, c in self._terms.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, DifferentialOperator):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __bool__(self):
-        return bool(self._terms)
-
-    def __repr__(self):
-        chunks = [f"Dx^{m} Dp^{n}: {coeff}" for (m, n), coeff in sorted(self._terms.items())]
-        return "DifferentialOperator({" + "; ".join(chunks) + "})"
+from .symbols import ZERO, DifferentialOperator, ExpQuadratic, PhaseSymbol, star_terms
 
 
 def derive_metric_operator(hamiltonian: PhaseSymbol) -> DifferentialOperator:

@@ -161,11 +161,13 @@ class GaussianRational:
             raise TypeError("exponent must be an integer")
         norm, den2 = self._re * self._re + self._im * self._im, self._den * self._den
         limit = sys.get_int_max_str_digits()
-        if limit and norm and norm != den2:
+        if limit and norm:
             # The larger part of z^n is at least |z|^n / sqrt(2), and so is its
             # numerator; a nonzero part is at most |z|^n, so its denominator is
-            # at least |z|^-n.  Past the digit limit, z^n could never print.
-            digits = abs(math.log10(norm) - math.log10(den2)) / 2  # per unit of |n|
+            # at least |z|^-n.  At |z| = 1 it is den^|n|: the numerator shares no
+            # rational prime with the odd den.  Past the digit limit, z^n could never print.
+            digits = (abs(math.log10(norm) - math.log10(den2)) / 2 if norm != den2
+                      else math.log10(self._den))  # per unit of |n|
             if digits and abs(n) > (limit + math.log10(2) / 2) / digits:
                 raise CoefficientTooLong
         if n < 0:

@@ -16,8 +16,9 @@ equals its exp(-i*hbar*d_x*d_p) twist.  Both series are summed only when a
 structural termination condition holds, otherwise the operation raises.
 
 Star, twist and the metric operator of `pde` are all sums c_mn * d_x^m d_p^n
-acting on a symbol, applied by one kernel: `_apply_integer` in closed form on
-polynomial parts, `_apply_series` by the chain rule on exponential parts.
+acting on a symbol: one `DifferentialOperator`, whose `apply` takes the closed
+form `_apply_integer` on each part of the symbol whose exponential the
+derivatives leave alone, and the chain-rule series `_apply_series` on the rest.
 """
 
 from __future__ import annotations
@@ -308,34 +309,21 @@ class PhaseSymbol:
         of x (s = t = 0), or the right factor has no p in exponents and no
         negative p powers; otherwise raises NonTerminatingStar.
 
-        Right parts free of p go through the closed-form integer kernel with
-        the operator terms of each left part; the other right parts, or all
-        of a left factor with x in an exponent, take the chain-rule series.
+        A left factor free of x is the operator star_terms(left, "x"), built
+        on integers, acting on the right factor; otherwise the right factor
+        is the operator star_terms(right, "p") acting on the left one.
         """
         o = self._coerce(other)
         if o is None:
             raise TypeError("star product needs a PhaseSymbol operand")
         _check_star(self, o)
-        if not self._x_series_terminates():
-            return _apply_series(star_terms(o, "p"), self)
-        left = {eq: _star_ops(poly) for eq, poly in self._parts.items()}
-        total = PhaseSymbol({eq1.combined(eq2): _apply_integer(ops, den, poly)
-                             for eq1, (den, ops) in left.items()
-                             for eq2, poly in o._parts.items()
-                             if not (eq2.r or eq2.s)})
-        rest = PhaseSymbol({eq: poly for eq, poly in o._parts.items()
-                            if eq.r or eq.s})
-        if rest:
-            total = total + _apply_series(star_terms(self, "x"), rest)
-        return total
+        if self._x_series_terminates():
+            return DifferentialOperator._from_ops(
+                {eq: _star_ops(poly) for eq, poly in self._parts.items()}).apply(o)
+        return DifferentialOperator(star_terms(o, "p")).apply(self)
 
     def exp_twist(self, sign: int) -> PhaseSymbol:
-        """Apply exp(sign * i * hbar * d_x d_p) as an exact finite series.
-
-        Its terms (sign*i)^k / k! * hbar^k d_x^k d_p^k act on a polynomial
-        symbol through the closed-form integer kernel, on any other through
-        the chain-rule series.
-        """
+        """Apply exp(sign*i*hbar*d_x*d_p) = sum_k (sign*i*hbar)^k / k! d_x^k d_p^k exactly."""
         _check_twist(self, sign)
         # the last k that leaves a term alive: d_x^k kills x^a past k = a when
         # no exponent holds x, d_p^k kills p^b past k = b >= 0 when none holds p
@@ -349,12 +337,7 @@ class PhaseSymbol:
             ops.append((k, k, [((0, 0, k, 0), re, im)]))
             re, im = (-im, re) if sign > 0 else (im, -re)
             re, im = re // (k + 1), im // (k + 1)
-        if self.is_polynomial:
-            return PhaseSymbol({TRIVIAL_EXP: _apply_integer(ops, den,
-                                                            self._parts.get(TRIVIAL_EXP, {}))})
-        terms = {(k, k): PhaseSymbol({TRIVIAL_EXP: _gaussian_terms({key: [re, im]}, den)})
-                 for k, _, [(key, re, im)] in ops}
-        return _apply_series(terms, self)
+        return DifferentialOperator._from_ops({TRIVIAL_EXP: (den, ops)}).apply(self)
 
     def dagger(self) -> PhaseSymbol:
         """Symbol of the hermitian-conjugate operator."""
@@ -460,6 +443,94 @@ def star_terms(sym: PhaseSymbol, var: str) -> dict[tuple[int, int], PhaseSymbol]
     return terms
 
 
+class DifferentialOperator:
+    """Finite sum of PhaseSymbol coefficients times d_x^m d_p^n.
+
+    The coefficients are kept per exponential part as integer terms
+    {eq: (den, [(m, n, [(key, re, im), ...]), ...])} in ascending (m, n): the
+    coefficient of d_x^m d_p^n is exp(eq) * sum (re + i*im)/den * monomial.
+    """
+
+    __slots__ = ("_ops",)
+
+    def __init__(self, terms: dict[tuple[int, int], PhaseSymbol]):
+        by_eq: dict[ExpQuadratic, list] = {}
+        for (m, n), coeff in sorted(terms.items()):
+            if m < 0 or n < 0:
+                raise ValueError("derivative orders must be non-negative")
+            for eq, poly in coeff._parts.items():
+                by_eq.setdefault(eq, []).append((m, n, *_integer_terms(poly)))
+        self._ops = {}
+        for eq, ops in by_eq.items():
+            den = math.lcm(*(d for _, _, d, _ in ops))
+            self._ops[eq] = (den, [(m, n, [(key, re * (den // d), im * (den // d))
+                                           for key, re, im in cterms])
+                                   for m, n, d, cterms in ops])
+
+    @classmethod
+    def _from_ops(cls, ops) -> DifferentialOperator:
+        """The operator of ready-made integer terms, in the stored form."""
+        op = cls.__new__(cls)
+        op._ops = ops
+        return op
+
+    @property
+    def terms(self) -> dict[tuple[int, int], PhaseSymbol]:
+        parts: dict[tuple[int, int], dict] = {}
+        for eq, (den, ops) in self._ops.items():
+            for m, n, cterms in ops:
+                parts.setdefault((m, n), {})[eq] = {key: from_integers(re, im, den)
+                                                    for key, re, im in cterms}
+        return {mn: PhaseSymbol(coeff) for mn, coeff in parts.items()}
+
+    def apply(self, f: PhaseSymbol) -> PhaseSymbol:
+        """sum coeff * d_x^m d_p^n f.
+
+        A part of f whose exponential the derivatives leave alone (no x in it
+        or no d_x, and no p in it or no d_p) takes the closed form with each
+        coefficient part; the other parts take the chain-rule series.
+        """
+        dx, dp = self.dx_order(), self.dp_order()
+        acc, rest = {}, {}
+        for eq2, poly in f._parts.items():
+            if dx and (eq2.s or eq2.t) or dp and (eq2.r or eq2.s):
+                rest[eq2] = poly
+                continue
+            for eq1, (den, ops) in self._ops.items():
+                eq, out = eq1.combined(eq2), _apply_integer(ops, den, poly)
+                dst = acc.setdefault(eq, out)
+                if dst is not out:  # two pairs meet, as exp(2x^2)*1 and exp(x^2)*exp(x^2)
+                    for key, c in out.items():
+                        dst[key] = dst.get(key, C_ZERO) + c
+        total = PhaseSymbol(acc)
+        return total + _apply_series(self.terms, PhaseSymbol(rest)) if rest else total
+
+    def dx_order(self) -> int:
+        return max((m for _, ops in self._ops.values() for m, _, _ in ops), default=0)
+
+    def dp_order(self) -> int:
+        return max((n for _, ops in self._ops.values() for _, n, _ in ops), default=0)
+
+    def conjugated(self) -> DifferentialOperator:
+        """Same derivative structure with complex-conjugated coefficients."""
+        return DifferentialOperator({k: c.conjugate() for k, c in self.terms.items()})
+
+    def __neg__(self):
+        return DifferentialOperator({k: -c for k, c in self.terms.items()})
+
+    def __eq__(self, other):
+        if not isinstance(other, DifferentialOperator):
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __bool__(self):
+        return bool(self._ops)
+
+    def __repr__(self):
+        chunks = [f"Dx^{m} Dp^{n}: {coeff}" for (m, n), coeff in sorted(self.terms.items())]
+        return "DifferentialOperator({" + "; ".join(chunks) + "})"
+
+
 def _apply_series(terms: dict[tuple[int, int], PhaseSymbol], f: PhaseSymbol) -> PhaseSymbol:
     """sum coeff * d_x^m d_p^n f over whole symbols by the chain rule.
 
@@ -491,8 +562,8 @@ def _integer_terms(poly: dict[MonoKey, GaussianRational]):
 def _star_ops(poly: dict[MonoKey, GaussianRational]):
     """The integer terms of star_terms(part, "x") for a polynomial left part.
 
-    x^a p^b gives C(a, k) * i^k * x^(a-k) p^b hbar^k under d_p^k.  Returns
-    (den, [(0, k, [(key, re, im), ...]), ...]) for _apply_integer.
+    x^a p^b gives C(a, k) * i^k * x^(a-k) p^b hbar^k under d_p^k, returned
+    as one part (den, ops) of a DifferentialOperator.
     """
     den, terms = _integer_terms(poly)
     by_k: dict[int, list] = {}
@@ -507,8 +578,7 @@ def _star_ops(poly: dict[MonoKey, GaussianRational]):
 def _apply_integer(ops, den: int, poly: dict[MonoKey, GaussianRational]):
     """sum c_mn * d_x^m d_p^n poly in closed form on a polynomial part.
 
-    `ops` holds integer operator terms (m, n, [(key, re, im), ...]) in
-    ascending m, each coefficient (re + i*im)/den times its monomial.
+    `den, ops` is one part of a DifferentialOperator, in ascending (m, n).
     d_x^m d_p^n x^a p^b is a^(m) * b^(n) * x^(a-m) p^(b-n) with falling
     factorials n^(k) = n*(n-1)*...*(n-k+1), also for negative b; sums run on
     Gaussian-integer numerators.

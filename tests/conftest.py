@@ -54,6 +54,22 @@ def exp_symbols(draw):
     return sym
 
 
+# One trivial and four exponential factors whose exponents collide in sums, as
+# exp(2*x^2) * 1 = exp(x^2) * exp(x^2), so that two (coefficient, symbol) pairs
+# of an operator can land on the same exponential part.
+EXP_POOL = tuple(ExpQuadratic(HbarScalar.constant(r), HbarScalar(), HbarScalar.constant(t))
+                 for r, t in ((0, 0), (0, 1), (0, 2), (1, 0), (2, 0)))
+
+
+@st.composite
+def pooled_exp_symbols(draw, max_x=3):
+    """Symbols with one to three exponential parts drawn from EXP_POOL."""
+    sym = PhaseSymbol.zero()
+    for quad in draw(st.lists(st.sampled_from(EXP_POOL), min_size=1, max_size=3, unique=True)):
+        sym = sym + draw(poly_symbols(max_terms=2, max_x=max_x)) * PhaseSymbol.exponential(quad)
+    return sym
+
+
 # -- seeded plain-random generators (for fixed-count suites) -----------------
 
 def rand_fraction(rng: random.Random, lo=-4, hi=4, max_den=3) -> Fraction:

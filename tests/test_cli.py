@@ -74,6 +74,15 @@ class TestBasicCommands:
         assert lines[0] == "Dx^0 Dp^0: 2*i*g*x^3"
         assert len(lines) == 6
 
+    def test_derive_pde_of_a_zero_operator_prints_0(self, capsys):
+        for hamiltonian in ("1", "0"):
+            for fmt in ("text", "latex"):
+                assert run(capsys, "derive-pde", "--hamiltonian", hamiltonian,
+                           "--format", fmt) == (0, "0\n", "")
+            code, out, _ = run(capsys, "derive-pde", "--hamiltonian", hamiltonian,
+                               "--format", "json")
+            assert (code, json.loads(out)) == (0, {"terms": []})
+
     def test_apply_pde_kernel(self, capsys):
         code, out, _ = run(capsys, "apply-pde", "--hamiltonian", "p^2 + i*g*x^3",
                            "--target", "exp(2*i*x*p/hbar)")
@@ -173,6 +182,16 @@ class TestBasicCommands:
             assert time.perf_counter() - start < 5
             assert (code, out) == (1, "")
             assert err == f"error: coefficient has more than {LIMIT} digits, too long to print\n"
+
+    def test_modulus_one_coefficient_powers(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "dagger", "--expr", "((3+4*i)/5)^1000000")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (1, "")
+        assert err == f"error: coefficient has more than {LIMIT} digits, too long to print\n"
+        assert run(capsys, "star", "--left", "((3+4*i)/5)^2", "--right", "1") == (
+            0, "(-7/25+24/25*i)\n", "")
+        assert run(capsys, "star", "--left", "((1+i)/2)^2", "--right", "1") == (0, "1/2*i\n", "")
 
     def test_coefficient_powers_within_the_digit_limit(self, capsys):
         for expr, expected in (("2^14000", f"{2 ** 14000}\n"), ("i^1000000", "1\n"),

@@ -6,7 +6,8 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from conftest import I, cubic_general_first_order, exp_symbols, poly_symbols, rand_poly
+from conftest import (I, cubic_general_first_order, exp_symbols, poly_symbols,
+                      pooled_exp_symbols, rand_poly)
 from moyalmetric import (DifferentialOperator, G, HBAR, IrrationalDiscriminant,
                          KERNEL_EXP, NonPolynomialHamiltonian, ONE, P,
                          PhaseSymbol, SwansonParams, X, ZERO, ZeroParameter,
@@ -222,6 +223,33 @@ class TestApplyOracle:
     def test_exponential_parts_match_naive_series(self, L, f):
         assert L.apply(f) == _apply_naive(L, f)
         assert _apply_series(L.terms, f) == _apply_naive(L, f)
+
+
+@st.composite
+def pooled_operators(draw):
+    """Operators with pooled exponential coefficients; some have no d_x, no d_p
+    or neither, so that more parts of the symbol take the closed form."""
+    max_m, max_n = draw(st.sampled_from([(0, 0), (0, 2), (2, 0), (2, 2)]))
+    keys = draw(st.lists(st.tuples(st.integers(0, max_m), st.integers(0, max_n)),
+                         min_size=1, max_size=3, unique=True))
+    return DifferentialOperator({key: draw(pooled_exp_symbols()) for key in keys})
+
+
+class TestOneOperatorType:
+    def test_pde_reexports_the_symbols_operator(self):
+        from moyalmetric import pde, symbols
+
+        assert pde.DifferentialOperator is symbols.DifferentialOperator
+
+    @given(pooled_operators(), pooled_exp_symbols())
+    def test_colliding_exponential_parts_match_naive_series(self, L, f):
+        assert L.apply(f) == _apply_naive(L, f)
+
+    def test_pairs_meeting_on_one_exponential_are_summed(self):
+        ex2 = PhaseSymbol.exponential(ExpQuadratic(HS_ZERO, HS_ZERO, HbarScalar.constant(1)))
+        L = DifferentialOperator({(0, 0): ex2 * ex2 + ex2})
+        # exp(2x^2) * 1 and exp(x^2) * exp(x^2) both land on exp(2x^2)
+        assert L.apply(ONE + ex2) == ex2 + 2 * ex2 * ex2 + ex2 * ex2 * ex2
 
 
 class TestSwanson:

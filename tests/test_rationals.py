@@ -402,6 +402,27 @@ class TestPowerBudget:
         assert (z ** 5000) * (z ** -5000) == 1
         assert (z ** 5000)._den == 5 ** 5000
 
+    def test_modulus_one_past_the_digit_limit_is_refused(self):
+        z = GaussianRational(Fraction(3, 5), Fraction(4, 5))
+        for n in (10 ** 6, -10 ** 6, 10 ** 100):
+            with pytest.raises(CoefficientTooLong, match=f"more than {LIMIT} digits"):
+                z ** n
+        assert z ** 2 == GaussianRational(Fraction(-7, 25), Fraction(24, 25))
+        assert GaussianRational(Fraction(1, 2), Fraction(1, 2)) ** 2 == I / 2
+        with digit_limit(640):  # 5^915 has 640 digits, 5^916 has 641
+            assert (z ** 915)._den == 5 ** 915
+            with pytest.raises(CoefficientTooLong):
+                z ** 916
+
+    @given(st.integers(-6, 6), st.integers(-6, 6), st.integers(-40, 40))
+    def test_modulus_one_powers_are_over_den_to_the_n(self, u, v, n):
+        # every Gaussian rational of modulus 1 is w / conj(w) for a Gaussian integer w
+        if u or v:
+            w = GaussianRational(u, v)
+            z = w / w.conjugate()
+            assert z.norm2() == 1
+            assert (z ** n)._den == z._den ** abs(n)
+
     def test_no_budget_without_a_digit_limit(self):
         with digit_limit(0):
             assert GaussianRational(2) ** 20000 == 2 ** 20000

@@ -6,7 +6,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from conftest import I, exp_symbols, poly_symbols, rand_fraction, rand_poly
+from conftest import I, exp_symbols, poly_symbols, pooled_exp_symbols, rand_fraction, rand_poly
 from moyalmetric import (G, HBAR, KERNEL_EXP, NonTerminatingStar,
                          NonTerminatingTwist, ONE, P, PhaseSymbol, X, ZERO,
                          GaussianRational, HbarScalar)
@@ -257,6 +257,16 @@ class TestKernelOracle:
 
     @given(any_symbols)
     def test_twist_matches_series(self, a):
+        for sign in (1, -1):
+            assert _outcome(a.exp_twist, sign) == _outcome(_twist_series, a, sign)
+
+    @given(st.one_of(pooled_exp_symbols(max_x=0), pooled_exp_symbols()),
+           st.one_of(pooled_exp_symbols(max_x=0), pooled_exp_symbols()))
+    def test_star_with_colliding_exponentials_matches_series(self, a, b):
+        assert _outcome(a.star, b) == _outcome(_star_series, a, b)
+
+    @given(pooled_exp_symbols())
+    def test_twist_with_several_exponentials_matches_series(self, a):
         for sign in (1, -1):
             assert _outcome(a.exp_twist, sign) == _outcome(_twist_series, a, sign)
 
