@@ -4,9 +4,11 @@
 Usage: python3 scripts/cubic_metric_tables.py [ORDER]
 
 Exits 1 when the residual of the series has an order <= ORDER, when a
-star-log slice is not hermitian, when star_exp does not undo the star-log or
-when the star-log of an x-only series differs from its commutative log, so it
-doubles as a check of the solver and of the star-log.
+star-log slice is not hermitian, when star_exp does not undo the star-log,
+when the star-log of an x-only series differs from its commutative log, or
+when the series of the conjugate potential -i*x^3 is not the star inverse of
+the series or its star-log is not the negated star-log, so it doubles as a
+check of the solver and of the star-log.
 """
 
 import sys
@@ -32,6 +34,24 @@ def commutative_log_matches(order: int = 4) -> bool:
     expected = log.g_slices()
     star = star_log(MetricSeries({0: PhaseSymbol.monomial(1), 1: a1, 2: a2}, order))
     return all(star.order(n) == expected.get(n, ZERO) for n in range(order + 1))
+
+
+def inverse_pair_problems(theta: MetricSeries, conj: MetricSeries,
+                          log: MetricSeries) -> list[str]:
+    """Where Theta_conj(V) * Theta_V = 1 or star_log(Theta_conj(V)) = -log fails.
+
+    theta is the series of V, conj that of conj(V) and log star_log(theta).
+    H_V^dag = H_conj(V), so the two series intertwine the same pair of
+    Hamiltonians in opposite directions.
+    """
+    order, problems = theta.max_order, []
+    for n in range(order + 1):
+        product = sum((conj.order(j).star(theta.order(n - j)) for j in range(n + 1)), ZERO)
+        if product != (PhaseSymbol.monomial(1) if n == 0 else ZERO):
+            problems.append(f"Theta_conj(V) * Theta_V is not 1 at g^{n}")
+    if star_log(conj) != MetricSeries({n: -s for n, s in log.orders.items()}, order):
+        problems.append("star_log(Theta_conj(V)) is not -star_log(Theta_V)")
+    return problems
 
 
 def main() -> int:
@@ -63,6 +83,10 @@ def main() -> int:
         problems.append("star_exp does not undo the star-log")
     if not commutative_log_matches():
         problems.append("the star-log of an x-only series is not its commutative log")
+    conj = solve_metric_series((I * X ** 3).conjugate(), order)
+    inverse = inverse_pair_problems(series, conj, report.log_series)
+    print(f"series of -i*x^3 is the star inverse, with the negated star-log: {not inverse}")
+    problems += inverse
     for problem in problems:
         print(f"FAIL: {problem}", file=sys.stderr)
     return 1 if problems else 0

@@ -2,7 +2,8 @@
 Hamiltonians, with a finite clock/shift Weyl algebra for cross-validation."""
 
 from .errors import (BadDimension, CoefficientTooLong, DimensionMismatch,
-                     ExponentTooLong, InvalidDocument, IrrationalDiscriminant, MoyalError,
+                     ExponentTooLong, InvalidDocument, IrrationalDiscriminant,
+                     LiveOrderTooLarge, MoyalError,
                      NegativeXPower, NonPolynomialHamiltonian, NonQuadraticExponent,
                      NonTerminatingStar, NonTerminatingTwist, NonzeroLeading,
                      NotUnitLeading, OrderTooLarge, ParseError, PowerTooLarge,
@@ -22,7 +23,7 @@ __all__ = [
     "BadDimension", "CoefficientTooLong", "DifferentialOperator",
     "DimensionMismatch", "ExpQuadratic", "ExponentTooLong",
     "G", "GaussianRational", "HBAR", "HbarScalar", "InvalidDocument",
-    "IrrationalDiscriminant", "KERNEL_EXP", "MetricSeries", "MoyalError",
+    "IrrationalDiscriminant", "KERNEL_EXP", "LiveOrderTooLarge", "MetricSeries", "MoyalError",
     "NegativeXPower", "NonPolynomialHamiltonian", "NonQuadraticExponent",
     "NonTerminatingStar", "NonTerminatingTwist", "NonzeroLeading",
     "NotUnitLeading", "ONE", "OrderTooLarge", "P", "ParseError", "PhaseSymbol",

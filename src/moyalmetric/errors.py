@@ -32,6 +32,10 @@ class PowerTooLarge(MoyalError):
     symbols.MAX_POWER_TERM_PAIRS."""
 
 
+class LiveOrderTooLarge(MoyalError):
+    """A star or twist series lives past order symbols.MAX_LIVE_ORDER."""
+
+
 class TooLongToPrint(MoyalError):
     """A number, of the kind each subclass names in `what`, is too long to print."""
 

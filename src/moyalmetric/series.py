@@ -74,11 +74,6 @@ class MetricSeries:
             raise ValueError("symbol carries g powers beyond max_order")
         return cls(slices, max_order)
 
-    def __eq__(self, other):
-        if not isinstance(other, MetricSeries):
-            return NotImplemented
-        return self.max_order == other.max_order and dict(self.orders) == dict(other.orders)
-
 
 def solve_kinetic_ode(rhs: PhaseSymbol) -> PhaseSymbol:
     """Particular solution of -2*i*hbar*p*f' + hbar^2*f'' = rhs (' = d/dx).

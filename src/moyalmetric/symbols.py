@@ -16,9 +16,9 @@ equals its exp(-i*hbar*d_x*d_p) twist.  Both series are summed only when a
 structural termination condition holds, otherwise the operation raises.
 
 Star, twist and the metric operator of `pde` are all sums c_mn * d_x^m d_p^n
-acting on a symbol: one `DifferentialOperator`, whose `apply` takes the closed
-form `_apply_integer` on each part of the symbol whose exponential the
-derivatives leave alone, and the chain-rule series `_apply_series` on the rest.
+acting on a symbol: one `DifferentialOperator` in integer terms, which the star
+builds with `_star_ops(part, var)`.  `apply` takes every coefficient through
+`_apply_integer`, after the chain rule where a derivative meets an exponential.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import cmath
 import math
 from typing import Iterator, NamedTuple
 
-from .errors import NonTerminatingStar, NonTerminatingTwist, PowerTooLarge
+from .errors import LiveOrderTooLarge, NonTerminatingStar, NonTerminatingTwist, PowerTooLarge
 from .rationals import (HS_ZERO, GaussianRational, HbarScalar, I, ONE as C_ONE, ZERO as C_ZERO,
                         from_integers)
 
@@ -39,6 +39,11 @@ MonoKey = tuple[int, int, int, int]
 # product in its power is 120 x 153 terms); (1+x+p)^31 needs 136 x 153, and
 # (1+x+p)^30 * (1+x+p)^30 needs 496 x 496, so neither does.
 MAX_POWER_TERM_PAIRS = 20_000
+
+# Budget of star and exp_twist: the largest live order, the last k at which a
+# derivative term of the series leaves a term alive.  positivity --order 20 on
+# i*x^3 reaches 58; the twist of x^3000*p^3000 (order 3000) takes seconds.
+MAX_LIVE_ORDER = 1000
 
 
 def _canon_key(key: MonoKey):
@@ -239,6 +244,9 @@ class PhaseSymbol:
     def max_xdeg(self) -> int:
         return max((k[0] for poly in self._parts.values() for k in poly), default=0)
 
+    def max_pdeg(self) -> int:
+        return max((k[1] for poly in self._parts.values() for k in poly), default=0)
+
     def min_pdeg(self) -> int:
         return min((k[1] for poly in self._parts.values() for k in poly), default=0)
 
@@ -309,18 +317,27 @@ class PhaseSymbol:
         of x (s = t = 0), or the right factor has no p in exponents and no
         negative p powers; otherwise raises NonTerminatingStar.
 
-        A left factor free of x is the operator star_terms(left, "x"), built
-        on integers, acting on the right factor; otherwise the right factor
-        is the operator star_terms(right, "p") acting on the left one.
+        A left factor free of x is the operator _star_ops(left, "x") acting
+        on the right factor; otherwise the right factor is the operator
+        _star_ops(right, "p") acting on the left one.
         """
         o = self._coerce(other)
         if o is None:
             raise TypeError("star product needs a PhaseSymbol operand")
         _check_star(self, o)
-        if self._x_series_terminates():
-            return DifferentialOperator._from_ops(
-                {eq: _star_ops(poly) for eq, poly in self._parts.items()}).apply(o)
-        return DifferentialOperator(star_terms(o, "p")).apply(self)
+        # the last live k: d_x^k dies on the left past its top x power when no
+        # exponent there holds x, d_p^k on the right past its top p power when
+        # none there holds p
+        xfree, pfree = self._x_series_terminates(), o._p_series_terminates()
+        top = min(self.max_xdeg() if xfree else math.inf, o.max_pdeg() if pfree else math.inf)
+        if top > MAX_LIVE_ORDER:
+            raise LiveOrderTooLarge(
+                f"star series needs order {top}, past the limit of {MAX_LIVE_ORDER}, for "
+                + (f"x^{top} in the left factor" if xfree and top == self.max_xdeg()
+                   else f"p^{top} in the right factor"))
+        var, side, applied = ("x", self, o) if xfree else ("p", o, self)
+        return DifferentialOperator._from_ops(
+            {eq: _star_ops(poly, var, top) for eq, poly in side._parts.items()}).apply(applied)
 
     def exp_twist(self, sign: int) -> PhaseSymbol:
         """Apply exp(sign*i*hbar*d_x*d_p) = sum_k (sign*i*hbar)^k / k! d_x^k d_p^k exactly."""
@@ -328,8 +345,13 @@ class PhaseSymbol:
         # the last k that leaves a term alive: d_x^k kills x^a past k = a when
         # no exponent holds x, d_p^k kills p^b past k = b >= 0 when none holds p
         xfree = self._x_series_terminates()
-        top = max((min(a, b) if eq.is_trivial and b >= 0 else a if xfree else b
-                   for eq, poly in self._parts.items() for a, b, _, _ in poly), default=0)
+        top, a, b = max(((min(a, b) if eq.is_trivial and b >= 0 else a if xfree else b, a, b)
+                         for eq, poly in self._parts.items() for a, b, _, _ in poly),
+                        default=(0, 0, 0))
+        if top > MAX_LIVE_ORDER:
+            raise LiveOrderTooLarge(
+                f"twist series needs order {top}, past the limit of {MAX_LIVE_ORDER}, for "
+                f"{PhaseSymbol.monomial(1, x=a, p=b)} in the symbol")
         # numerators (sign*i)^k * top!/k! over the denominator top!
         den = re = math.factorial(top)
         ops, im = [], 0
@@ -488,22 +510,24 @@ class DifferentialOperator:
 
         A part of f whose exponential the derivatives leave alone (no x in it
         or no d_x, and no p in it or no d_p) takes the closed form with each
-        coefficient part; the other parts take the chain-rule series.
+        coefficient part; on the other parts the closed form multiplies each
+        coefficient part by the chain-rule derivative of its (m, n).
         """
         dx, dp = self.dx_order(), self.dp_order()
-        acc, rest = {}, {}
+        acc = {}
         for eq2, poly in f._parts.items():
+            jobs = [(eq1, den, ops, poly) for eq1, (den, ops) in self._ops.items()]
             if dx and (eq2.s or eq2.t) or dp and (eq2.r or eq2.s):
-                rest[eq2] = poly
-                continue
-            for eq1, (den, ops) in self._ops.items():
-                eq, out = eq1.combined(eq2), _apply_integer(ops, den, poly)
+                d = _derivatives(eq2, poly, {(m, n) for _, _, ops, _ in jobs for m, n, _ in ops})
+                jobs = [(eq1, den, [(0, 0, cterms)], d[m, n])
+                        for eq1, den, ops, _ in jobs for m, n, cterms in ops]
+            for eq1, den, ops, fpoly in jobs:
+                eq, out = eq1.combined(eq2), _apply_integer(ops, den, fpoly)
                 dst = acc.setdefault(eq, out)
                 if dst is not out:  # two pairs meet, as exp(2x^2)*1 and exp(x^2)*exp(x^2)
                     for key, c in out.items():
                         dst[key] = dst.get(key, C_ZERO) + c
-        total = PhaseSymbol(acc)
-        return total + _apply_series(self.terms, PhaseSymbol(rest)) if rest else total
+        return PhaseSymbol(acc)
 
     def dx_order(self) -> int:
         return max((m for _, ops in self._ops.values() for m, _, _ in ops), default=0)
@@ -531,23 +555,18 @@ class DifferentialOperator:
         return "DifferentialOperator({" + "; ".join(chunks) + "})"
 
 
-def _apply_series(terms: dict[tuple[int, int], PhaseSymbol], f: PhaseSymbol) -> PhaseSymbol:
-    """sum coeff * d_x^m d_p^n f over whole symbols by the chain rule.
-
-    d_x^m f is computed once per m, and the p-derivatives step on from it.
-    """
-    by_m: dict[int, list[int]] = {}
-    for m, n in sorted(terms):
-        by_m.setdefault(m, []).append(n)
-    total = PhaseSymbol.zero()
-    fx, at = f, 0
-    for m, ns in by_m.items():
-        fx, at = fx.diff("x", m - at), m
-        cur, done = fx, 0
-        for n in ns:
-            cur, done = cur.diff("p", n - done), n
-            total = total + terms[m, n] * cur
-    return total
+def _derivatives(eq: ExpQuadratic, poly: dict[MonoKey, GaussianRational], orders):
+    """d_x^m d_p^n of exp(eq)*poly for each (m, n) in orders, as polynomials that
+    exp(eq) multiplies; each derivative steps on from the one before."""
+    out, fx = {}, PhaseSymbol({eq: poly})
+    cur, at, done = fx, 0, 0
+    for m, n in sorted(orders):
+        if m != at:
+            fx, at = fx.diff("x", m - at), m
+            cur, done = fx, 0
+        cur, done = cur.diff("p", n - done), n
+        out[m, n] = cur._parts.get(eq, {})
+    return out
 
 
 def _integer_terms(poly: dict[MonoKey, GaussianRational]):
@@ -559,20 +578,24 @@ def _integer_terms(poly: dict[MonoKey, GaussianRational]):
                  for key, c in poly.items()]
 
 
-def _star_ops(poly: dict[MonoKey, GaussianRational]):
-    """The integer terms of star_terms(part, "x") for a polynomial left part.
+def _star_ops(poly: dict[MonoKey, GaussianRational], var: str, top: int = MAX_LIVE_ORDER):
+    """The integer terms of star_terms(part, var) through k = top, for one part
+    whose d_var dies.
 
-    x^a p^b gives C(a, k) * i^k * x^(a-k) p^b hbar^k under d_p^k, returned
-    as one part (den, ops) of a DifferentialOperator.
+    For var x, x^a p^b gives C(a, k) * i^k * x^(a-k) p^b hbar^k under d_p^k;
+    for var p, C(b, k) * i^k * x^a p^(b-k) hbar^k under d_x^k.  Returned as
+    one part (den, ops) of a DifferentialOperator.
     """
     den, terms = _integer_terms(poly)
     by_k: dict[int, list] = {}
     for (a, b, h, g), re, im in terms:
-        for k in range(a + 1):
-            w = math.comb(a, k)
-            by_k.setdefault(k, []).append(((a - k, b, h + k, g), w * re, w * im))
+        deg = a if var == "x" else b
+        for k in range(min(deg, top) + 1):
+            w = math.comb(deg, k)
+            key = (a - k, b, h + k, g) if var == "x" else (a, b - k, h + k, g)
+            by_k.setdefault(k, []).append((key, w * re, w * im))
             re, im = -im, re
-    return den, [(0, k, cterms) for k, cterms in by_k.items()]
+    return den, [(0, k, ct) if var == "x" else (k, 0, ct) for k, ct in by_k.items()]
 
 
 def _apply_integer(ops, den: int, poly: dict[MonoKey, GaussianRational]):

@@ -19,7 +19,7 @@ from moyalmetric.errors import InvalidDocument
 from moyalmetric.series import MetricSeries
 from moyalmetric.serialize import (operator_from_obj, series_from_obj, series_to_obj,
                                    symbol_from_obj, symbol_to_obj)
-from moyalmetric.symbols import MAX_POWER_TERM_PAIRS, PhaseSymbol
+from moyalmetric.symbols import MAX_LIVE_ORDER, MAX_POWER_TERM_PAIRS, PhaseSymbol
 
 LIMIT = sys.get_int_max_str_digits()
 
@@ -532,6 +532,28 @@ class TestProductBudget:
         assert (code, out) == (1, "")
         assert err.count("\n") == 1
         assert f"product needs 246016 term pairs, past the limit of {MAX_POWER_TERM_PAIRS}" in err
+
+
+class TestLiveOrderBudget:
+    def test_star_builds_no_op_past_the_live_order(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "star", "--left", "x^20000", "--right", "p^5")
+        assert time.perf_counter() - start < 1
+        assert (code, err) == (0, "")
+        assert out.count(" + ") + out.count(" - ") == 5
+
+    @pytest.mark.parametrize("argv, order", [
+        (("dagger", "--expr", "x^1000000000*p^1000000000"), 1000000000),
+        (("is-hermitian", "--expr", "x^8000*p^8000"), 8000),
+        (("is-hermitian", "--expr", "x^3000*p^3000"), 3000),
+    ])
+    def test_twist_past_the_budget_exits_1(self, capsys, argv, order):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (1, "")
+        assert err == (f"error: twist series needs order {order}, past the limit of "
+                       f"{MAX_LIVE_ORDER}, for x^{order}*p^{order} in the symbol\n")
 
 
 # -- fuzzing: every input ends in exit 0, 1 or 2, never a traceback ----------

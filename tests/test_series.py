@@ -8,7 +8,7 @@ from hypothesis import given
 from conftest import I, gaussian_rationals, poly_symbols, rand_poly
 from moyalmetric import (G, MetricSeries, ONE, OrderTooLarge, P, PhaseSymbol,
                          UnsupportedKinetic, X, ZERO, assemble, residual,
-                         solve_kinetic_ode, solve_metric_series)
+                         solve_kinetic_ode, solve_metric_series, star_log)
 from moyalmetric.rationals import GaussianRational
 from moyalmetric.serialize import series_from_obj
 from moyalmetric.series import MAX_ORDER
@@ -101,6 +101,41 @@ class TestIntegerKernelOracle:
         series = solve_metric_series(potential, n)
         r = residual(P ** 2 + G * potential, series.assemble())
         assert all(k > n for k in r.g_slices())
+
+
+@st.composite
+def inverse_pair_potentials(draw):
+    """Small polynomials V(x) whose coefficients are all imaginary, all real or mixed."""
+    kind = draw(st.sampled_from(["imaginary", "real", "mixed"]))
+    sym = PhaseSymbol.zero()
+    for deg in draw(st.lists(st.integers(0, 5), min_size=1, max_size=2)):
+        c = draw(gaussian_rationals)
+        c = {"imaginary": I * c.im, "real": GaussianRational(c.re), "mixed": c}[kind]
+        sym = sym + mono(c, x=deg)
+    return sym
+
+
+def _series_star(a: MetricSeries, b: MetricSeries) -> MetricSeries:
+    """a * b slice by slice (star products), truncated at a's max order."""
+    return MetricSeries({n: sum((a.order(j).star(b.order(n - j)) for j in range(n + 1)), ZERO)
+                         for n in range(a.max_order + 1)}, a.max_order)
+
+
+class TestInversePairs:
+    """H_V^dag = H_conj(V): Theta_V and Theta_conj(V) intertwine the same pair of
+    Hamiltonians in opposite directions, so they are star inverses of each other."""
+
+    @given(inverse_pair_potentials(), st.integers(1, 6))
+    def test_conjugate_series_is_the_star_inverse(self, potential, n):
+        theta = solve_metric_series(potential, n)
+        conj = solve_metric_series(potential.conjugate(), n)
+        assert _series_star(conj, theta) == MetricSeries({0: ONE}, n)
+
+    @given(inverse_pair_potentials(), st.integers(1, 6))
+    def test_conjugate_series_has_the_negated_log(self, potential, n):
+        log = star_log(solve_metric_series(potential, n))
+        negated = MetricSeries({k: -s for k, s in log.orders.items()}, n)
+        assert star_log(solve_metric_series(potential.conjugate(), n)) == negated
 
 
 class TestOrderBudget:

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -11,7 +12,7 @@ from moyalmetric import (G, HBAR, KERNEL_EXP, NonTerminatingStar,
                          NonTerminatingTwist, ONE, P, PhaseSymbol, X, ZERO,
                          GaussianRational, HbarScalar)
 from moyalmetric import symbols
-from moyalmetric.errors import PowerTooLarge
+from moyalmetric.errors import LiveOrderTooLarge, PowerTooLarge
 from moyalmetric.symbols import ExpQuadratic, _check_star, _check_twist
 
 mono = PhaseSymbol.monomial
@@ -276,6 +277,66 @@ class TestKernelOracle:
                     + mono(-18, x=1, p=-4, hbar=2) + mono(24 * I, p=-5, hbar=3))
         assert mono(1, x=3).star(mono(1, p=-2)) == expected
         assert _star_series(mono(1, x=3), mono(1, p=-2)) == expected
+
+
+class TestLiveOrder:
+    def test_star_stops_at_the_right_factors_p_degree(self):
+        # sum_k C(a, k) * b!/(b-k)! * (i*hbar)^k * x^(a-k) p^(b-k)
+        a, b = 20000, 5
+        expected = sum((mono(math.comb(a, k) * math.perm(b, k) * I ** k, x=a - k, p=b - k, hbar=k)
+                        for k in range(b + 1)), ZERO)
+        start = time.perf_counter()
+        assert mono(1, x=a).star(mono(1, p=b)) == expected
+        assert time.perf_counter() - start < 1
+
+    def test_star_budget_boundary(self, monkeypatch):
+        monkeypatch.setattr(symbols, "MAX_LIVE_ORDER", 3)
+        assert mono(1, x=3).star(mono(1, p=3)) == _star_series(mono(1, x=3), mono(1, p=3))
+        assert mono(1, x=9).star(mono(1, p=3)) == _star_series(mono(1, x=9), mono(1, p=3))
+        assert mono(1, x=3).star(KERNEL) == _star_series(mono(1, x=3), KERNEL)
+        with pytest.raises(LiveOrderTooLarge, match="order 4, past the limit of 3, "
+                                                    "for x\\^4 in the left factor$"):
+            mono(1, x=4).star(mono(1, p=5))
+        with pytest.raises(LiveOrderTooLarge, match="for x\\^4 in the left factor$"):
+            mono(1, x=4).star(PhaseSymbol.exponential(quad(r=1)))
+        with pytest.raises(LiveOrderTooLarge, match="order 4, past the limit of 3, "
+                                                    "for p\\^4 in the right factor$"):
+            (X * KERNEL).star(mono(1, p=4))
+
+    def test_twist_budget_boundary(self, monkeypatch):
+        monkeypatch.setattr(symbols, "MAX_LIVE_ORDER", 3)
+        for sym in (mono(1, x=3, p=3), mono(1, x=9, p=3), mono(1, x=3, p=9)):
+            assert sym.exp_twist(1) == _twist_series(sym, 1)
+        with pytest.raises(LiveOrderTooLarge, match="order 4, past the limit of 3, "
+                                                    "for x\\^4\\*p\\^5 in the symbol$"):
+            (X + mono(1, x=4, p=5)).dagger()
+        with pytest.raises(LiveOrderTooLarge, match="for x\\^4 in the symbol$"):
+            (mono(1, x=4) * PhaseSymbol.exponential(quad(r=1))).is_hermitian()
+
+
+def _op(sym: PhaseSymbol, f: PhaseSymbol) -> PhaseSymbol:
+    """The operator of sym on f(x, hbar): x^a p^b stands for P^b X^a, P = -i*hbar*d/dx."""
+    out = ZERO
+    for _, (a, b, h, g), c in sym.iter_terms():
+        term = mono(c, x=a, hbar=h, g=g) * f
+        for _ in range(b):
+            term = mono(-I, hbar=1) * term.diff("x")
+        out = out + term
+    return out
+
+
+class TestOperatorOracle:
+    """The star against the product of operators on functions of x, which
+    shares no code with the star kernel."""
+
+    @given(poly_symbols(min_p=0), poly_symbols(min_p=0),
+           poly_symbols(max_terms=3, max_x=4, min_p=0, max_p=0, max_g=0))
+    def test_star_is_the_operator_product(self, a, b, f):
+        assert _op(a, _op(b, f)) == _op(a.star(b), f)
+
+    def test_canonical_commutator(self):
+        f = mono(1, x=2) + mono(3, x=1, hbar=-1)
+        assert _op(P, _op(X, f)) - _op(X, _op(P, f)) == mono(-I, hbar=1) * f
 
 
 def _factorial(k):
