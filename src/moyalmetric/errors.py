@@ -33,7 +33,7 @@ class PowerTooLarge(MoyalError):
 
 
 class LiveOrderTooLarge(MoyalError):
-    """A star or twist series lives past order symbols.MAX_LIVE_ORDER."""
+    """A star, twist or metric-operator series lives past order symbols.MAX_LIVE_ORDER."""
 
 
 class TooLongToPrint(MoyalError):

@@ -12,8 +12,15 @@ the left of all position factors, i.e. the one-sided series
 
 Hermitian conjugation on this level is complex conjugation followed by the
 twist exp(+i*hbar*d_x*d_p); a symbol is hermitian exactly when its conjugate
-equals its exp(-i*hbar*d_x*d_p) twist.  Both series are summed only when a
-structural termination condition holds, otherwise the operation raises.
+equals its exp(-i*hbar*d_x*d_p) twist.
+
+Whether a series ends, and where, is one rule per term (`_live`): d_x^k
+leaves exp(eq)*x^a*p^b alive up to k = a unless the exponent holds x, and
+d_p^k up to k = b unless the exponent holds p or b < 0.  The star stops at
+the smaller of the left factor's x-order and the right factor's p-order; the
+twist, being linear, at the smaller of the two orders of each term, so a sum
+of parts that each terminate twists.  Where the rule gives infinity the
+operation raises; past MAX_LIVE_ORDER it is refused before any term is built.
 
 Star, twist and the metric operator of `pde` are all sums c_mn * d_x^m d_p^n
 acting on a symbol: one `DifferentialOperator` in integer terms, which the star
@@ -40,9 +47,10 @@ MonoKey = tuple[int, int, int, int]
 # (1+x+p)^30 * (1+x+p)^30 needs 496 x 496, so neither does.
 MAX_POWER_TERM_PAIRS = 20_000
 
-# Budget of star and exp_twist: the largest live order, the last k at which a
-# derivative term of the series leaves a term alive.  positivity --order 20 on
-# i*x^3 reaches 58; the twist of x^3000*p^3000 (order 3000) takes seconds.
+# Budget of star, exp_twist and star_terms: the largest live order, the last k
+# at which a derivative term of the series leaves a term alive.  positivity
+# --order 20 on i*x^3 reaches 58; the twist of x^3000*p^3000 (order 3000) takes
+# seconds.
 MAX_LIVE_ORDER = 1000
 
 
@@ -244,9 +252,6 @@ class PhaseSymbol:
     def max_xdeg(self) -> int:
         return max((k[0] for poly in self._parts.values() for k in poly), default=0)
 
-    def max_pdeg(self) -> int:
-        return max((k[1] for poly in self._parts.values() for k in poly), default=0)
-
     def min_pdeg(self) -> int:
         return min((k[1] for poly in self._parts.values() for k in poly), default=0)
 
@@ -301,21 +306,12 @@ class PhaseSymbol:
         return PhaseSymbol({eq.conjugate(): {k: c.conjugate() for k, c in poly.items()}
                             for eq, poly in self._parts.items()})
 
-    def _x_series_terminates(self) -> bool:
-        # repeated d/dx dies on each part: nothing regenerates x
-        return not any(eq.s or eq.t for eq in self._parts)
-
-    def _p_series_terminates(self) -> bool:
-        # repeated d/dp dies: no p in exponents, no negative p powers
-        return (not any(eq.r or eq.s for eq in self._parts)
-                and self.min_pdeg() >= 0)
-
     def star(self, other) -> PhaseSymbol:
         """Standard-ordered star product.
 
-        Terminates when either every exponential factor on the left is free
-        of x (s = t = 0), or the right factor has no p in exponents and no
-        negative p powers; otherwise raises NonTerminatingStar.
+        The series lives through the smaller of two live orders (see `_live`):
+        the left factor's under d_x and the right factor's under d_p.  When
+        both are infinite it raises NonTerminatingStar.
 
         A left factor free of x is the operator _star_ops(left, "x") acting
         on the right factor; otherwise the right factor is the operator
@@ -324,31 +320,38 @@ class PhaseSymbol:
         o = self._coerce(other)
         if o is None:
             raise TypeError("star product needs a PhaseSymbol operand")
-        _check_star(self, o)
-        # the last live k: d_x^k dies on the left past its top x power when no
-        # exponent there holds x, d_p^k on the right past its top p power when
-        # none there holds p
-        xfree, pfree = self._x_series_terminates(), o._p_series_terminates()
-        top = min(self.max_xdeg() if xfree else math.inf, o.max_pdeg() if pfree else math.inf)
+        xtop, ptop = _live_order(self._parts, 0), _live_order(o._parts, 1)
+        top = min(xtop, ptop)
+        if top == math.inf:
+            raise NonTerminatingStar(
+                f"star series does not terminate: left factor has {_blocker(self._parts, 0)} "
+                f"and right factor has {_blocker(o._parts, 1)}")
         if top > MAX_LIVE_ORDER:
             raise LiveOrderTooLarge(
                 f"star series needs order {top}, past the limit of {MAX_LIVE_ORDER}, for "
-                + (f"x^{top} in the left factor" if xfree and top == self.max_xdeg()
-                   else f"p^{top} in the right factor"))
-        var, side, applied = ("x", self, o) if xfree else ("p", o, self)
+                + (f"x^{top} in the left factor" if top == xtop else f"p^{top} in the right factor"))
+        var, side, applied = ("x", self, o) if xtop < math.inf else ("p", o, self)
         return DifferentialOperator._from_ops(
             {eq: _star_ops(poly, var, top) for eq, poly in side._parts.items()}).apply(applied)
 
     def exp_twist(self, sign: int) -> PhaseSymbol:
-        """Apply exp(sign*i*hbar*d_x*d_p) = sum_k (sign*i*hbar)^k / k! d_x^k d_p^k exactly."""
-        _check_twist(self, sign)
-        # the last k that leaves a term alive: d_x^k kills x^a past k = a when
-        # no exponent holds x, d_p^k kills p^b past k = b >= 0 when none holds p
-        xfree = self._x_series_terminates()
-        top, a, b = max(((min(a, b) if eq.is_trivial and b >= 0 else a if xfree else b, a, b)
-                         for eq, poly in self._parts.items() for a, b, _, _ in poly),
-                        default=(0, 0, 0))
+        """Apply exp(sign*i*hbar*d_x*d_p) = sum_k (sign*i*hbar)^k / k! d_x^k d_p^k exactly.
+
+        Each term lives through the smaller of its two live orders (see `_live`)."""
+        if sign not in (1, -1):
+            raise ValueError("sign must be +1 or -1")
+        top = max((min(_live(eq, key)) for eq, poly in self._parts.items() for key in poly),
+                  default=0)
+        if top == math.inf:
+            eq = min((eq for eq, poly in self._parts.items()
+                      if any(min(_live(eq, key)) == math.inf for key in poly)),
+                     key=ExpQuadratic.sort_key)
+            part = {eq: self._parts[eq]}
+            raise NonTerminatingTwist(f"twist series does not terminate: symbol has "
+                                      f"{_blocker(part, 0)} and {_blocker(part, 1)}")
         if top > MAX_LIVE_ORDER:
+            _, a, b = max((min(_live(eq, key)), key[0], key[1])
+                          for eq, poly in self._parts.items() for key in poly)
             raise LiveOrderTooLarge(
                 f"twist series needs order {top}, past the limit of {MAX_LIVE_ORDER}, for "
                 f"{PhaseSymbol.monomial(1, x=a, p=b)} in the symbol")
@@ -362,8 +365,9 @@ class PhaseSymbol:
         return DifferentialOperator._from_ops({TRIVIAL_EXP: (den, ops)}).apply(self)
 
     def dagger(self) -> PhaseSymbol:
-        """Symbol of the hermitian-conjugate operator."""
-        return self.conjugate().exp_twist(+1)
+        """Symbol of the hermitian-conjugate operator, conj(exp(-i*hbar*d_x*d_p) A):
+        twisting before conjugating lets a refusal name A's own exponents."""
+        return self.exp_twist(-1).conjugate()
 
     def is_hermitian(self) -> bool:
         """Whether the symbol's operator is hermitian."""
@@ -418,34 +422,28 @@ KERNEL_EXP = ExpQuadratic(HS_ZERO, HbarScalar.hbar_power(I * 2, -1), HS_ZERO)
 
 # -- star and twist kernels ---------------------------------------------------
 
-def _x_blocker(sym: PhaseSymbol) -> str:
-    """The first x-dependent exp(..) of sym, which keeps d/dx alive, as text."""
-    eq = min((eq for eq in sym.parts if eq.s or eq.t), key=ExpQuadratic.sort_key)
-    return f"x-dependent {PhaseSymbol.exponential(eq)}"
+def _live(eq: ExpQuadratic, key) -> tuple[float, float]:
+    """The last k at which d_x^k, and d_p^k, leave exp(eq)*x^a*p^b alive.
+
+    d_x^k dies past k = a unless the exponent holds x; d_p^k dies past k = b
+    unless the exponent holds p or b < 0.  Infinity where it never dies.
+    """
+    return (math.inf if eq.s or eq.t else key[0],
+            math.inf if eq.r or eq.s or key[1] < 0 else key[1])
 
 
-def _p_blocker(sym: PhaseSymbol) -> str:
-    """What keeps d/dp alive on sym: a p-dependent exp(..) or the lowest p^-k."""
-    eqs = [eq for eq in sym.parts if eq.r or eq.s]
+def _live_order(parts, i: int) -> float:
+    """The largest live order under d_x (i = 0) or d_p (i = 1) over the terms of parts."""
+    return max((_live(eq, key)[i] for eq, poly in parts.items() for key in poly), default=0)
+
+
+def _blocker(parts, i: int) -> str:
+    """What keeps d_x (i = 0) or d_p (i = 1) alive on parts, as text: the first
+    exponent that holds the variable, else the lowest negative power of p."""
+    eqs = [eq for eq in parts if _live(eq, (0, 0))[i] == math.inf]
     if eqs:
-        return f"p-dependent {PhaseSymbol.exponential(min(eqs, key=ExpQuadratic.sort_key))}"
-    return f"negative power p^{sym.min_pdeg()}"
-
-
-def _check_star(left: PhaseSymbol, right: PhaseSymbol) -> None:
-    if not (left._x_series_terminates() or right._p_series_terminates()):
-        raise NonTerminatingStar(
-            f"star series does not terminate: left factor has {_x_blocker(left)} "
-            f"and right factor has {_p_blocker(right)}")
-
-
-def _check_twist(sym: PhaseSymbol, sign: int) -> None:
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    if not (sym._x_series_terminates() or sym._p_series_terminates()):
-        raise NonTerminatingTwist(
-            f"twist series does not terminate: symbol has {_x_blocker(sym)} "
-            f"and {_p_blocker(sym)}")
+        return f"{'xp'[i]}-dependent {PhaseSymbol.exponential(min(eqs, key=ExpQuadratic.sort_key))}"
+    return f"negative power p^{min(key[1] for poly in parts.values() for key in poly)}"
 
 
 def star_terms(sym: PhaseSymbol, var: str) -> dict[tuple[int, int], PhaseSymbol]:
@@ -453,8 +451,15 @@ def star_terms(sym: PhaseSymbol, var: str) -> dict[tuple[int, int], PhaseSymbol]
 
     They stand under d_p^k for var x and under d_x^k for var p, so that
     A * B = star_terms(A, "x") applied to B = star_terms(B, "p") applied to A.
-    The caller makes sure the derivatives of sym die out.
+    The only caller builds the metric operator star_terms(H, "x") -
+    star_terms(H^dag, "p"), so a live order past MAX_LIVE_ORDER is refused,
+    before any term is built, as a power in the Hamiltonian or its adjoint.
     """
+    top = _live_order(sym._parts, "xp".index(var))
+    if top > MAX_LIVE_ORDER:
+        raise LiveOrderTooLarge(
+            f"metric operator needs order {top}, past the limit of {MAX_LIVE_ORDER}, for "
+            + (f"x^{top} in the Hamiltonian" if var == "x" else f"p^{top} in its adjoint"))
     terms = {}
     k = 0
     while sym:
@@ -511,16 +516,20 @@ class DifferentialOperator:
         A part of f whose exponential the derivatives leave alone (no x in it
         or no d_x, and no p in it or no d_p) takes the closed form with each
         coefficient part; on the other parts the closed form multiplies each
-        coefficient part by the chain-rule derivative of its (m, n).
+        coefficient part by the chain-rule derivative of its (m, n), for each
+        (m, n) within the part's own live orders (see `_live`).
         """
         dx, dp = self.dx_order(), self.dp_order()
         acc = {}
         for eq2, poly in f._parts.items():
             jobs = [(eq1, den, ops, poly) for eq1, (den, ops) in self._ops.items()]
             if dx and (eq2.s or eq2.t) or dp and (eq2.r or eq2.s):
-                d = _derivatives(eq2, poly, {(m, n) for _, _, ops, _ in jobs for m, n, _ in ops})
-                jobs = [(eq1, den, [(0, 0, cterms)], d[m, n])
-                        for eq1, den, ops, _ in jobs for m, n, cterms in ops]
+                part = {eq2: poly}
+                xtop, ptop = _live_order(part, 0), _live_order(part, 1)
+                live = [(eq1, den, m, n, cterms) for eq1, den, ops, _ in jobs
+                        for m, n, cterms in ops if m <= xtop and n <= ptop]
+                d = _derivatives(eq2, poly, {(m, n) for _, _, m, n, _ in live})
+                jobs = [(eq1, den, [(0, 0, cterms)], d[m, n]) for eq1, den, m, n, cterms in live]
             for eq1, den, ops, fpoly in jobs:
                 eq, out = eq1.combined(eq2), _apply_integer(ops, den, fpoly)
                 dst = acc.setdefault(eq, out)

@@ -268,10 +268,23 @@ class TestBasicCommands:
         assert err == ("error: star series does not terminate: left factor has "
                        "x-dependent exp(i*x*p*hbar^-1) and right factor has "
                        "negative power p^-2\n")
-        code, out, err = run(capsys, "is-hermitian", "--expr", "exp(x^2) + exp(p^2)")
+        code, out, err = run(capsys, "is-hermitian", "--expr", "x^2*exp(x^2)/p + exp(p^2)")
         assert (code, out) == (1, "")
         assert err == ("error: twist series does not terminate: symbol has "
-                       "x-dependent exp(x^2) and p-dependent exp(p^2)\n")
+                       "x-dependent exp(x^2) and negative power p^-1\n")
+
+    def test_sums_of_terminating_parts_twist(self, capsys):
+        assert run(capsys, "is-hermitian", "--expr", "exp(x^2) + exp(p^2)") == (0, "true\n", "")
+        code, out, err = run(capsys, "dagger", "--expr", "x^2*p^-1 + exp(x^2)")
+        assert (code, err) == (0, "")
+        assert (parse_expression(out.strip())
+                == parse_expression("x^2*p^-1 - 2*i*x*p^-2*hbar - 2*p^-3*hbar^2 + exp(x^2)"))
+
+    def test_dagger_refusal_names_the_input_exponent(self, capsys):
+        code, out, err = run(capsys, "dagger", "--expr", "exp(i*p*x/hbar)")
+        assert (code, out) == (1, "")
+        assert err == ("error: twist series does not terminate: symbol has "
+                       "x-dependent exp(i*x*p*hbar^-1) and p-dependent exp(i*x*p*hbar^-1)\n")
 
     def test_help_text_is_unchanged(self, capsys, monkeypatch):
         # cli_help.txt holds argparse's layout on CPython 3.11, the version CI runs
@@ -554,6 +567,21 @@ class TestLiveOrderBudget:
         assert (code, out) == (1, "")
         assert err == (f"error: twist series needs order {order}, past the limit of "
                        f"{MAX_LIVE_ORDER}, for x^{order}*p^{order} in the symbol\n")
+
+
+    def test_metric_operator_past_the_budget_exits_1(self, capsys):
+        for hamiltonian, power in (("p^2+i*x^20000", "x^20000 in the Hamiltonian"),
+                                   ("p^2000+i*x^3", "p^2000 in its adjoint")):
+            start = time.perf_counter()
+            code, out, err = run(capsys, "derive-pde", "--hamiltonian", hamiltonian)
+            assert time.perf_counter() - start < 1
+            assert (code, out) == (1, "")
+            order = power.split()[0][2:]
+            assert err == (f"error: metric operator needs order {order}, past the limit of "
+                           f"{MAX_LIVE_ORDER}, for {power}\n")
+        code, out, err = run(capsys, "derive-pde", "--hamiltonian", f"p^2+i*x^{MAX_LIVE_ORDER}")
+        assert (code, err) == (0, "")
+        assert out.startswith(f"Dx^0 Dp^0: 2*i*x^{MAX_LIVE_ORDER}\n")
 
 
 # -- fuzzing: every input ends in exit 0, 1 or 2, never a traceback ----------

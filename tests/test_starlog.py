@@ -181,6 +181,28 @@ def oracle_exp(series: MetricSeries) -> MetricSeries:
     return _graded_power_series(series, {0: ONE}, lambda m: Fraction(1, math.factorial(m)))
 
 
+def arsinh_log(theta: MetricSeries, conj: MetricSeries) -> MetricSeries:
+    """arsinh*(S) for S = (Theta_V - Theta_conj(V)) / 2, by its power series
+    sum_j (-1)^j (2j)! / (4^j (j!)^2 (2j+1)) S^(*2j+1) through the max order.
+
+    Theta_conj(V) is the star inverse of Theta_V = exp*(L), so S = sinh*(L)
+    and this is L again, by a route that shares no code with _exp_slices.
+    """
+    n_max = theta.max_order
+    s = {n: (theta.order(n) - conj.order(n)) * mono(Fraction(1, 2)) for n in range(1, n_max + 1)}
+    s = {n: sym for n, sym in s.items() if sym}
+    square = _graded_star(s, s, n_max)
+    total: Graded = {}
+    power, j = s, 0
+    while power:
+        scale = mono(Fraction((-1) ** j * math.factorial(2 * j),
+                              4 ** j * math.factorial(j) ** 2 * (2 * j + 1)))
+        for n, sym in power.items():
+            total[n] = total.get(n, ZERO) + sym * scale
+        power, j = _graded_star(power, square, n_max), j + 1
+    return MetricSeries({n: sym for n, sym in total.items() if sym}, n_max)
+
+
 HS_ZERO = HbarScalar([])
 slices = poly_symbols(max_terms=2, max_x=2, min_p=-2, max_p=2, min_h=-1, max_h=1, max_g=0)
 
@@ -222,6 +244,14 @@ class TestPowerSeriesOracle:
         log = oracle_log(series)
         assert star_log(series) == log
         assert star_exp(log) == oracle_exp(log) == series
+
+    @pytest.mark.parametrize("potential, order", [
+        ("i*x^3", 6), ("i*x^3+x^2", 6), ("(1+i)*x^3", 5), ("i*x^5+x", 4),
+        ("2*i*x^3-i*x/3", 5)])
+    def test_log_matches_arsinh_of_the_inverse_pair(self, potential, order):
+        v = parse_expression(potential)
+        theta = solve_metric_series(v, order)
+        assert star_log(theta) == arsinh_log(theta, solve_metric_series(v.conjugate(), order))
 
     def test_non_terminating_slices_raise(self):
         # exp(x^2) on the left of p^-1 keeps both derivative series alive

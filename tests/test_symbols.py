@@ -13,7 +13,7 @@ from moyalmetric import (G, HBAR, KERNEL_EXP, NonTerminatingStar,
                          GaussianRational, HbarScalar)
 from moyalmetric import symbols
 from moyalmetric.errors import LiveOrderTooLarge, PowerTooLarge
-from moyalmetric.symbols import ExpQuadratic, _check_star, _check_twist
+from moyalmetric.symbols import ExpQuadratic, _live, _live_order
 
 mono = PhaseSymbol.monomial
 KERNEL = PhaseSymbol.exponential(KERNEL_EXP)
@@ -219,6 +219,50 @@ def _outcome(op, *args):
 any_symbols = st.one_of(poly_symbols(), exp_symbols())
 
 
+# The whole-symbol termination checks that star and exp_twist ran before the
+# per-term live-order rule, kept verbatim as oracles.
+
+def _x_series_terminates(sym: PhaseSymbol) -> bool:
+    # repeated d/dx dies on each part: nothing regenerates x
+    return not any(eq.s or eq.t for eq in sym.parts)
+
+
+def _p_series_terminates(sym: PhaseSymbol) -> bool:
+    # repeated d/dp dies: no p in exponents, no negative p powers
+    return (not any(eq.r or eq.s for eq in sym.parts)
+            and sym.min_pdeg() >= 0)
+
+
+def _x_blocker(sym: PhaseSymbol) -> str:
+    """The first x-dependent exp(..) of sym, which keeps d/dx alive, as text."""
+    eq = min((eq for eq in sym.parts if eq.s or eq.t), key=ExpQuadratic.sort_key)
+    return f"x-dependent {PhaseSymbol.exponential(eq)}"
+
+
+def _p_blocker(sym: PhaseSymbol) -> str:
+    """What keeps d/dp alive on sym: a p-dependent exp(..) or the lowest p^-k."""
+    eqs = [eq for eq in sym.parts if eq.r or eq.s]
+    if eqs:
+        return f"p-dependent {PhaseSymbol.exponential(min(eqs, key=ExpQuadratic.sort_key))}"
+    return f"negative power p^{sym.min_pdeg()}"
+
+
+def _check_star(left: PhaseSymbol, right: PhaseSymbol) -> None:
+    if not (_x_series_terminates(left) or _p_series_terminates(right)):
+        raise NonTerminatingStar(
+            f"star series does not terminate: left factor has {_x_blocker(left)} "
+            f"and right factor has {_p_blocker(right)}")
+
+
+def _check_twist(sym: PhaseSymbol, sign: int) -> None:
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
+    if not (_x_series_terminates(sym) or _p_series_terminates(sym)):
+        raise NonTerminatingTwist(
+            f"twist series does not terminate: symbol has {_x_blocker(sym)} "
+            f"and {_p_blocker(sym)}")
+
+
 # The chain-rule series that star and exp_twist used before the closed-form
 # kernel, kept verbatim as the oracle.
 
@@ -237,15 +281,18 @@ def _star_series(left: PhaseSymbol, right: PhaseSymbol) -> PhaseSymbol:
 
 
 def _twist_series(sym: PhaseSymbol, sign: int) -> PhaseSymbol:
-    """exp(sign * i * hbar * d_x d_p) by the chain-rule series over the symbol."""
-    _check_twist(sym, sign)
+    """exp(sign * i * hbar * d_x d_p) by the chain-rule series over each
+    exponential part; the twist is linear, so the parts add."""
     total = PhaseSymbol.zero()
-    k = 0
-    while sym:
-        coeff = PhaseSymbol.monomial((I * sign) ** k * Fraction(1, math.factorial(k)), hbar=k)
-        total = total + sym * coeff
-        sym = sym.diff("x").diff("p")
-        k += 1
+    for eq, poly in sym.parts.items():
+        part = PhaseSymbol({eq: poly})
+        _check_twist(part, sign)
+        k = 0
+        while part:
+            coeff = PhaseSymbol.monomial((I * sign) ** k * Fraction(1, math.factorial(k)), hbar=k)
+            total = total + part * coeff
+            part = part.diff("x").diff("p")
+            k += 1
     return total
 
 
@@ -280,6 +327,33 @@ class TestKernelOracle:
 
 
 class TestLiveOrder:
+    @given(any_symbols)
+    def test_live_orders_are_exact_per_term(self, a):
+        for eq, key, c in a.iter_terms():
+            term = PhaseSymbol({eq: {key: c}})
+            for var, top in zip("xp", _live(eq, key)):
+                if top == math.inf:
+                    assert term.diff(var, 4)
+                else:
+                    assert term.diff(var, top) and not term.diff(var, top + 1)
+
+    @given(any_symbols)
+    def test_live_orders_match_the_whole_symbol_checks(self, a):
+        assert (_live_order(a.parts, 0) < math.inf) == _x_series_terminates(a)
+        assert (_live_order(a.parts, 1) < math.inf) == _p_series_terminates(a)
+
+    def test_chain_rule_stops_at_each_parts_live_order(self, monkeypatch):
+        # the twist lives through k = 2 on x^2*p^3, but d_p^k kills x^2*exp(x^2)
+        # past k = 0, so its chain rule takes no derivative at all
+        orders = []
+        derivatives = symbols._derivatives
+        monkeypatch.setattr(symbols, "_derivatives",
+                            lambda eq, poly, mn: orders.append(mn) or derivatives(eq, poly, mn))
+        gauss = PhaseSymbol.exponential(quad(t=1))
+        sym = mono(1, x=2) * gauss + mono(1, x=2, p=3)
+        assert sym.dagger() == _twist_series(sym.conjugate(), 1)
+        assert orders == [{(0, 0)}]
+
     def test_star_stops_at_the_right_factors_p_degree(self):
         # sum_k C(a, k) * b!/(b-k)! * (i*hbar)^k * x^(a-k) p^(b-k)
         a, b = 20000, 5
@@ -389,6 +463,30 @@ class TestConjTwistDagger:
         # symbol of the symmetrized product of x-hat and p-hat
         assert (X * P + mono(I * Fraction(1, 2), hbar=1)).is_hermitian()
         assert not (X * P).is_hermitian()
+
+    def test_sums_of_terminating_parts_twist(self):
+        # d_p kills exp(x^2) and d_x kills exp(p^2): each part alone twists,
+        # so their sum does, though neither derivative series dies on the sum
+        gauss_x, gauss_p = (PhaseSymbol.exponential(quad(t=1)),
+                            PhaseSymbol.exponential(quad(r=1)))
+        assert (gauss_x + gauss_p).is_hermitian()
+        sym = mono(1, x=2, p=-1) + gauss_x
+        assert sym.dagger() == (mono(1, x=2, p=-1) + mono(-2 * I, x=1, p=-2, hbar=1)
+                                + mono(-2, p=-3, hbar=2) + gauss_x)
+        with pytest.raises(NonTerminatingTwist, match="has x-dependent exp\\(x\\^2\\) "
+                                                      "and negative power p\\^-1$"):
+            (mono(1, x=2, p=-1) * gauss_x + gauss_p).dagger()
+
+    @given(pooled_exp_symbols())
+    def test_dagger_of_admitted_symbols(self, a):
+        try:
+            adj = a.dagger()
+        except NonTerminatingTwist:
+            return
+        assert adj.dagger() == a
+        assert adj == sum((PhaseSymbol({eq: poly}).dagger() for eq, poly in a.parts.items()),
+                          ZERO)
+        assert (a + adj).is_hermitian()
 
     def test_x_only_plus_p_only_rule(self):
         sym = P ** 4 - 2 * X ** 2 + I * X ** 5
