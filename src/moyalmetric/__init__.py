@@ -10,14 +10,13 @@ from .errors import (BadDimension, CoefficientTooLong, DimensionMismatch,
                      UnsupportedKinetic, ZeroParameter)
 from .formatting import format_expression
 from .parsing import parse_expression, parse_hbar_scalar
-from .pde import (DifferentialOperator, SwansonParams, apply_operator,
-                  derive_metric_operator, gaussian_metric_candidates,
-                  residual, swanson_from_ladder)
+from .pde import (DifferentialOperator, SwansonParams, derive_metric_operator,
+                  gaussian_metric_candidates, residual, swanson_from_ladder)
 from .rationals import GaussianRational, HbarScalar
-from .series import MetricSeries, assemble, solve_kinetic_ode, solve_metric_series
+from .series import MetricSeries, solve_kinetic_ode, solve_metric_series
 from .starlog import PositivityReport, positivity_evidence, star_exp, star_log
 from .symbols import (ExpQuadratic, G, HBAR, KERNEL_EXP, ONE, P, PhaseSymbol,
-                      TRIVIAL_EXP, X, ZERO, dagger, is_hermitian, star)
+                      TRIVIAL_EXP, X, ZERO)
 
 __all__ = [
     "BadDimension", "CoefficientTooLong", "DifferentialOperator",
@@ -28,12 +27,10 @@ __all__ = [
     "NonTerminatingStar", "NonTerminatingTwist", "NonzeroLeading",
     "NotUnitLeading", "ONE", "OrderTooLarge", "P", "ParseError", "PhaseSymbol",
     "PositivityReport", "PowerTooLarge", "SwansonParams", "TRIVIAL_EXP", "UnsupportedKinetic",
-    "X", "ZERO", "ZeroParameter", "apply_operator", "assemble", "dagger",
-    "derive_metric_operator", "format_expression", "gaussian_metric_candidates",
-    "is_hermitian", "parse_expression", "parse_hbar_scalar",
+    "X", "ZERO", "ZeroParameter", "derive_metric_operator", "format_expression",
+    "gaussian_metric_candidates", "parse_expression", "parse_hbar_scalar",
     "positivity_evidence", "residual", "solve_kinetic_ode",
-    "solve_metric_series", "star", "star_exp", "star_log",
-    "swanson_from_ladder",
+    "solve_metric_series", "star_exp", "star_log", "swanson_from_ladder",
 ]
 
 __version__ = "0.1.0"

@@ -28,7 +28,7 @@ from .errors import InvalidDocument, MoyalError, ParseError
 from .formatting import format_expression
 from .parsing import parse_expression, parse_hbar_scalar
 from .pde import (SwansonParams, derive_metric_operator, gaussian_metric_candidates,
-                  swanson_from_ladder)
+                  residual, swanson_from_ladder)
 from .series import MetricSeries, solve_metric_series
 from .starlog import positivity_evidence, star_log
 from .symbols import PhaseSymbol
@@ -78,10 +78,8 @@ def _series(args) -> MetricSeries:
 
 
 def _applied(args, name: str) -> PhaseSymbol:
-    """apply-pde and residual: L_H applied to --<name>, i.e. pde.residual(H, <name>)."""
-    ham = parse_expression(args.hamiltonian)
-    target = _symbol(args, name, f"{name}_from_json")
-    return derive_metric_operator(ham).apply(target)
+    """apply-pde and residual: L_H applied to --<name>."""
+    return residual(parse_expression(args.hamiltonian), _symbol(args, name, f"{name}_from_json"))
 
 
 def _lines(lines) -> str:
@@ -205,7 +203,13 @@ _COMMANDS = {
 }
 
 
+# Budget of finite-demo --pairs: one pair takes about 0.17 s at N = 64.
+MAX_PAIRS = 1000
+
+
 def _finite_checks(n: int, pairs: int, seed: int) -> dict[str, float]:
+    if pairs > MAX_PAIRS:
+        raise ValueError(f"--pairs {pairs} exceeds the limit of {MAX_PAIRS}")
     import numpy as np
 
     from . import finite

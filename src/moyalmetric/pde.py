@@ -10,7 +10,8 @@ Solutions of L[Theta] = 0 are metric candidates.
 
 L is star_terms(H, "x") - star_terms(H^dag, "p"), a `DifferentialOperator`:
 the operator type of `symbols`, which the star product and the twist apply
-too.  It is re-exported here.
+too.  The package exports it from here, and perfbench patches its `apply`
+here (`pde:DifferentialOperator.apply`).
 
 The quadratic model
 a*p^2 + b*x^2 + i*c*p*x additionally admits exact Gaussian solutions
@@ -36,10 +37,6 @@ def derive_metric_operator(hamiltonian: PhaseSymbol) -> DifferentialOperator:
     right = star_terms(hamiltonian.dagger(), "p")
     return DifferentialOperator({key: left.get(key, ZERO) - right.get(key, ZERO)
                                  for key in {**left, **right}})
-
-
-def apply_operator(operator: DifferentialOperator, f: PhaseSymbol) -> PhaseSymbol:
-    return operator.apply(f)
 
 
 def residual(hamiltonian: PhaseSymbol, theta: PhaseSymbol) -> PhaseSymbol:

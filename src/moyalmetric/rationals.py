@@ -196,9 +196,6 @@ class GaussianRational:
     def conjugate(self) -> GaussianRational:
         return _triple(self._re, -self._im, self._den)
 
-    def norm2(self) -> Fraction:
-        return Fraction(self._re * self._re + self._im * self._im, self._den * self._den)
-
     @property
     def is_real(self) -> bool:
         return self._im == 0

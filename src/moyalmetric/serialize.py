@@ -5,6 +5,9 @@ Rational numbers are stored as arrays of four decimal strings
 scalars in hbar become arrays [[h, reN, reD, imN, imD], ...] with the power h
 as a plain integer.  All lists are emitted in canonical order, making the
 output byte-deterministic.
+
+Only symbol and series documents are read back (the --from-json inputs);
+operator, parameter, report and candidate documents are output only.
 """
 
 from __future__ import annotations
@@ -31,13 +34,6 @@ def _int(value, field: str) -> int:
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     raise InvalidDocument(f"{field} must be an integer, got {value!r:.40}")
-
-
-def _bool(value, field: str) -> bool:
-    """A JSON boolean; 0, 1 and strings are rejected."""
-    if isinstance(value, bool):
-        return value
-    raise InvalidDocument(f"{field} must be a boolean, got {value!r:.40}")
 
 
 def _decimal(value, field: str) -> int:
@@ -133,11 +129,11 @@ def series_to_obj(series: MetricSeries) -> dict:
                        for n in sorted(series.orders)}}
 
 
-def _order_key(key: str, field: str = "series order key") -> int:
+def _order_key(key: str) -> int:
     """An order key in canonical decimal, as series_to_obj writes it."""
     if _ORDER_KEY.fullmatch(key):
-        return _decimal(key, f"{field} {key!r:.40}")
-    raise InvalidDocument(f"{field} {key!r:.40} is not a canonical decimal integer")
+        return _decimal(key, f"series order key {key!r:.40}")
+    raise InvalidDocument(f"series order key {key!r:.40} is not a canonical decimal integer")
 
 
 def series_from_obj(obj) -> MetricSeries:
@@ -158,33 +154,10 @@ def operator_to_obj(operator: DifferentialOperator) -> dict:
                       for (m, n), coeff in sorted(operator.terms.items())]}
 
 
-def operator_from_obj(obj) -> DifferentialOperator:
-    if not isinstance(obj, dict) or "terms" not in obj:
-        raise InvalidDocument("operator document must have a 'terms' list")
-    try:
-        terms = {}
-        for entry in obj["terms"]:
-            key = (_int(entry["dx"], "dx"), _int(entry["dp"], "dp"))
-            coeff = symbol_from_obj(entry["coeff"])
-            terms[key] = terms.get(key, PhaseSymbol.zero()) + coeff
-        return DifferentialOperator(terms)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidDocument(f"malformed operator document: {exc}") from exc
-
-
 def swanson_to_obj(params: SwansonParams) -> dict:
     return {"a": rational_to_obj(params.a),
             "b": rational_to_obj(params.b),
             "c": rational_to_obj(params.c)}
-
-
-def swanson_from_obj(obj) -> SwansonParams:
-    try:
-        return SwansonParams(a=rational_from_obj(obj["a"]),
-                             b=rational_from_obj(obj["b"]),
-                             c=rational_from_obj(obj["c"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidDocument(f"malformed parameter document: {exc}") from exc
 
 
 def report_to_obj(report: PositivityReport) -> dict:
@@ -192,18 +165,6 @@ def report_to_obj(report: PositivityReport) -> dict:
             "per_order_hermitian": {str(n): flag for n, flag
                                     in sorted(report.per_order_hermitian.items())},
             "log_series": series_to_obj(report.log_series)}
-
-
-def report_from_obj(obj) -> PositivityReport:
-    try:
-        flags = {_order_key(n, "per_order_hermitian key"):
-                 _bool(flag, f"per_order_hermitian entry {n!r:.40}")
-                 for n, flag in obj["per_order_hermitian"].items()}
-        return PositivityReport(per_order_hermitian=flags,
-                                log_series=series_from_obj(obj["log_series"]),
-                                verdict=_bool(obj["verdict"], "verdict"))
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise InvalidDocument(f"malformed report document: {exc}") from exc
 
 
 def candidates_to_obj(candidates: list[ExpQuadratic]) -> dict:

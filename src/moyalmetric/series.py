@@ -67,13 +67,6 @@ class MetricSeries:
             total = total + sym * PhaseSymbol.monomial(1, g=n)
         return total
 
-    @classmethod
-    def from_symbol(cls, sym: PhaseSymbol, max_order: int) -> MetricSeries:
-        slices = sym.g_slices()
-        if any(n > max_order for n in slices):
-            raise ValueError("symbol carries g powers beyond max_order")
-        return cls(slices, max_order)
-
 
 def solve_kinetic_ode(rhs: PhaseSymbol) -> PhaseSymbol:
     """Particular solution of -2*i*hbar*p*f' + hbar^2*f'' = rhs (' = d/dx).
@@ -154,7 +147,3 @@ def solve_metric_series(potential: PhaseSymbol, max_order: int) -> MetricSeries:
         if previous:
             orders[n] = previous
     return MetricSeries(orders, max_order)
-
-
-def assemble(series: MetricSeries) -> PhaseSymbol:
-    return series.assemble()

@@ -241,9 +241,6 @@ class PhaseSymbol:
             for key in sorted(poly, key=_canon_key):
                 yield eq, key, poly[key]
 
-    def coefficient(self, x=0, p=0, hbar=0, g=0, quad: ExpQuadratic = TRIVIAL_EXP) -> GaussianRational:
-        return self._parts.get(quad, {}).get((x, p, hbar, g), C_ZERO)
-
     @property
     def is_polynomial(self) -> bool:
         """True when no exponential factors occur (Laurent in p, hbar)."""
@@ -254,9 +251,6 @@ class PhaseSymbol:
 
     def min_pdeg(self) -> int:
         return min((k[1] for poly in self._parts.values() for k in poly), default=0)
-
-    def min_hdeg(self) -> int:
-        return min((k[2] for poly in self._parts.values() for k in poly), default=0)
 
     def max_gdeg(self) -> int:
         return max((k[3] for poly in self._parts.values() for k in poly), default=0)
@@ -374,18 +368,6 @@ class PhaseSymbol:
         return self.conjugate() == self.exp_twist(-1)
 
     # -- evaluation -----------------------------------------------------------
-
-    def evaluate_exact(self, x, p, hbar, g) -> GaussianRational:
-        """Evaluate at exact rational points; defined for polynomial symbols."""
-        if not self.is_polynomial:
-            raise ValueError("exact evaluation requires a polynomial symbol")
-        xv, pv = GaussianRational.coerce(x), GaussianRational.coerce(p)
-        hv, gv = GaussianRational.coerce(hbar), GaussianRational.coerce(g)
-        total = GaussianRational()
-        for poly in self._parts.values():
-            for (xd, pd, hd, gd), coeff in poly.items():
-                total = total + coeff * xv ** xd * pv ** pd * hv ** hd * gv ** gd
-        return total
 
     def evaluate(self, x: complex, p: complex, hbar: complex, g: complex = 1.0) -> complex:
         """Floating-point evaluation, including exponential factors."""
@@ -544,13 +526,6 @@ class DifferentialOperator:
     def dp_order(self) -> int:
         return max((n for _, ops in self._ops.values() for _, n, _ in ops), default=0)
 
-    def conjugated(self) -> DifferentialOperator:
-        """Same derivative structure with complex-conjugated coefficients."""
-        return DifferentialOperator({k: c.conjugate() for k, c in self.terms.items()})
-
-    def __neg__(self):
-        return DifferentialOperator({k: -c for k, c in self.terms.items()})
-
     def __eq__(self, other):
         if not isinstance(other, DifferentialOperator):
             return NotImplemented
@@ -640,15 +615,3 @@ def _apply_integer(ops, den: int, poly: dict[MonoKey, GaussianRational]):
 def _gaussian_terms(acc: dict[MonoKey, list[int]], den: int) -> dict[MonoKey, GaussianRational]:
     """Gaussian-integer numerators [re, im] over `den` back to coefficients."""
     return {key: from_integers(re, im, den) for key, (re, im) in acc.items() if re or im}
-
-
-def star(a: PhaseSymbol, b: PhaseSymbol) -> PhaseSymbol:
-    return a.star(b)
-
-
-def dagger(a: PhaseSymbol) -> PhaseSymbol:
-    return a.dagger()
-
-
-def is_hermitian(a: PhaseSymbol) -> bool:
-    return a.is_hermitian()
