@@ -66,12 +66,12 @@ def _symbol(args, name: str, json_name: str = "from_json") -> PhaseSymbol:
         raise InvalidDocument(f"exactly one of --{name} or its JSON variant is required")
     if text is not None:
         return parse_expression(text)
-    return serialize.symbol_from_obj(serialize.load_document(path))
+    return serialize.load_document(path, serialize.symbol_from_obj)
 
 
 def _series(args) -> MetricSeries:
     if args.from_json:
-        return serialize.series_from_obj(serialize.load_document(args.from_json))
+        return serialize.load_document(args.from_json, serialize.series_from_obj)
     if args.potential is None:
         raise InvalidDocument("either --potential/--order or --from-json is required")
     return solve_metric_series(parse_expression(args.potential), args.order)

@@ -85,9 +85,6 @@ class DiscreteSymbol:
     def n(self) -> int:
         return self.coeffs.shape[0]
 
-    def coefficient(self, a: int, b: int) -> complex:
-        return complex(self.coeffs[a % self.n, b % self.n])
-
     def __repr__(self):
         return f"DiscreteSymbol(n={self.n})"
 
@@ -133,10 +130,3 @@ def discrete_dagger(symbol: DiscreteSymbol) -> DiscreteSymbol:
     phases = np.exp(-1j * phi * np.outer(np.arange(n), np.arange(n)))
     return DiscreteSymbol(flipped * phases)
 
-
-def evaluate(symbol: DiscreteSymbol, k: int, l: int) -> complex:
-    """Value sum a[n, m] exp(2*pi*i*(n*k + m*l)/N) on the Fourier grid."""
-    n = symbol.n
-    vn = np.exp(2j * np.pi * k * np.arange(n) / n)
-    vm = np.exp(2j * np.pi * l * np.arange(n) / n)
-    return complex(vn @ symbol.coeffs @ vm)

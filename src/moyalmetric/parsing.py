@@ -24,7 +24,7 @@ import sys
 
 from .errors import NegativeXPower, NonQuadraticExponent, ParseError
 from .rationals import GaussianRational, HbarScalar
-from .symbols import ExpQuadratic, PhaseSymbol
+from .symbols import ExpQuadratic, PhaseSymbol, _sum
 
 _VARIABLES = {
     "x": PhaseSymbol.monomial(1, x=1),
@@ -108,12 +108,12 @@ class _Parser:
         return value
 
     def expr(self) -> PhaseSymbol:
-        value = self.term()
+        terms = [self.term()]
         while self.peek()[0] in ("+", "-"):
             op = self.advance()
             rhs = self.term()
-            value = value + rhs if op[0] == "+" else value - rhs
-        return value
+            terms.append(rhs if op[0] == "+" else -rhs)
+        return terms[0] if len(terms) == 1 else _sum(terms)
 
     def term(self) -> PhaseSymbol:
         value = self.factor()
@@ -127,6 +127,8 @@ class _Parser:
         return value
 
     def _divide(self, num: PhaseSymbol, den: PhaseSymbol, offset: int) -> PhaseSymbol:
+        if not den:
+            raise ParseError("division by zero", offset)
         parts = den.parts
         single = (len(parts) == 1
                   and next(iter(parts)).is_trivial

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _string
 
@@ -99,15 +100,15 @@ def symbol_to_obj(sym: PhaseSymbol) -> dict:
 
 
 def symbol_from_obj(obj) -> PhaseSymbol:
-    if not isinstance(obj, dict) or "terms" not in obj:
+    if not isinstance(obj, dict) or not isinstance(obj.get("terms"), list):
         raise InvalidDocument("symbol document must have a 'terms' list")
-    total = PhaseSymbol.zero()
+    parts: dict = {}
     for term in obj["terms"]:
         try:
             eq = ExpQuadratic(hbar_scalar_from_obj(term["exp"]["r"]),
                               hbar_scalar_from_obj(term["exp"]["s"]),
                               hbar_scalar_from_obj(term["exp"]["t"]))
-            poly = {}
+            poly = parts.setdefault(eq, {})
             for entry in term["poly"]:
                 key = (_int(entry["x"], "symbol term field 'x'"),
                        _int(entry["p"], "symbol term field 'p'"),
@@ -116,11 +117,10 @@ def symbol_from_obj(obj) -> PhaseSymbol:
                 poly[key] = poly.get(key, ZERO) + rational_from_obj(entry["coeff"])
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidDocument(f"malformed symbol term: {exc}") from exc
-        try:
-            total = total + PhaseSymbol({eq: poly})
-        except ValueError as exc:
-            raise InvalidDocument(str(exc)) from exc
-    return total
+    try:
+        return PhaseSymbol(parts)
+    except ValueError as exc:
+        raise InvalidDocument(str(exc)) from exc
 
 
 def series_to_obj(series: MetricSeries) -> dict:
@@ -212,9 +212,19 @@ def _encode(obj, out: list[str], newline: str) -> None:
         out.append(json.dumps(obj))
 
 
-def load_document(path: str):
+def load_document(path: str, from_obj):
+    """from_obj of the JSON document at path; each InvalidDocument names the path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            obj = json.load(fh)
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InvalidDocument(f"cannot read JSON document {path}: {exc}") from exc
+    except RecursionError:
+        raise InvalidDocument(f"cannot read JSON document {path}: it nests too deeply") from None
+    except ValueError:  # an integer past the interpreter's int digit limit
+        raise InvalidDocument(f"cannot read JSON document {path}: an integer has more "
+                              f"than {sys.get_int_max_str_digits()} digits") from None
+    try:
+        return from_obj(obj)
+    except InvalidDocument as exc:
+        raise InvalidDocument(f"JSON document {path}: {exc}") from exc

@@ -26,6 +26,8 @@ Star, twist and the metric operator of `pde` are all sums c_mn * d_x^m d_p^n
 acting on a symbol: one `DifferentialOperator` in integer terms, which the star
 builds with `_star_ops(part, var)`.  `apply` takes every coefficient through
 `_apply_integer`, after the chain rule where a derivative meets an exponential.
+So do derivatives: `diff` and the chain rule repeat one step (`_step`),
+exp(-eq) * d_var(exp(eq) * poly), the operator "chain factor + d_var" on poly.
 """
 
 from __future__ import annotations
@@ -82,16 +84,6 @@ class ExpQuadratic(NamedTuple):
             return self
         return ExpQuadratic(self.r + other.r, self.s + other.s, self.t + other.t)
 
-    def dx_poly(self) -> dict[MonoKey, GaussianRational]:
-        """Chain-rule factor of d/dx: s*p + 2*t*x."""
-        return {**{(0, 1, h, 0): c for h, c in self.s},
-                **{(1, 0, h, 0): c * 2 for h, c in self.t}}
-
-    def dp_poly(self) -> dict[MonoKey, GaussianRational]:
-        """Chain-rule factor of d/dp: 2*r*p + s*x."""
-        return {**{(0, 1, h, 0): c * 2 for h, c in self.r},
-                **{(1, 0, h, 0): c for h, c in self.s}}
-
     def sort_key(self):
         return (self.r.sort_key(), self.s.sort_key(), self.t.sort_key())
 
@@ -141,12 +133,7 @@ class PhaseSymbol:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        acc = {eq: dict(poly) for eq, poly in self._parts.items()}
-        for eq, poly in o._parts.items():
-            dst = acc.setdefault(eq, {})
-            for key, coeff in poly.items():
-                dst[key] = dst.get(key, C_ZERO) + coeff
-        return PhaseSymbol(acc)
+        return _sum((self, o))
 
     __radd__ = __add__
 
@@ -271,29 +258,10 @@ class PhaseSymbol:
             raise ValueError("var must be 'x' or 'p'")
         if order < 0:
             raise ValueError("order must be non-negative")
-        cur = self
+        parts = self._parts
         for _ in range(order):
-            cur = cur._diff_once(var)
-        return cur
-
-    def _diff_once(self, var: str) -> PhaseSymbol:
-        idx = 0 if var == "x" else 1
-        acc: dict[ExpQuadratic, dict[MonoKey, GaussianRational]] = {}
-        for eq, poly in self._parts.items():
-            dst = acc.setdefault(eq, {})
-            for key, coeff in poly.items():
-                deg = key[idx]
-                if deg:
-                    newkey = list(key)
-                    newkey[idx] = deg - 1
-                    nk = tuple(newkey)
-                    dst[nk] = dst.get(nk, C_ZERO) + coeff * deg
-            factor = eq.dx_poly() if var == "x" else eq.dp_poly()
-            for fk, fc in factor.items():
-                for key, coeff in poly.items():
-                    nk = (key[0] + fk[0], key[1] + fk[1], key[2] + fk[2], key[3] + fk[3])
-                    dst[nk] = dst.get(nk, C_ZERO) + coeff * fc
-        return PhaseSymbol(acc)
+            parts = {eq: _step(eq, poly, var) for eq, poly in parts.items()}
+        return PhaseSymbol(parts)
 
     def conjugate(self) -> PhaseSymbol:
         """Complex conjugation; x, p, hbar and g are treated as real."""
@@ -389,6 +357,20 @@ class PhaseSymbol:
 
     def __repr__(self):
         return f"PhaseSymbol({self})"
+
+
+def _sum(syms) -> PhaseSymbol:
+    """The sum of syms in one pass, where a chain of + copies the running total."""
+    acc: dict[ExpQuadratic, dict[MonoKey, GaussianRational]] = {}
+    for sym in syms:
+        for eq, poly in sym._parts.items():
+            dst = acc.get(eq)
+            if dst is None:
+                acc[eq] = dict(poly)
+                continue
+            for key, coeff in poly.items():
+                dst[key] = dst.get(key, C_ZERO) + coeff
+    return PhaseSymbol(acc)
 
 
 ZERO = PhaseSymbol.zero()
@@ -539,17 +521,33 @@ class DifferentialOperator:
         return "DifferentialOperator({" + "; ".join(chunks) + "})"
 
 
+def _step(eq: ExpQuadratic, poly: dict[MonoKey, GaussianRational], var: str):
+    """exp(-eq) * d_var(exp(eq) * poly): poly times the chain factor, s*p + 2*t*x
+    for var x and 2*r*p + s*x for var p, plus d_var poly, as one operator on poly."""
+    (on_p, wp), (on_x, wx), d_var = (((eq.s, 1), (eq.t, 2), (1, 0)) if var == "x"
+                                     else ((eq.r, 2), (eq.s, 1), (0, 1)))
+    if eq.is_trivial:  # a polynomial part has no chain factor
+        return _apply_integer([(*d_var, [((0, 0, 0, 0), 1, 0)])], 1, poly)
+    den, cterms = _integer_terms({**{(0, 1, h, 0): c * wp for h, c in on_p},
+                                  **{(1, 0, h, 0): c * wx for h, c in on_x}})
+    return _apply_integer([(0, 0, cterms), (*d_var, [((0, 0, 0, 0), den, 0)])], den, poly)
+
+
 def _derivatives(eq: ExpQuadratic, poly: dict[MonoKey, GaussianRational], orders):
     """d_x^m d_p^n of exp(eq)*poly for each (m, n) in orders, as polynomials that
-    exp(eq) multiplies; each derivative steps on from the one before."""
-    out, fx = {}, PhaseSymbol({eq: poly})
-    cur, at, done = fx, 0, 0
+    exp(eq) multiplies.  Each steps on from the previous result when it lies beyond
+    it, else from the last d_x^m: a twist's diagonal (k, k) takes two steps per k."""
+    out, fx, at, cur, m0, n0 = {}, poly, 0, poly, 0, 0
     for m, n in sorted(orders):
-        if m != at:
-            fx, at = fx.diff("x", m - at), m
-            cur, done = fx, 0
-        cur, done = cur.diff("p", n - done), n
-        out[m, n] = cur._parts.get(eq, {})
+        if n < n0:
+            cur, m0, n0 = fx, at, 0
+        for _ in range(m - m0):
+            cur = _step(eq, cur, "x")
+        if n0 == 0:
+            fx, at = cur, m
+        for _ in range(n - n0):
+            cur = _step(eq, cur, "p")
+        out[m, n], m0, n0 = cur, m, n
     return out
 
 

@@ -61,6 +61,12 @@ class TestBasicCommands:
         assert code == 2
         assert "byte" in err
 
+    def test_division_by_zero_exits_2(self, capsys):
+        for argv in (("dagger", "--expr", "x/0"),
+                     ("gaussian-candidates", "--a", "1", "--b", "1", "--c", "1", "--s", "1/0")):
+            code, out, err = run(capsys, *argv)
+            assert (code, out, err) == (2, "", "error: division by zero (at byte 1)\n")
+
     def test_usage_error_exits_2(self, capsys):
         assert main(["no-such-command"]) == 2
         capsys.readouterr()
@@ -434,6 +440,18 @@ class TestDeterminismAndJson:
         code, _, err = run(capsys, "dagger", "--from-json", str(doc))
         assert code == 2
         assert "document" in err
+
+    @pytest.mark.parametrize("content", [
+        b"[" * 100_000 + b"]" * 100_000, b'{"terms": 5}', b'{"terms": null}',
+        b"[" + b"9" * 5000 + b"]", b'{"terms": [\xff]}'],
+        ids=["deep", "terms-5", "terms-null", "long-int", "not-utf8"])
+    def test_malformed_documents_exit_2(self, capsys, tmp_path, content):
+        doc = tmp_path / "bad.json"
+        doc.write_bytes(content)
+        code, out, err = run(capsys, "dagger", "--from-json", str(doc))
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and str(doc) in err
+        assert "set_int_max_str_digits" not in err
 
     def test_non_integer_json_fields_exit_2(self, capsys, tmp_path):
         def poly_entry(**fields):

@@ -7,7 +7,7 @@ from hypothesis import given
 from conftest import I, exp_symbols, rand_poly
 from moyalmetric import (G, KERNEL_EXP, NegativeXPower,
                          NonQuadraticExponent, ONE, P, ParseError, PhaseSymbol,
-                         X, format_expression, parse_expression,
+                         TRIVIAL_EXP, X, format_expression, parse_expression,
                          parse_hbar_scalar)
 from moyalmetric import parsing
 from moyalmetric.rationals import GaussianRational, HbarScalar
@@ -95,6 +95,23 @@ class TestParse:
             parse_expression("1/(1 + x)")
         with pytest.raises(ParseError):
             parse_expression("x/exp(x^2)")
+
+    def test_division_by_zero_is_named(self):
+        for text in ("x/0", "x/(1-1)"):
+            with pytest.raises(ParseError, match="^division by zero \\(at byte 1\\)$"):
+                parse_expression(text)
+
+    def test_sums_merge_their_terms_once(self, monkeypatch):
+        adds = []
+        add = PhaseSymbol.__add__
+        monkeypatch.setattr(PhaseSymbol, "__add__", lambda a, b: adds.append(b) or add(a, b))
+        counts = []
+        for n in (20, 2000):
+            adds.clear()
+            sym = parse_expression("+".join(f"x^{k}" for k in range(1, n + 1)) + "-x")
+            assert len(sym.parts[TRIVIAL_EXP]) == n - 1
+            counts.append(len(adds))
+        assert counts[0] == counts[1]
 
     def test_non_quadratic_exponent(self):
         with pytest.raises(NonQuadraticExponent):

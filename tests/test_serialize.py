@@ -1,4 +1,4 @@
-"""serialize.dumps against the stdlib's indented encoder."""
+"""serialize.dumps against the stdlib's indented encoder, and the symbol loader."""
 
 import json
 import sys
@@ -7,8 +7,8 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from moyalmetric import ExponentTooLong
-from moyalmetric.serialize import dumps
+from moyalmetric import ExponentTooLong, PhaseSymbol
+from moyalmetric.serialize import dumps, symbol_from_obj
 
 scalars = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text())
 documents = st.recursive(
@@ -28,3 +28,20 @@ def test_an_int_past_the_digit_limit_is_too_long():
     big = 10 ** (sys.get_int_max_str_digits() + 1)
     with pytest.raises(ExponentTooLong):
         dumps({"x": [1, big]})
+
+
+def test_symbol_documents_load_without_a_chain_of_sums(monkeypatch):
+    adds = []
+    add = PhaseSymbol.__add__
+    monkeypatch.setattr(PhaseSymbol, "__add__", lambda a, b: adds.append(b) or add(a, b))
+    counts = []
+    for n in (20, 2000):
+        adds.clear()
+        # one term per entry, over two exponentials, the first entry twice
+        terms = [{"exp": {"r": [[0, "1", "1", "0", "1"]] if k % 2 else [], "s": [], "t": []},
+                  "poly": [{"coeff": ["1", "1", "0", "1"], "x": k % 7, "p": k, "hbar": 0, "g": 0}]}
+                 for k in [*range(n), 0]]
+        sym = symbol_from_obj({"terms": terms})
+        assert sum(map(len, sym.parts.values())) == n
+        counts.append(len(adds))
+    assert counts[0] == counts[1]
