@@ -58,8 +58,7 @@ def _imag(n: int, d: int, st: _Style) -> str:
 
 def _coeff(c: GaussianRational, st: _Style) -> tuple[bool, str]:
     """(negated, text of |coeff|), with mixed complex values bracketed."""
-    rn, rd = c.re.as_integer_ratio()
-    im, idn = c.im.as_integer_ratio()
+    rn, rd, im, idn = c.as_integer_ratios()
     if not im:
         return rn < 0, _fraction(abs(rn), rd, st)
     if not rn:

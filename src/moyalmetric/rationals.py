@@ -3,8 +3,8 @@
 Every coefficient in the symbol calculus lives in Q(i).  A GaussianRational
 holds three ints, (re + i*im)/den with den > 0 and no common factor, so each
 sum or product runs on ints and is brought to lowest terms by one gcd; the
-parts come out as `Fraction`s only on request (`re`, `im`), and a power too
-long ever to print is refused before it is computed.  Exponents of Gaussian
+renderers read each part in lowest terms as two ints, and a power too long
+ever to print is refused before it is computed.  Exponents of Gaussian
 factors need one more layer: Laurent polynomials in hbar over Q(i), e.g. the
 2i/hbar of the kernel exponential, each the tuple of its (power, coefficient)
 pairs.
@@ -64,8 +64,8 @@ class GaussianRational:
 
     Values are immutable: three ints (re + i*im)/den with den > 0 and
     gcd(re, im, den) == 1, zero being (0, 0, 1), so equality and hashing
-    compare the triple.  `re` and `im` are the parts as reduced `Fraction`s;
-    the integer kernels of the package read the triple `_re, _im, _den`.
+    compare the triple.  `as_integer_ratios` gives both parts in lowest terms
+    as ints, `re` and `im` as `Fraction`s; the integer kernels read the triple.
     """
 
     __slots__ = ("_re", "_im", "_den")
@@ -89,6 +89,12 @@ class GaussianRational:
     @property
     def im(self) -> Fraction:
         return Fraction(self._im, self._den)
+
+    def as_integer_ratios(self) -> tuple[int, int, int, int]:
+        """(reN, reD, imN, imD): both parts in lowest terms, by two gcds."""
+        re, im, den = self._re, self._im, self._den
+        g, h = _gcd(re, den), _gcd(im, den)
+        return re // g, den // g, im // h, den // h
 
     @staticmethod
     def _try_coerce(value) -> GaussianRational | None:

@@ -49,8 +49,7 @@ def _decimal(value, field: str) -> int:
 
 def rational_to_obj(c: GaussianRational) -> list[str]:
     try:
-        return [str(c.re.numerator), str(c.re.denominator),
-                str(c.im.numerator), str(c.im.denominator)]
+        return list(map(str, c.as_integer_ratios()))
     except ValueError:  # past the interpreter's int-to-string digit limit
         raise CoefficientTooLong from None
 
@@ -187,7 +186,8 @@ def dumps(obj) -> str:
 
 
 def _encode(obj, out: list[str], newline: str) -> None:
-    """Append the indented JSON text of obj; newline starts each line at its depth."""
+    """Append the indented JSON text of obj; newline starts each line at its depth.
+    An int dict value and a list of strings (a rational entry) take one append."""
     if isinstance(obj, str):
         out.append(_string(obj))
     elif isinstance(obj, int) and not isinstance(obj, bool):
@@ -196,12 +196,18 @@ def _encode(obj, out: list[str], newline: str) -> None:
         inner = newline + "  "
         sep = "{" + inner
         for key, value in obj.items():
-            out.append(f"{sep}{_string(key)}: ")
-            _encode(value, out, inner)
+            if type(value) is int:
+                out.append(f"{sep}{_string(key)}: {int.__repr__(value)}")
+            else:
+                out.append(f"{sep}{_string(key)}: ")
+                _encode(value, out, inner)
             sep = "," + inner
         out.append(newline + "}")
     elif isinstance(obj, (list, tuple)) and obj:
         inner = newline + "  "
+        if all(type(value) is str for value in obj):
+            out.append(f"[{inner}{(',' + inner).join(map(_string, obj))}{newline}]")
+            return
         sep = "[" + inner
         for value in obj:
             out.append(sep)

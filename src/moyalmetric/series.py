@@ -10,11 +10,12 @@ polynomial in x with Laurent coefficients in p and hbar, and the particular
 solution is fixed by dropping both homogeneous branches (the x-constant
 function of p and the exp(2*i*p*x/hbar) kernel) at every order n >= 1.
 
-Both inner loops run on Gaussian-integer numerators: the operator applies
-in closed form (see pde), and the ODE recursion keeps each x-slice of the
-solution as [re, im] integer pairs over one denominator, reduced by their
-gcd.  Coefficients become GaussianRationals only in the returned symbols.
-Orders are bounded by MAX_ORDER.
+Both inner loops run on Gaussian-integer numerators: the operator, negated
+once, applies in closed form (see pde), and the ODE recursion keeps each
+x-slice of the solution as [re, im] integer pairs over one denominator,
+reduced by their gcd.  Each slice becomes GaussianRationals as it is solved,
+and both steps hand on their canonical output unchecked.  Orders are bounded
+by MAX_ORDER.
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ def solve_kinetic_ode(rhs: PhaseSymbol) -> PhaseSymbol:
     if not rhs:
         return PhaseSymbol.zero()
 
-    den, terms = _integer_terms(rhs.parts[TRIVIAL_EXP])
+    den, terms = _integer_terms(rhs._parts[TRIVIAL_EXP])
     by_xdeg: dict[int, dict[tuple[int, int, int], tuple[int, int]]] = {}
     for (xd, pd, hd, gd), re, im in terms:
         by_xdeg.setdefault(xd, {})[(pd, hd, gd)] = (re, im)
@@ -113,7 +114,7 @@ def solve_kinetic_ode(rhs: PhaseSymbol) -> PhaseSymbol:
         out = {key: (re // g, im // g) for key, (re, im) in out.items()}
         solution.update(_gaussian_terms({(j + 1, *key): pair for key, pair in out.items()}, out_den))
         carry_den, carry = out_den, out
-    return PhaseSymbol({TRIVIAL_EXP: solution})
+    return PhaseSymbol._from_parts({TRIVIAL_EXP: solution})
 
 
 def _check_potential(potential: PhaseSymbol) -> None:
@@ -138,12 +139,11 @@ def solve_metric_series(potential: PhaseSymbol, max_order: int) -> MetricSeries:
     check_order(max_order)
     _check_potential(potential)
 
-    operator = derive_metric_operator(potential)
+    negated = -derive_metric_operator(potential)
     orders = {0: PhaseSymbol.monomial(1)}
     previous = orders[0]
     for n in range(1, max_order + 1):
-        rhs = -operator.apply(previous)
-        previous = solve_kinetic_ode(rhs)
+        previous = solve_kinetic_ode(negated.apply(previous))
         if previous:
             orders[n] = previous
     return MetricSeries(orders, max_order)

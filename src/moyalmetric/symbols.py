@@ -113,6 +113,14 @@ class PhaseSymbol:
                 canon[eq] = clean
         self._parts = canon
 
+    @classmethod
+    def _from_parts(cls, parts) -> PhaseSymbol:
+        """The symbol of parts already canonical: no zero coefficient, no empty
+        part, no negative power of x or g.  The symbol takes the dicts over."""
+        sym = cls.__new__(cls)
+        sym._parts = parts
+        return sym
+
     # -- construction -----------------------------------------------------
 
     @classmethod
@@ -484,7 +492,7 @@ class DifferentialOperator:
         (m, n) within the part's own live orders (see `_live`).
         """
         dx, dp = self.dx_order(), self.dp_order()
-        acc = {}
+        acc, met = {}, set()
         for eq2, poly in f._parts.items():
             jobs = [(eq1, den, ops, poly) for eq1, (den, ops) in self._ops.items()]
             if dx and (eq2.s or eq2.t) or dp and (eq2.r or eq2.s):
@@ -498,9 +506,18 @@ class DifferentialOperator:
                 eq, out = eq1.combined(eq2), _apply_integer(ops, den, fpoly)
                 dst = acc.setdefault(eq, out)
                 if dst is not out:  # two pairs meet, as exp(2x^2)*1 and exp(x^2)*exp(x^2)
+                    met.add(eq)
                     for key, c in out.items():
                         dst[key] = dst.get(key, C_ZERO) + c
-        return PhaseSymbol(acc)
+        for eq in met:  # where sums may have cancelled
+            acc[eq] = {key: c for key, c in acc[eq].items() if c}
+        return PhaseSymbol._from_parts({eq: poly for eq, poly in acc.items() if poly})
+
+    def __neg__(self):
+        return DifferentialOperator._from_ops(
+            {eq: (den, [(m, n, [(key, -re, -im) for key, re, im in cterms])
+                        for m, n, cterms in ops])
+             for eq, (den, ops) in self._ops.items()})
 
     def dx_order(self) -> int:
         return max((m for _, ops in self._ops.values() for m, _, _ in ops), default=0)
@@ -585,17 +602,29 @@ def _apply_integer(ops, den: int, poly: dict[MonoKey, GaussianRational]):
 
     `den, ops` is one part of a DifferentialOperator, in ascending (m, n).
     d_x^m d_p^n x^a p^b is a^(m) * b^(n) * x^(a-m) p^(b-n) with falling
-    factorials n^(k) = n*(n-1)*...*(n-k+1), also for negative b; sums run on
-    Gaussian-integer numerators.
+    factorials n^(k) = n*(n-1)*...*(n-k+1), also for negative b, each carried
+    along ops one factor per step, b^(n) restarting where n falls; sums run
+    on Gaussian-integer numerators.
     """
     fden, fterms = _integer_terms(poly)
     acc: dict[MonoKey, list[int]] = {}
     for (a, b, h, g), re, im in fterms:
+        wa = wb = 1  # a^(m0) and b^(n0)
+        m0 = n0 = 0
         for m, n, cterms in ops:
-            w = math.perm(a, m)
-            if not w:
-                break  # a^(m) = 0, and m only grows along ops
-            w *= math.perm(b, n) if b >= 0 else (-1) ** n * math.perm(n - b - 1, n)
+            if m != m0:
+                while m0 < m:
+                    wa *= a - m0
+                    m0 += 1
+                if not wa:
+                    break  # a^(m) = 0, and m only grows along ops
+                if n < n0:  # only here can n fall; a diagonal (k, k) steps on
+                    wb = 1
+                    n0 = 0
+            while n0 < n:
+                wb *= b - n0
+                n0 += 1
+            w = wa * wb
             if not w:
                 continue
             wre, wim, xd, pd = w * re, w * im, a - m, b - n

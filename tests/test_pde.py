@@ -14,6 +14,7 @@ from moyalmetric import (DifferentialOperator, G, HBAR, IrrationalDiscriminant,
                          derive_metric_operator,
                          gaussian_metric_candidates, residual,
                          swanson_from_ladder)
+from moyalmetric.errors import MoyalError
 from moyalmetric.rationals import GaussianRational, HbarScalar, HS_ZERO
 from moyalmetric.symbols import (TRIVIAL_EXP, ExpQuadratic, _gaussian_terms, _star_ops,
                                  star_terms)
@@ -189,6 +190,7 @@ class TestApplyAndResidual:
         minus = DifferentialOperator({k: -c for k, c in L.terms.items()})
         assert minus != L and DifferentialOperator({k: -c for k, c in minus.terms.items()}) == L
         assert minus.apply(X ** 3 * P) == -L.apply(X ** 3 * P)
+        assert -L == minus and -minus == L
         assert DifferentialOperator({}) != L
 
 
@@ -270,6 +272,45 @@ class TestOneOperatorType:
         L = DifferentialOperator({(0, 0): ex2 * ex2 + ex2})
         # exp(2x^2) * 1 and exp(x^2) * exp(x^2) both land on exp(2x^2)
         assert L.apply(ONE + ex2) == ex2 + 2 * ex2 * ex2 + ex2 * ex2 * ex2
+
+
+def _assert_canonical(sym: PhaseSymbol) -> None:
+    """sym is what PhaseSymbol's checking constructor builds from its parts."""
+    assert sym == PhaseSymbol(sym.parts)
+    assert all(poly and all(poly.values()) for poly in sym.parts.values())
+
+
+class TestCanonicalOutput:
+    """apply, and through it star and exp_twist, return their symbols without
+    PhaseSymbol's per-term checks, so each result must already hold no zero
+    coefficient and no empty part."""
+
+    @given(st.one_of(operators(), operators(exp_symbols()), pooled_operators()),
+           st.one_of(poly_symbols(max_terms=4), exp_symbols(), pooled_exp_symbols()))
+    def test_apply(self, L, f):
+        _assert_canonical(L.apply(f))
+
+    @given(st.one_of(poly_symbols(), pooled_exp_symbols(max_x=0), pooled_exp_symbols()),
+           st.one_of(poly_symbols(), pooled_exp_symbols(max_x=0), pooled_exp_symbols()))
+    def test_star_and_twist(self, a, b):
+        for compute in (lambda: a.star(b), lambda: a.exp_twist(1), lambda: b.exp_twist(-1)):
+            try:
+                out = compute()
+            except MoyalError:  # a series that does not terminate
+                continue
+            _assert_canonical(out)
+
+    def test_pairs_whose_sums_cancel(self):
+        ex2 = PhaseSymbol.exponential(ExpQuadratic(HS_ZERO, HS_ZERO, HbarScalar.constant(1)))
+        ex4, ex6 = ex2 * ex2, ex2 * ex2 * ex2
+        # exp(2x^2) * 1 against -exp(x^2) * exp(x^2): the exp(2x^2) part cancels whole
+        whole = DifferentialOperator({(0, 0): ex4 - ex2}).apply(ONE + ex2)
+        assert whole == ex6 - ex2
+        # and here all of it but its x term
+        partial = DifferentialOperator({(0, 0): ex4 * (ONE + X) - ex2}).apply(ONE + ex2)
+        assert partial == X * ex4 + ex6 * (ONE + X) - ex2
+        for out in (whole, partial):
+            _assert_canonical(out)
 
 
 class TestSwanson:

@@ -8,10 +8,11 @@ from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 from conftest import gaussian_rationals, hbar_scalars
 from moyalmetric import CoefficientTooLong, GaussianRational, HbarScalar
+from moyalmetric.rationals import from_integers
 
 I = GaussianRational(0, 1)
 LIMIT = sys.get_int_max_str_digits()
@@ -62,6 +63,18 @@ class TestGaussianRational:
         assert GaussianRational(3, 4).sqrt() == GaussianRational(2, 1)
         assert GaussianRational(2).sqrt() is None
         assert GaussianRational(1, 1).sqrt() is None
+
+    # small ranges, so that the parts often share factors with den
+    @given(st.integers(-60, 60), st.integers(-60, 60), st.integers(1, 60))
+    @example(0, 0, 1)
+    @example(0, -6, 4)
+    @example(-9, 0, 12)
+    @example(-8, -12, 30)
+    @example(7 * 10 ** 30, -(10 ** 31), 14 * 10 ** 30)
+    def test_integer_ratios_are_the_reduced_fractions(self, re, im, den):
+        rf, imf = Fraction(re, den), Fraction(im, den)
+        assert (from_integers(re, im, den).as_integer_ratios()
+                == (rf.numerator, rf.denominator, imf.numerator, imf.denominator))
 
     @given(gaussian_rationals)
     def test_sqrt_of_square(self, z):

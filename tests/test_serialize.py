@@ -5,7 +5,7 @@ import sys
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 from moyalmetric import ExponentTooLong, PhaseSymbol
 from moyalmetric.serialize import dumps, symbol_from_obj
@@ -20,6 +20,15 @@ documents = st.recursive(
 
 
 @given(documents)
+# the encoder's one-append leaves: lists and tuples of strings, int dict values
+@example(["1", "-22", "0", "\u00e9\n"])
+@example(("a", "b"))
+@example([""])
+@example({"x": 3, "p": -4, "yes": True, "no": False, "big": 10 ** 30})
+@example([])
+@example({})
+@example({"terms": [{"coeff": ["1", "2", "0", "1"], "x": 1, "exp": {"r": [[0, "1", "1", "0", "1"]]},
+                     "flags": [True, 0, "s"], "empty": [[], {}, ("t",)]}]})
 def test_matches_the_indented_stdlib_encoder(obj):
     assert dumps(obj) == json.dumps(obj, indent=2)
 

@@ -7,7 +7,7 @@ from hypothesis import given
 
 from conftest import I, gaussian_rationals, poly_symbols, rand_poly
 from moyalmetric import (G, MetricSeries, ONE, OrderTooLarge, P, PhaseSymbol,
-                         UnsupportedKinetic, X, ZERO, residual,
+                         UnsupportedKinetic, X, ZERO, derive_metric_operator, residual,
                          solve_kinetic_ode, solve_metric_series, star_log)
 from moyalmetric.rationals import GaussianRational
 from moyalmetric.serialize import series_from_obj
@@ -36,6 +36,20 @@ def _kinetic_oracle(rhs):
     for j, cj in coeffs.items():
         solution = solution + cj * PhaseSymbol.monomial(1, x=j)
     return solution
+
+
+def _series_loop(potential, max_order):
+    """The loop of solve_metric_series before it negated the operator once,
+    verbatim: each order negates its whole right-hand side."""
+    operator = derive_metric_operator(potential)
+    orders = {0: PhaseSymbol.monomial(1)}
+    previous = orders[0]
+    for n in range(1, max_order + 1):
+        rhs = -operator.apply(previous)
+        previous = solve_kinetic_ode(rhs)
+        if previous:
+            orders[n] = previous
+    return MetricSeries(orders, max_order)
 
 
 @st.composite
@@ -95,6 +109,10 @@ class TestIntegerKernelOracle:
     @given(poly_symbols(max_terms=5, max_x=6))
     def test_kinetic_solve_matches_oracle(self, rhs):
         assert solve_kinetic_ode(rhs) == _kinetic_oracle(rhs)
+
+    @given(potentials(), st.integers(1, 8))
+    def test_series_matches_the_loop_it_replaced(self, potential, n):
+        assert solve_metric_series(potential, n) == _series_loop(potential, n)
 
     @given(potentials(), st.integers(1, 3))
     def test_residual_vanishes_through_max_order(self, potential, n):

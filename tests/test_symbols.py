@@ -399,6 +399,62 @@ class TestDerivativeKernel:
         assert abs((up - dn) / (2 * eps) - a.diff(var).evaluate(x, p, hbar, g)) < 1e-4 * (1 + scale)
 
 
+def _apply_integer_perm(ops, den, poly):
+    """_apply_integer as it was before its falling factorials were stepped
+    along ops: two math.perm weights per (term, op), verbatim."""
+    fden, fterms = symbols._integer_terms(poly)
+    acc = {}
+    for (a, b, h, g), re, im in fterms:
+        for m, n, cterms in ops:
+            w = math.perm(a, m)
+            if not w:
+                break  # a^(m) = 0, and m only grows along ops
+            w *= math.perm(b, n) if b >= 0 else (-1) ** n * math.perm(n - b - 1, n)
+            if not w:
+                continue
+            wre, wim, xd, pd = w * re, w * im, a - m, b - n
+            for (x, p, hh, gg), cre, cim in cterms:
+                key = (xd + x, pd + p, h + hh, g + gg)
+                slot = acc.get(key)
+                if slot is None:
+                    acc[key] = [wre * cre - wim * cim, wre * cim + wim * cre]
+                else:
+                    slot[0] += wre * cre - wim * cim
+                    slot[1] += wre * cim + wim * cre
+    return symbols._gaussian_terms(acc, den * fden)
+
+
+@st.composite
+def integer_parts(draw, max_order=8):
+    """One part (den, ops) of an operator: a sparse ascending set of (m, n), so
+    that both orders skip values, each with a few Gaussian-integer terms."""
+    orders = draw(st.sets(st.tuples(st.integers(0, max_order), st.integers(0, max_order)),
+                          min_size=1, max_size=8))
+    key = st.tuples(st.integers(0, 2), st.integers(-2, 2), st.integers(-1, 1), st.integers(0, 1))
+    cterms = st.lists(st.tuples(key, st.integers(-5, 5), st.integers(-5, 5)),
+                      min_size=1, max_size=3)
+    return draw(st.integers(1, 12)), [(m, n, draw(cterms)) for m, n in sorted(orders)]
+
+
+class TestSteppedFactorials:
+    """_apply_integer's stepped weights against math.perm afresh per op."""
+
+    @given(integer_parts(), poly_symbols(max_terms=5, max_x=6, min_p=-6, max_p=6))
+    def test_weights_match_math_perm(self, part, f):
+        den, ops = part
+        poly = f.parts.get(TRIVIAL_EXP, {})
+        assert symbols._apply_integer(ops, den, poly) == _apply_integer_perm(ops, den, poly)
+
+    def test_high_orders_and_negative_powers_of_p(self):
+        rng = random.Random(39)
+        for _ in range(20):
+            orders = sorted({(rng.randint(0, 40), rng.randint(0, 40)) for _ in range(12)})
+            ops = [(m, n, [((0, rng.randint(-3, 3), 0, 0), rng.randint(-9, 9), rng.randint(-9, 9))])
+                   for m, n in orders]
+            poly = rand_poly(rng, max_terms=4, max_x=40, min_p=-40, max_p=40).parts.get(TRIVIAL_EXP, {})
+            assert symbols._apply_integer(ops, 7, poly) == _apply_integer_perm(ops, 7, poly)
+
+
 class TestKernelOracle:
     """The closed-form kernel against the chain-rule series it replaced."""
 
