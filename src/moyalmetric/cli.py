@@ -2,11 +2,12 @@
 
 Every subcommand but finite-demo is one row of one command table,
 `_COMMANDS`: its help text, its flags in --help order, the call that computes
-its result from the parsed arguments, and a renderer that returns the whole
-text, LaTeX or JSON output as one string.  `main` computes, renders and only
-then prints, so a command that fails leaves stdout empty.  finite-demo keeps
-its own handler, which prints its check table even when a check fails; it
-alone imports numpy and `finite`, so the other commands start without them.
+its result from the parsed arguments, the builder of its JSON document and a
+renderer of the whole text or LaTeX output.  `main` computes, dumps or
+renders, and only then prints, so a command that fails leaves stdout empty.
+finite-demo keeps its own handler, which prints its check table even when a
+check fails; it alone imports numpy and `finite`, so the other commands start
+without them.
 
 Exit codes: 0 on success, 1 on domain errors (non-terminating series,
 irrational discriminants, failed finite-dimensional checks, ...), 2 on usage
@@ -94,43 +95,29 @@ def _show_symbol(sym: PhaseSymbol, fmt: str) -> str:
     return format_expression(sym, fmt) + "\n"
 
 
-def _show_verdict(verdict: bool, fmt: str) -> str:
-    return (serialize.dumps({"hermitian": verdict}) if fmt == "json" else _word(verdict)) + "\n"
-
-
 def _show_operator(op, fmt: str) -> str:
-    if fmt == "json":
-        return serialize.dumps(serialize.operator_to_obj(op)) + "\n"
     term = "Dx^{} Dp^{}" if fmt == "text" else "\\partial_x^{{{}}}\\partial_p^{{{}}}"
     return _lines(f"{term.format(m, n)}: {format_expression(coeff, fmt)}"
                   for (m, n), coeff in sorted(op.terms.items())) or "0\n"
 
 
 def _show_series(series: MetricSeries, fmt: str) -> str:
-    if fmt == "json":
-        return serialize.dumps(serialize.series_to_obj(series)) + "\n"
     label = "g^{}" if fmt == "text" else "g^{{{}}}"
     return _lines(f"{label.format(n)}: {format_expression(series.order(n), fmt)}"
                   for n in range(series.max_order + 1))
 
 
 def _show_report(report, fmt: str) -> str:
-    if fmt == "json":
-        return serialize.dumps(serialize.report_to_obj(report)) + "\n"
     flags = sorted(report.per_order_hermitian.items())
     return _lines([*(f"g^{n}: {_word(flag)}" for n, flag in flags),
                    f"verdict: {_word(report.verdict)}"])
 
 
 def _show_swanson(params: SwansonParams, fmt: str) -> str:
-    if fmt == "json":
-        return serialize.dumps(serialize.swanson_to_obj(params)) + "\n"
     return _lines(f"{name} = {getattr(params, name)}" for name in ("a", "b", "c"))
 
 
 def _show_candidates(candidates, fmt: str) -> str:
-    if fmt == "json":
-        return serialize.dumps(serialize.candidates_to_obj(candidates)) + "\n"
     return _lines(format_expression(PhaseSymbol.exponential(eq), fmt) for eq in candidates)
 
 
@@ -138,7 +125,8 @@ class _Command(NamedTuple):
     help: str
     flags: tuple  # (flag, add_argument keywords) pairs, in --help order after --format
     compute: Callable[[argparse.Namespace], object]
-    render: Callable[[object, str], str]  # (result, format) -> the whole stdout
+    to_obj: Callable[[object], object]  # result -> JSON; late-bound for perfbench's wrappers
+    render: Callable[[object, str], str]  # (result, text or latex) -> the whole stdout
 
 
 def _symbol_flags(name: str, json_flag: str = "--from-json") -> tuple:
@@ -160,46 +148,54 @@ _COMMANDS = {
         _symbol_flags("left", "--left-from-json") + _symbol_flags("right", "--right-from-json"),
         lambda args: _symbol(args, "left", "left_from_json").star(
             _symbol(args, "right", "right_from_json")),
-        _show_symbol),
+        lambda sym: serialize.symbol_to_obj(sym), _show_symbol),
     "dagger": _Command("symbol of the hermitian-conjugate operator", _symbol_flags("expr"),
-                       lambda args: _symbol(args, "expr").dagger(), _show_symbol),
+                       lambda args: _symbol(args, "expr").dagger(),
+                       lambda sym: serialize.symbol_to_obj(sym), _show_symbol),
     "conj": _Command("complex conjugate of a symbol", _symbol_flags("expr"),
-                     lambda args: _symbol(args, "expr").conjugate(), _show_symbol),
+                     lambda args: _symbol(args, "expr").conjugate(),
+                     lambda sym: serialize.symbol_to_obj(sym), _show_symbol),
     "is-hermitian": _Command("test the hermiticity criterion", _symbol_flags("expr"),
-                             lambda args: _symbol(args, "expr").is_hermitian(), _show_verdict),
+                             lambda args: _symbol(args, "expr").is_hermitian(),
+                             lambda flag: {"hermitian": flag},
+                             lambda flag, fmt: _word(flag) + "\n"),
     "derive-pde": _Command("differential operator of the metric equation",
                            _symbol_flags("hamiltonian"),
                            lambda args: derive_metric_operator(_symbol(args, "hamiltonian")),
-                           _show_operator),
+                           lambda op: serialize.operator_to_obj(op), _show_operator),
     "apply-pde": _Command("apply the metric operator of H to a symbol",
                           (("--hamiltonian", {"required": True}),
                            *_symbol_flags("target", "--target-from-json")),
-                          lambda args: _applied(args, "target"), _show_symbol),
+                          lambda args: _applied(args, "target"),
+                          lambda sym: serialize.symbol_to_obj(sym), _show_symbol),
     "residual": _Command("metric-equation residual of a candidate",
                          (("--hamiltonian", {"required": True}),
                           *_symbol_flags("metric", "--metric-from-json")),
-                         lambda args: _applied(args, "metric"), _show_symbol),
+                         lambda args: _applied(args, "metric"),
+                         lambda sym: serialize.symbol_to_obj(sym), _show_symbol),
     "solve-metric": _Command(
         "perturbative metric series for p^2 + g*V(x)",
         (("--potential", {"required": True}),
          ("--order", {"type": _int_at_least(1), "required": True})),
         lambda args: solve_metric_series(parse_expression(args.potential), args.order),
-        _show_series),
+        lambda series: serialize.series_to_obj(series), _show_series),
     "log-metric": _Command("star-logarithm of a metric series", _series_flags(),
-                           lambda args: star_log(_series(args)), _show_series),
+                           lambda args: star_log(_series(args)),
+                           lambda series: serialize.series_to_obj(series), _show_series),
     "positivity": _Command("hermiticity report for the star-log", _series_flags(),
-                           lambda args: positivity_evidence(_series(args)), _show_report),
+                           lambda args: positivity_evidence(_series(args)),
+                           lambda report: serialize.report_to_obj(report), _show_report),
     "swanson": _Command("quadratic-model couplings from ladder parameters",
                         _fraction_flags("omega", "alpha", "beta"),
                         lambda args: swanson_from_ladder(args.omega, args.alpha, args.beta),
-                        _show_swanson),
+                        lambda params: serialize.swanson_to_obj(params), _show_swanson),
     "gaussian-candidates": _Command(
         "exact Gaussian metrics of the quadratic model",
         (*_fraction_flags("a", "b", "c"),
          ("--s", {"default": "0", "help": "hbar-Laurent scalar expression"})),
         lambda args: gaussian_metric_candidates(SwansonParams(args.a, args.b, args.c),
                                                 parse_hbar_scalar(args.s)),
-        _show_candidates),
+        lambda eqs: serialize.candidates_to_obj(eqs), _show_candidates),
 }
 
 
@@ -317,7 +313,9 @@ def main(argv=None) -> int:
         if args.command == "finite-demo":
             return _cmd_finite_demo(args)
         command = _COMMANDS[args.command]
-        out = command.render(command.compute(args), args.format)
+        result = command.compute(args)
+        out = (serialize.dumps(command.to_obj(result)) + "\n" if args.format == "json"
+               else command.render(result, args.format))
     except (ParseError, InvalidDocument) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -9,7 +9,7 @@ convolving coefficient arrays with the phase exp(-i*m*n'*phi), which is the
 discrete star product implemented here.
 
 Every map is whole-array numpy work with no per-element Python loop.  The
-words are cached as one (N, N, N, N) tensor, 16*N^4 bytes, so basis_words
+words are one cached (N, N, N, N) tensor per N, 16*N^4 bytes, so basis_words
 refuses N above MAX_BASIS_DIMENSION (64, 268 MB).  to_symbol is one matvec
 against its (N^2, N^2) view and from_symbol one contraction with it;
 discrete_star loops over the shift index m only, one circulant-matrix product
@@ -20,14 +20,14 @@ maps take any N up to MAX_DIMENSION.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import BadDimension, DimensionMismatch
 
 MAX_DIMENSION = 256
 MAX_BASIS_DIMENSION = 64  # basis_words(64) is a 268 MB tensor; 128 would be 4.3 GB
-
-_basis_cache: dict[int, np.ndarray] = {}
 
 
 def _check_dim(n: int) -> None:
@@ -52,21 +52,18 @@ def shift(n: int) -> np.ndarray:
     return np.roll(np.eye(n, dtype=complex), 1, axis=0)
 
 
+@functools.cache  # keys an int n by itself, so an equal float or numpy n misses, and raises
 def basis_words(n: int) -> np.ndarray:
-    """All U(a, b) = clock^a @ shift^b, shaped (n, n, n, n)."""
+    """All U(a, b) = clock^a @ shift^b, shaped (n, n, n, n): one tensor per n, shared by
+    every caller; a refused n raises, so it is never cached."""
     _check_dim(n)
     if n > MAX_BASIS_DIMENSION:
         raise BadDimension(f"the basis tensor takes 16*N^4 bytes; dimension must be at most "
                            f"{MAX_BASIS_DIMENSION}, got {n}")
-    cached = _basis_cache.get(n)
-    if cached is not None:
-        return cached
     k = np.arange(n)
     clock_diags = np.exp(2j * np.pi * (np.outer(k, k) % n) / n)  # [a, i]: clock^a[i, i]
     shift_pows = (k[:, None] - k) % n == k[:, None, None]  # [b, i, j]: shift^b[i, j] = 1
-    words = clock_diags[:, None, :, None] * shift_pows
-    _basis_cache[n] = words
-    return words
+    return clock_diags[:, None, :, None] * shift_pows
 
 
 class DiscreteSymbol:

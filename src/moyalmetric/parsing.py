@@ -199,24 +199,20 @@ class _Parser:
         raise ParseError(f"expected a value, found {text or 'end of input'!r}", offset)
 
 
-def _to_quadratic(sym: PhaseSymbol, offset: int) -> ExpQuadratic:
-    r: list[tuple[int, GaussianRational]] = []
-    s: list[tuple[int, GaussianRational]] = []
-    t: list[tuple[int, GaussianRational]] = []
+def _shaped(sym: PhaseSymbol, shapes, error: ParseError) -> list[HbarScalar]:
+    """The hbar scalar of sym's terms x^a p^b for each shape (a, b) in shapes; any
+    other term, an exponential factor or a power of g raises error."""
+    found = {shape: [] for shape in shapes}
     for eq, (xd, pd, hd, gd), coeff in sym.iter_terms():
-        if not eq.is_trivial or gd != 0:
-            raise NonQuadraticExponent(
-                "exp argument must be a quadratic form in p and x", offset)
-        if (xd, pd) == (0, 2):
-            r.append((hd, coeff))
-        elif (xd, pd) == (1, 1):
-            s.append((hd, coeff))
-        elif (xd, pd) == (2, 0):
-            t.append((hd, coeff))
-        else:
-            raise NonQuadraticExponent(
-                "exp argument must be a quadratic form in p and x", offset)
-    return ExpQuadratic(HbarScalar(r), HbarScalar(s), HbarScalar(t))
+        if not eq.is_trivial or gd or (xd, pd) not in found:
+            raise error
+        found[xd, pd].append((hd, coeff))
+    return [HbarScalar(found[shape]) for shape in shapes]
+
+
+def _to_quadratic(sym: PhaseSymbol, offset: int) -> ExpQuadratic:
+    return ExpQuadratic(*_shaped(sym, ((0, 2), (1, 1), (2, 0)), NonQuadraticExponent(
+        "exp argument must be a quadratic form in p and x", offset)))
 
 
 def parse_expression(text: str) -> PhaseSymbol:
@@ -226,10 +222,6 @@ def parse_expression(text: str) -> PhaseSymbol:
 
 def parse_hbar_scalar(text: str) -> HbarScalar:
     """Parse a Laurent scalar in hbar (no x, p or g dependence allowed)."""
-    sym = parse_expression(text)
-    terms = []
-    for eq, (xd, pd, hd, gd), coeff in sym.iter_terms():
-        if not eq.is_trivial or xd or pd or gd:
-            raise ParseError("expected a scalar in hbar only", 0)
-        terms.append((hd, coeff))
-    return HbarScalar(terms)
+    scalar, = _shaped(parse_expression(text), ((0, 0),),
+                      ParseError("expected a scalar in hbar only", 0))
+    return scalar

@@ -325,29 +325,24 @@ class HbarScalar(tuple):
         return HbarScalar([(h, c.conjugate()) for h, c in self])
 
     def sqrt(self) -> HbarScalar | None:
-        """Exact square root in the Laurent ring, or None if not a square."""
+        """Exact square root in the Laurent ring, or None if not a square: from the root of
+        the lowest term, each added term cancels the lowest of self - root^2, up to hbar^(hi/2)."""
         if not self:
-            return HbarScalar()
+            return self
         lo, hi = self[0][0], self[-1][0]
-        if lo % 2 or hi % 2:
+        lead = self[0][1].sqrt()
+        if lo % 2 or lead is None:
             return None
-        coeffs = dict(self)
-        half_lo, half_hi = lo // 2, hi // 2
-        lead = coeffs[lo].sqrt()
-        if lead is None:
-            return None
-        root: dict[int, GaussianRational] = {half_lo: lead}
-        for m in range(half_lo + 1, half_hi + 1):
-            acc = coeffs.get(m + half_lo, ZERO)
-            for a in range(half_lo + 1, m):
-                b = m + half_lo - a
-                if a > b:
-                    break
-                prod = root.get(a, ZERO) * root.get(b, ZERO)
-                acc = acc - (prod if a == b else prod * 2)
-            root[m] = acc / (lead * 2)
-        cand = HbarScalar(root)
-        return cand if cand * cand == self else None
+        root = HbarScalar.hbar_power(lead, lo // 2)
+        rest = self - root * root
+        while rest:
+            h, c = rest[0]
+            if 2 * h - lo > hi:
+                return None
+            term = HbarScalar.hbar_power(c / (lead * 2), h - lo // 2)
+            rest -= term * (root * 2 + term)
+            root += term
+        return root
 
     def sort_key(self):
         return tuple((h, c.re, c.im) for h, c in self)

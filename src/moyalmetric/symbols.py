@@ -368,17 +368,24 @@ class PhaseSymbol:
 
 
 def _sum(syms) -> PhaseSymbol:
-    """The sum of syms in one pass, where a chain of + copies the running total."""
-    acc: dict[ExpQuadratic, dict[MonoKey, GaussianRational]] = {}
+    """The sum of syms in one pass, where a chain of + copies the running total.
+    Symbols never change their parts, so an input's part dict is kept until a second
+    part meets it; only there is it copied, and zero sums and emptied parts dropped."""
+    acc, met = {}, set()
     for sym in syms:
         for eq, poly in sym._parts.items():
             dst = acc.get(eq)
             if dst is None:
-                acc[eq] = dict(poly)
+                acc[eq] = poly
                 continue
+            if eq not in met:
+                met.add(eq)
+                dst = acc[eq] = dict(dst)
             for key, coeff in poly.items():
                 dst[key] = dst.get(key, C_ZERO) + coeff
-    return PhaseSymbol(acc)
+    for eq in met:
+        acc[eq] = {key: c for key, c in acc[eq].items() if c}
+    return PhaseSymbol._from_parts({eq: poly for eq, poly in acc.items() if poly})
 
 
 ZERO = PhaseSymbol.zero()
@@ -489,10 +496,11 @@ class DifferentialOperator:
         or no d_x, and no p in it or no d_p) takes the closed form with each
         coefficient part; on the other parts the closed form multiplies each
         coefficient part by the chain-rule derivative of its (m, n), for each
-        (m, n) within the part's own live orders (see `_live`).
+        (m, n) within the part's own live orders (see `_live`).  `_sum` adds
+        the pairs that meet on one exponential, as exp(2x^2)*1 and exp(x^2)*exp(x^2).
         """
         dx, dp = self.dx_order(), self.dp_order()
-        acc, met = {}, set()
+        pairs = []  # (eq, den, ops, poly): exp(eq) * the closed form of ops on poly
         for eq2, poly in f._parts.items():
             jobs = [(eq1, den, ops, poly) for eq1, (den, ops) in self._ops.items()]
             if dx and (eq2.s or eq2.t) or dp and (eq2.r or eq2.s):
@@ -502,16 +510,10 @@ class DifferentialOperator:
                         for m, n, cterms in ops if m <= xtop and n <= ptop]
                 d = _derivatives(eq2, poly, {(m, n) for _, _, m, n, _ in live})
                 jobs = [(eq1, den, [(0, 0, cterms)], d[m, n]) for eq1, den, m, n, cterms in live]
-            for eq1, den, ops, fpoly in jobs:
-                eq, out = eq1.combined(eq2), _apply_integer(ops, den, fpoly)
-                dst = acc.setdefault(eq, out)
-                if dst is not out:  # two pairs meet, as exp(2x^2)*1 and exp(x^2)*exp(x^2)
-                    met.add(eq)
-                    for key, c in out.items():
-                        dst[key] = dst.get(key, C_ZERO) + c
-        for eq in met:  # where sums may have cancelled
-            acc[eq] = {key: c for key, c in acc[eq].items() if c}
-        return PhaseSymbol._from_parts({eq: poly for eq, poly in acc.items() if poly})
+            pairs += [(eq1.combined(eq2), den, ops, fpoly) for eq1, den, ops, fpoly in jobs]
+        # computed as _sum consumes them, so that only one result at a time is not yet summed
+        return _sum(PhaseSymbol._from_parts({eq: out}) for eq, den, ops, fpoly in pairs
+                    if (out := _apply_integer(ops, den, fpoly)))
 
     def __neg__(self):
         return DifferentialOperator._from_ops(

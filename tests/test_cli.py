@@ -116,6 +116,22 @@ class TestBasicCommands:
         assert code == 1
         assert "square" in err
 
+    def test_gaussian_candidates_over_wide_hbar_spans(self, capsys):
+        # the Laurent root once looped over every power in the span: hbar^2000
+        # took seconds and hbar^99999 did not finish
+        for b, s, code, out, err in (
+                ("-1", "hbar^2000", 0,
+                 "exp(-1/2*i*p^2*hbar^2000 + x*p*hbar^2000 + x^2*hbar^-1"
+                 " + 1/2*i*x^2*hbar^2000)\n"
+                 "exp(p^2*hbar^-1 + 1/2*i*p^2*hbar^2000 + x*p*hbar^2000"
+                 " - 1/2*i*x^2*hbar^2000)\n", ""),
+                ("1", "hbar^99999", 1, "",
+                 "error: discriminant is not a perfect square in the coefficient field\n")):
+            start = time.perf_counter()
+            got = run(capsys, "gaussian-candidates", "--a", "1", "--b", b, "--c", "2", "--s", s)
+            assert time.perf_counter() - start < 2
+            assert got == (code, out, err)
+
     def test_solve_metric_text(self, capsys):
         code, out, _ = run(capsys, "solve-metric", "--potential", "i*x^3",
                            "--order", "1")

@@ -203,11 +203,18 @@ class TestEvaluate:
 class TestBasisBudget:
     def test_basis_past_the_budget_is_refused(self):
         n = 65
+        cached = basis_words.cache_info().currsize
         with pytest.raises(BadDimension, match=f"at most {MAX_BASIS_DIMENSION}, got 65"):
             basis_words(n)
         with pytest.raises(BadDimension, match=f"at most {MAX_BASIS_DIMENSION}"):
             to_symbol(np.eye(n))
-        assert n not in finite._basis_cache
+        assert basis_words.cache_info().currsize == cached
+
+    def test_cached_dimension_does_not_admit_an_equal_non_int(self):
+        basis_words(4)
+        for n in (4.0, np.int64(4)):
+            with pytest.raises(BadDimension):
+                basis_words(n)
 
     def test_orthogonality_check_allocates_no_n4_temporary(self):
         n = 24

@@ -16,8 +16,8 @@ from moyalmetric import (DifferentialOperator, G, HBAR, IrrationalDiscriminant,
                          swanson_from_ladder)
 from moyalmetric.errors import MoyalError
 from moyalmetric.rationals import GaussianRational, HbarScalar, HS_ZERO
-from moyalmetric.symbols import (TRIVIAL_EXP, ExpQuadratic, _gaussian_terms, _star_ops,
-                                 star_terms)
+from moyalmetric.symbols import (TRIVIAL_EXP, ExpQuadratic, _apply_integer, _derivatives,
+                                 _gaussian_terms, _live_order, _star_ops, star_terms)
 
 mono = PhaseSymbol.monomial
 KERNEL = PhaseSymbol.exponential(KERNEL_EXP)
@@ -311,6 +311,67 @@ class TestCanonicalOutput:
         assert partial == X * ex4 + ex6 * (ONE + X) - ex2
         for out in (whole, partial):
             _assert_canonical(out)
+
+
+# -- oracle: apply as it was, summing its pairs into its own accumulator ----------
+
+def _apply_merged(op: DifferentialOperator, f: PhaseSymbol) -> PhaseSymbol:
+    """sum coeff * d_x^m d_p^n f."""
+    dx, dp = op.dx_order(), op.dp_order()
+    acc, met = {}, set()
+    for eq2, poly in f._parts.items():
+        jobs = [(eq1, den, ops, poly) for eq1, (den, ops) in op._ops.items()]
+        if dx and (eq2.s or eq2.t) or dp and (eq2.r or eq2.s):
+            part = {eq2: poly}
+            xtop, ptop = _live_order(part, 0), _live_order(part, 1)
+            live = [(eq1, den, m, n, cterms) for eq1, den, ops, _ in jobs
+                    for m, n, cterms in ops if m <= xtop and n <= ptop]
+            d = _derivatives(eq2, poly, {(m, n) for _, _, m, n, _ in live})
+            jobs = [(eq1, den, [(0, 0, cterms)], d[m, n]) for eq1, den, m, n, cterms in live]
+        for eq1, den, ops, fpoly in jobs:
+            eq, out = eq1.combined(eq2), _apply_integer(ops, den, fpoly)
+            dst = acc.setdefault(eq, out)
+            if dst is not out:  # two pairs meet, as exp(2x^2)*1 and exp(x^2)*exp(x^2)
+                met.add(eq)
+                for key, c in out.items():
+                    dst[key] = dst.get(key, GaussianRational(0)) + c
+    for eq in met:  # where sums may have cancelled
+        acc[eq] = {key: c for key, c in acc[eq].items() if c}
+    return PhaseSymbol._from_parts({eq: poly for eq, poly in acc.items() if poly})
+
+
+@st.composite
+def cancelling_applications(draw):
+    """An operator and a symbol whose (0, 0) pairs meet on exp(2*x^2):
+    (b + rest)*exp(2x^2) - a*exp(x^2) applied to a + b*exp(x^2) leaves rest*a
+    there, nothing when rest is zero.  Further terms come from the pool."""
+    e1, e2 = (PhaseSymbol.exponential(ExpQuadratic(HS_ZERO, HS_ZERO, HbarScalar.constant(t)))
+              for t in (1, 2))
+    a, b = draw(poly_symbols(max_terms=2)), draw(poly_symbols(max_terms=2))
+    rest = draw(st.one_of(st.just(ZERO), poly_symbols(max_terms=1)))
+    terms = {(0, 0): (b + rest) * e2 - a * e1}
+    for key in draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                             max_size=2, unique=True)):
+        terms.setdefault(key, draw(pooled_exp_symbols()))
+    return DifferentialOperator(terms), a + b * e1
+
+
+class TestApplySum:
+    """apply hands its pairs to _sum, which keeps the parts of f untouched."""
+
+    @given(st.one_of(operators(), operators(exp_symbols()), pooled_operators()),
+           st.one_of(poly_symbols(max_terms=4), exp_symbols(), pooled_exp_symbols()))
+    def test_matches_the_merging_apply(self, L, f):
+        assert L.apply(f) == _apply_merged(L, f)
+
+    @given(cancelling_applications())
+    def test_cancelling_pairs(self, case):
+        L, f = case
+        before = {eq: dict(poly) for eq, poly in f._parts.items()}
+        out = L.apply(f)
+        assert out == _apply_merged(L, f)
+        _assert_canonical(out)
+        assert f._parts == before
 
 
 class TestSwanson:

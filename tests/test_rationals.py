@@ -12,7 +12,7 @@ from hypothesis import example, given
 
 from conftest import gaussian_rationals, hbar_scalars
 from moyalmetric import CoefficientTooLong, GaussianRational, HbarScalar
-from moyalmetric.rationals import from_integers
+from moyalmetric.rationals import ZERO, from_integers
 
 I = GaussianRational(0, 1)
 LIMIT = sys.get_int_max_str_digits()
@@ -670,3 +670,58 @@ class TestAgainstSeedScalar:
         assert hash(new_a) == hash(SeedScalar(a))
         for same in ((new_a + new_b) - new_b, -(-new_a), new_a.shifted(1).shifted(-1)):
             assert same == new_a and hash(same) == hash(new_a)
+
+
+# -- oracle: the dense Laurent square root the remainder loop replaced --------
+
+def _dense_sqrt(self) -> HbarScalar | None:
+    """Exact square root in the Laurent ring, or None if not a square."""
+    if not self:
+        return HbarScalar()
+    lo, hi = self[0][0], self[-1][0]
+    if lo % 2 or hi % 2:
+        return None
+    coeffs = dict(self)
+    half_lo, half_hi = lo // 2, hi // 2
+    lead = coeffs[lo].sqrt()
+    if lead is None:
+        return None
+    root: dict[int, GaussianRational] = {half_lo: lead}
+    for m in range(half_lo + 1, half_hi + 1):
+        acc = coeffs.get(m + half_lo, ZERO)
+        for a in range(half_lo + 1, m):
+            b = m + half_lo - a
+            if a > b:
+                break
+            prod = root.get(a, ZERO) * root.get(b, ZERO)
+            acc = acc - (prod if a == b else prod * 2)
+        root[m] = acc / (lead * 2)
+    cand = HbarScalar(root)
+    return cand if cand * cand == self else None
+
+
+class TestSqrtByRemainder:
+    """The remainder loop against the dense one, on squares (spans up to 12) and
+    on squares with one term perturbed, with negative powers throughout."""
+
+    @given(hbar_scalars(max_terms=4, min_h=-3, max_h=3),
+           st.one_of(st.just(HbarScalar()), hbar_scalars(max_terms=1, min_h=-6, max_h=6)))
+    def test_matches_the_dense_root(self, s, bump):
+        target = s * s + bump
+        root = target.sqrt()
+        assert root == _dense_sqrt(target)
+        assert root is None or type(root) is HbarScalar
+
+    @given(hbar_scalars(max_terms=4, min_h=-6, max_h=6))
+    def test_non_squares_match_the_dense_root(self, s):
+        assert s.sqrt() == _dense_sqrt(s)
+
+    def test_wide_spans(self):
+        # the dense loop is quadratic in the span: these took seconds or hung
+        one = HbarScalar.constant(1)
+        for power in (2000, -2000, 49999):
+            root = one + HbarScalar.hbar_power(1, power)
+            assert (root * root).sqrt() == root
+            assert (root * root + HbarScalar.hbar_power(1, 3 * power)).sqrt() is None
+        assert (one + HbarScalar.hbar_power(1, 99999)).sqrt() is None
+        assert (HbarScalar.constant(4) + HbarScalar.hbar_power(1, -4000)).sqrt() is None

@@ -127,6 +127,63 @@ class TestRingOps:
         assert slices[1] == mono(3, x=2)
 
 
+# -- oracle: _sum as it was, copying every part and rebuilding the sum through
+# PhaseSymbol's checking constructor --------------------------------------------
+
+def _sum_rebuilt(syms) -> PhaseSymbol:
+    """The sum of syms in one pass, where a chain of + copies the running total."""
+    acc = {}
+    for sym in syms:
+        for eq, poly in sym._parts.items():
+            dst = acc.get(eq)
+            if dst is None:
+                acc[eq] = dict(poly)
+                continue
+            for key, coeff in poly.items():
+                dst[key] = dst.get(key, GaussianRational(0)) + coeff
+    return PhaseSymbol(acc)
+
+
+def _snapshot(*syms):
+    """Copies of the syms' parts, to show that an operation left them as they were."""
+    return [{eq: dict(poly) for eq, poly in sym._parts.items()} for sym in syms]
+
+
+@st.composite
+def cancelling_lists(draw):
+    """Symbols on shared exponential parts; some cancel an earlier one whole,
+    some one part of it."""
+    syms = draw(st.lists(pooled_exp_symbols(), max_size=4))
+    for sym in list(filter(None, syms)):
+        eq = draw(st.sampled_from(sorted(sym.parts, key=ExpQuadratic.sort_key)))
+        syms.append(draw(st.sampled_from([sym, -sym, -PhaseSymbol({eq: sym.parts[eq]})])))
+    return draw(st.permutations(syms))
+
+
+class TestSum:
+    """_sum keeps each input's part dicts until a second part meets them."""
+
+    @given(cancelling_lists())
+    def test_matches_the_rebuilding_sum(self, syms):
+        before = _snapshot(*syms)
+        total = symbols._sum(syms)
+        assert total == _sum_rebuilt(syms)
+        assert all(poly and all(poly.values()) for poly in total._parts.values())
+        chained = ZERO
+        for sym in syms:
+            chained = chained + sym
+        assert chained == total
+        assert _snapshot(*syms) == before
+
+    @given(pooled_exp_symbols(), pooled_exp_symbols())
+    def test_operands_keep_their_parts(self, a, b):
+        for left, right in ((a, b), (a, a), (a, -a), (a, a - b)):
+            before = _snapshot(left, right)
+            assert left + right == _sum_rebuilt((left, right))
+            assert left - right == _sum_rebuilt((left, -right))
+            assert _snapshot(left, right) == before
+
+
 class TestDiff:
     def test_power_rule(self):
         quartic = mono(Fraction(1, 4), x=4, p=-1, hbar=-1)
