@@ -7,7 +7,7 @@ from .errors import (BadDimension, CoefficientTooLong, DimensionMismatch,
                      NegativeXPower, NonPolynomialHamiltonian, NonQuadraticExponent,
                      NonTerminatingStar, NonTerminatingTwist, NonzeroLeading,
                      NotUnitLeading, OrderTooLarge, ParseError, PowerTooLarge,
-                     UnsupportedKinetic, ZeroParameter)
+                     RootTooLong, UnsupportedKinetic, ZeroParameter)
 from .formatting import format_expression
 from .parsing import parse_expression, parse_hbar_scalar
 from .pde import (DifferentialOperator, SwansonParams, derive_metric_operator,
@@ -26,7 +26,7 @@ __all__ = [
     "NegativeXPower", "NonPolynomialHamiltonian", "NonQuadraticExponent",
     "NonTerminatingStar", "NonTerminatingTwist", "NonzeroLeading",
     "NotUnitLeading", "ONE", "OrderTooLarge", "P", "ParseError", "PhaseSymbol",
-    "PositivityReport", "PowerTooLarge", "SwansonParams", "TRIVIAL_EXP", "UnsupportedKinetic",
+    "PositivityReport", "PowerTooLarge", "RootTooLong", "SwansonParams", "TRIVIAL_EXP", "UnsupportedKinetic",
     "X", "ZERO", "ZeroParameter", "derive_metric_operator", "format_expression",
     "gaussian_metric_candidates", "parse_expression", "parse_hbar_scalar",
     "positivity_evidence", "residual", "solve_kinetic_ode",

@@ -68,6 +68,10 @@ class IrrationalDiscriminant(MoyalError):
     """Gaussian-metric discriminant is not a perfect square over Q(i)."""
 
 
+class RootTooLong(MoyalError):
+    """A Laurent square root needs more than rationals.MAX_ROOT_TERMS terms."""
+
+
 class ZeroParameter(MoyalError):
     """Quadratic model needs nonzero p^2 and x^2 couplings."""
 

@@ -16,7 +16,7 @@ import math
 import sys
 from fractions import Fraction
 
-from .errors import CoefficientTooLong
+from .errors import CoefficientTooLong, RootTooLong
 
 _gcd = math.gcd
 _new = object.__new__
@@ -254,6 +254,11 @@ ONE = GaussianRational(1)
 I = GaussianRational(0, 1)
 
 
+#: Most terms HbarScalar.sqrt builds; each costs a pass over the remainder,
+#: whose coefficients grow with the root, so a dense root is refused here.
+MAX_ROOT_TERMS = 64
+
+
 class HbarScalar(tuple):
     """Laurent polynomial in hbar with Gaussian-rational coefficients.
 
@@ -326,7 +331,8 @@ class HbarScalar(tuple):
 
     def sqrt(self) -> HbarScalar | None:
         """Exact square root in the Laurent ring, or None if not a square: from the root of
-        the lowest term, each added term cancels the lowest of self - root^2, up to hbar^(hi/2)."""
+        the lowest term, each added term cancels the lowest of self - root^2, up to hbar^(hi/2).
+        A root of more than MAX_ROOT_TERMS terms is refused with RootTooLong."""
         if not self:
             return self
         lo, hi = self[0][0], self[-1][0]
@@ -339,6 +345,8 @@ class HbarScalar(tuple):
             h, c = rest[0]
             if 2 * h - lo > hi:
                 return None
+            if len(root) == MAX_ROOT_TERMS:
+                raise RootTooLong(f"square root has more than {MAX_ROOT_TERMS} terms")
             term = HbarScalar.hbar_power(c / (lead * 2), h - lo // 2)
             rest -= term * (root * 2 + term)
             root += term

@@ -11,22 +11,25 @@ solution is fixed by dropping both homogeneous branches (the x-constant
 function of p and the exp(2*i*p*x/hbar) kernel) at every order n >= 1.
 
 Both inner loops run on Gaussian-integer numerators: the operator, negated
-once, applies in closed form (see pde), and the ODE recursion keeps each
-x-slice of the solution as [re, im] integer pairs over one denominator,
-reduced by their gcd.  Each slice becomes GaussianRationals as it is solved,
-and both steps hand on their canonical output unchecked.  Orders are bounded
-by MAX_ORDER.
+once, applies in closed form (see pde), and the ODE recursion runs one scalar
+chain per label (xdeg - pdeg, pdeg + hdeg, gdeg), which no step changes.
+The right-hand sides are sparse (those of i*x^3 hold one term per x-slice;
+its order-13 series, 365 terms over x^0..x^52), so a chain walks only its
+own terms, each over its own reduced denominator, where a pass per x-slice
+paid an lcm and a gcd for one term.  Each coefficient is built as it is
+solved, and both steps hand on their canonical output unchecked.  Orders are
+bounded by MAX_ORDER.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
 from .errors import OrderTooLarge, UnsupportedKinetic
 from .pde import derive_metric_operator
-from .symbols import TRIVIAL_EXP, PhaseSymbol, _gaussian_terms, _integer_terms
+from .rationals import GaussianRational, _gcd, _triple
+from .symbols import TRIVIAL_EXP, PhaseSymbol
 
 #: Largest order g^n the solver computes and a series document may declare.
 MAX_ORDER = 64
@@ -76,44 +79,45 @@ def solve_kinetic_ode(rhs: PhaseSymbol) -> PhaseSymbol:
     unique polynomial solution of x-degree deg(rhs)+1 with zero x-constant
     term is produced by the descending recursion
 
-        c_{j+1} = (hbar^2*(j+2)*(j+1)*c_{j+2} - rhs_j) / (2*i*hbar*p*(j+1)),
+        c_{j+1} = (hbar^2*(j+2)*(j+1)*c_{j+2} - rhs_j) / (2*i*hbar*p*(j+1)).
 
-    run on integer numerators keyed by (pdeg, hdeg, gdeg), one denominator
-    per x-slice.
+    A step moves a carried p^a hbar^b at x^(j+2) to p^(a-1) hbar^(b+1) at
+    x^(j+1), and a source x^j p^a hbar^b to p^(a-1) hbar^(b-1) there, so every
+    term lies on one chain (xdeg - pdeg, pdeg + hdeg, gdeg) and chains never
+    mix.  Each chain is one scalar recursion on a Gaussian-integer numerator
+    over its own reduced denominator, from its top source down to x^1.
     """
     if not rhs.is_polynomial:
         raise ValueError("kinetic solve needs a polynomial right-hand side")
     if not rhs:
         return PhaseSymbol.zero()
 
-    den, terms = _integer_terms(rhs._parts[TRIVIAL_EXP])
-    by_xdeg: dict[int, dict[tuple[int, int, int], tuple[int, int]]] = {}
-    for (xd, pd, hd, gd), re, im in terms:
-        by_xdeg.setdefault(xd, {})[(pd, hd, gd)] = (re, im)
+    chains: dict[tuple[int, int, int], dict[int, GaussianRational]] = {}
+    for (xd, pd, hd, gd), c in rhs._parts[TRIVIAL_EXP].items():
+        chains.setdefault((xd + 2 - pd, pd + hd - 2, gd), {})[xd] = c
 
     solution: dict = {}
-    carry_den, carry = 1, {}  # c_{j+2}: the slice the previous step solved for
-    for j in range(max(by_xdeg), -1, -1):
-        # numerator hbar^2*(j+2)*(j+1)*c_{j+2} - rhs_j over lcm(carry_den, den)
-        common = math.lcm(carry_den, den)
-        up, down = (j + 2) * (j + 1) * (common // carry_den), common // den
-        num = {(pd, hd + 2, gd): [up * re, up * im]
-               for (pd, hd, gd), (re, im) in carry.items()}
-        for key, (re, im) in by_xdeg.get(j, {}).items():
-            slot = num.setdefault(key, [0, 0])
-            slot[0] -= down * re
-            slot[1] -= down * im
-        # times -i / (2*(j+1)) * p^-1 * hbar^-1; -i maps (re, im) to (im, -re)
-        out = {(pd - 1, hd - 1, gd): (im, -re)
-               for (pd, hd, gd), (re, im) in num.items() if re or im}
-        out_den = 2 * (j + 1) * common
-        g = out_den
-        for re, im in out.values():
-            g = math.gcd(g, re, im)
-        out_den //= g
-        out = {key: (re // g, im // g) for key, (re, im) in out.items()}
-        solution.update(_gaussian_terms({(j + 1, *key): pair for key, pair in out.items()}, out_den))
-        carry_den, carry = out_den, out
+    for (d, s, gd), feeds in chains.items():
+        re = im = 0
+        den = 1  # c_{j+2} = (re + i*im)/den, the term the previous step solved for
+        for j in range(max(feeds), -1, -1):
+            feed = feeds.get(j)
+            if feed is None:
+                if not (re or im):
+                    continue
+                # (j+2)*(j+1)*c_{j+2} / (2*(j+1)) times -i: (re, im) -> (im, -re)
+                re, im, den = (j + 2) * im, -(j + 2) * re, 2 * den
+            else:
+                # ((j+2)*(j+1)*c_{j+2} - rhs_j) / (2*(j+1)) over the gcd of both denominators
+                g = _gcd(den, feed._den)
+                up, down = (j + 2) * (j + 1) * (feed._den // g), den // g
+                re, im, den = (up * im - down * feed._im, down * feed._re - up * re,
+                               2 * (j + 1) * den // g * feed._den)
+            g = _gcd(re, im, den)
+            if g != 1:
+                re, im, den = re // g, im // g, den // g
+            if re or im:
+                solution[j + 1, j + 1 - d, s + d - j - 1, gd] = _triple(re, im, den)
     return PhaseSymbol._from_parts({TRIVIAL_EXP: solution})
 
 

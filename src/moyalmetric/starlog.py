@@ -17,9 +17,9 @@ import math
 from dataclasses import dataclass
 
 from .errors import NonzeroLeading, NotUnitLeading
-from .rationals import ONE
+from .rationals import from_integers
 from .series import MetricSeries
-from .symbols import PhaseSymbol
+from .symbols import PhaseSymbol, _sum
 
 Graded = dict[int, PhaseSymbol]
 
@@ -31,14 +31,20 @@ def _exp_slices(series: MetricSeries, solve) -> tuple[Graded, Graded]:
     rest: Graded = {}
     for n in range(1, series.max_order + 1):
         powers.append({})
-        rest[n] = PhaseSymbol.zero()
         for m in range(2, n + 1):
             lower = powers[m - 2]
-            powers[m - 1][n] = sum((l_j.star(lower[n - j]) for j, l_j in log.items()
-                                    if l_j and lower.get(n - j)), PhaseSymbol.zero())
-            rest[n] += powers[m - 1][n] * (ONE / math.factorial(m))
+            powers[m - 1][n] = _sum(l_j.star(lower[n - j]) for j, l_j in log.items()
+                                    if l_j and lower.get(n - j))
+        rest[n] = _sum(_divided(powers[m - 1][n], math.factorial(m)) for m in range(2, n + 1))
         log[n] = solve(series.order(n), rest[n])
     return log, rest
+
+
+def _divided(sym: PhaseSymbol, k: int) -> PhaseSymbol:
+    """sym / k for an integer k > 0, through each coefficient's denominator."""
+    return PhaseSymbol._from_parts({eq: {key: from_integers(c._re, c._im, c._den * k)
+                                         for key, c in poly.items()}
+                                    for eq, poly in sym._parts.items()})
 
 
 def star_log(series: MetricSeries) -> MetricSeries:

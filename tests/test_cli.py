@@ -15,6 +15,7 @@ from hypothesis import given, settings
 
 from moyalmetric import parse_expression, solve_metric_series
 from moyalmetric.cli import main
+from moyalmetric.rationals import MAX_ROOT_TERMS
 from moyalmetric.series import MetricSeries
 from moyalmetric.serialize import series_from_obj, series_to_obj, symbol_from_obj, symbol_to_obj
 from moyalmetric.symbols import MAX_LIVE_ORDER, MAX_POWER_TERM_PAIRS, PhaseSymbol
@@ -131,6 +132,15 @@ class TestBasicCommands:
             got = run(capsys, "gaussian-candidates", "--a", "1", "--b", b, "--c", "2", "--s", s)
             assert time.perf_counter() - start < 2
             assert got == (code, out, err)
+
+    def test_gaussian_candidates_refuse_a_dense_root_at_its_budget(self, capsys):
+        # the discriminant's root has a term at every power from hbar^1 to
+        # hbar^401, with growing coefficients: 2.7 s before the budget
+        start = time.perf_counter()
+        got = run(capsys, "gaussian-candidates", "--a", "1", "--b", "1", "--c", "2",
+                  "--s", "2*i/hbar + 1 + hbar^400")
+        assert time.perf_counter() - start < 0.1
+        assert got == (1, "", f"error: square root has more than {MAX_ROOT_TERMS} terms\n")
 
     def test_solve_metric_text(self, capsys):
         code, out, _ = run(capsys, "solve-metric", "--potential", "i*x^3",

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import example, given
 
 from conftest import gaussian_rationals, hbar_scalars
-from moyalmetric import CoefficientTooLong, GaussianRational, HbarScalar
-from moyalmetric.rationals import ZERO, from_integers
+from moyalmetric import CoefficientTooLong, GaussianRational, HbarScalar, RootTooLong
+from moyalmetric.rationals import MAX_ROOT_TERMS, ZERO, from_integers
 
 I = GaussianRational(0, 1)
 LIMIT = sys.get_int_max_str_digits()
@@ -725,3 +725,14 @@ class TestSqrtByRemainder:
             assert (root * root + HbarScalar.hbar_power(1, 3 * power)).sqrt() is None
         assert (one + HbarScalar.hbar_power(1, 99999)).sqrt() is None
         assert (HbarScalar.constant(4) + HbarScalar.hbar_power(1, -4000)).sqrt() is None
+
+    def test_root_term_budget(self):
+        def square(terms):
+            root = HbarScalar([(h, 1) for h in range(terms)])
+            return root, root * root
+
+        root, sq = square(MAX_ROOT_TERMS)
+        assert sq.sqrt() == root
+        _, sq = square(MAX_ROOT_TERMS + 1)
+        with pytest.raises(RootTooLong, match=f"more than {MAX_ROOT_TERMS} terms"):
+            sq.sqrt()

@@ -1,9 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 from conftest import I, gaussian_rationals, poly_symbols, rand_poly
 from moyalmetric import (G, MetricSeries, ONE, OrderTooLarge, P, PhaseSymbol,
@@ -12,6 +13,7 @@ from moyalmetric import (G, MetricSeries, ONE, OrderTooLarge, P, PhaseSymbol,
 from moyalmetric.rationals import GaussianRational
 from moyalmetric.serialize import series_from_obj
 from moyalmetric.series import MAX_ORDER
+from moyalmetric.symbols import TRIVIAL_EXP, _gaussian_terms, _integer_terms
 
 mono = PhaseSymbol.monomial
 
@@ -36,6 +38,45 @@ def _kinetic_oracle(rhs):
     for j, cj in coeffs.items():
         solution = solution + cj * PhaseSymbol.monomial(1, x=j)
     return solution
+
+
+def _slice_kinetic_ode(rhs: PhaseSymbol) -> PhaseSymbol:
+    """solve_kinetic_ode before it ran one scalar recursion per chain, verbatim:
+    one pass per x-slice over integer numerators with one denominator per slice."""
+    if not rhs.is_polynomial:
+        raise ValueError("kinetic solve needs a polynomial right-hand side")
+    if not rhs:
+        return PhaseSymbol.zero()
+
+    den, terms = _integer_terms(rhs._parts[TRIVIAL_EXP])
+    by_xdeg: dict[int, dict[tuple[int, int, int], tuple[int, int]]] = {}
+    for (xd, pd, hd, gd), re, im in terms:
+        by_xdeg.setdefault(xd, {})[(pd, hd, gd)] = (re, im)
+
+    solution: dict = {}
+    carry_den, carry = 1, {}  # c_{j+2}: the slice the previous step solved for
+    for j in range(max(by_xdeg), -1, -1):
+        # numerator hbar^2*(j+2)*(j+1)*c_{j+2} - rhs_j over lcm(carry_den, den)
+        common = math.lcm(carry_den, den)
+        up, down = (j + 2) * (j + 1) * (common // carry_den), common // den
+        num = {(pd, hd + 2, gd): [up * re, up * im]
+               for (pd, hd, gd), (re, im) in carry.items()}
+        for key, (re, im) in by_xdeg.get(j, {}).items():
+            slot = num.setdefault(key, [0, 0])
+            slot[0] -= down * re
+            slot[1] -= down * im
+        # times -i / (2*(j+1)) * p^-1 * hbar^-1; -i maps (re, im) to (im, -re)
+        out = {(pd - 1, hd - 1, gd): (im, -re)
+               for (pd, hd, gd), (re, im) in num.items() if re or im}
+        out_den = 2 * (j + 1) * common
+        g = out_den
+        for re, im in out.values():
+            g = math.gcd(g, re, im)
+        out_den //= g
+        out = {key: (re // g, im // g) for key, (re, im) in out.items()}
+        solution.update(_gaussian_terms({(j + 1, *key): pair for key, pair in out.items()}, out_den))
+        carry_den, carry = out_den, out
+    return PhaseSymbol._from_parts({TRIVIAL_EXP: solution})
 
 
 def _series_loop(potential, max_order):
@@ -119,6 +160,34 @@ class TestIntegerKernelOracle:
         series = solve_metric_series(potential, n)
         r = residual(P ** 2 + G * potential, series.assemble())
         assert all(k > n for k in r.g_slices())
+
+
+# x^3 starts the chain (5, -2, 0), whose x^2 source cancels the carry to zero;
+# the x^0 source restarts the same chain two steps below.
+CHAIN_RESTART = (X ** 3 + mono(GaussianRational(0, Fraction(3, 2)), x=2, p=-1, hbar=1)
+                 + mono(1, p=-3, hbar=3))
+# chains (4, -2, 0) and (3, -1, 0) share the x^2 slice with denominators 3 and 5
+SHARED_SLICE = mono(Fraction(1, 3), x=2) + mono(GaussianRational(0, Fraction(1, 5)), x=2, p=1)
+
+
+class TestChainRecursion:
+    """One scalar recursion per chain against the slice-by-slice loop it replaced."""
+
+    @given(poly_symbols(max_terms=8, max_x=60, min_p=-6, max_p=6, min_h=-4, max_h=4))
+    @example(CHAIN_RESTART)
+    @example(SHARED_SLICE)
+    def test_matches_the_slice_loop(self, rhs):
+        assert solve_kinetic_ode(rhs) == _slice_kinetic_ode(rhs)
+
+    def test_a_cancelled_chain_restarts_at_a_lower_source(self):
+        xdegs = {key[0] for _, key, _ in solve_kinetic_ode(CHAIN_RESTART).iter_terms()}
+        assert xdegs == {4, 1}  # no x^3 term, where the carry cancels, nor x^2 below it
+        assert kinetic_apply(solve_kinetic_ode(CHAIN_RESTART)) == CHAIN_RESTART
+
+    def test_chains_sharing_a_slice_keep_their_own_denominators(self):
+        sol = solve_kinetic_ode(SHARED_SLICE)
+        assert {c._den for _, key, c in sol.iter_terms() if key[0] == 3} == {18, 30}
+        assert kinetic_apply(sol) == SHARED_SLICE
 
 
 @st.composite
