@@ -124,11 +124,7 @@ def _symbol(sym: PhaseSymbol, st: _Style) -> str:
 
 
 def format_expression(sym: PhaseSymbol, style: str = "text") -> str:
-    """Render a symbol in the requested style: text, latex or json."""
-    if style == "json":
-        from .serialize import dumps, symbol_to_obj
-
-        return dumps(symbol_to_obj(sym))
+    """Render a symbol in the requested style: text or latex."""
     st = _STYLES.get(style)
     if st is None:
         raise ValueError(f"unknown style {style!r}")

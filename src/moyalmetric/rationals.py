@@ -3,11 +3,13 @@
 Every coefficient in the symbol calculus lives in Q(i).  A GaussianRational
 holds three ints, (re + i*im)/den with den > 0 and no common factor, so each
 sum or product runs on ints and is brought to lowest terms by one gcd; the
-renderers read each part in lowest terms as two ints, and a power too long
-ever to print is refused before it is computed.  Exponents of Gaussian
-factors need one more layer: Laurent polynomials in hbar over Q(i), e.g. the
-2i/hbar of the kernel exponential, each the tuple of its (power, coefficient)
-pairs.
+renderers read each part in lowest terms as two ints, a square root is the
+integer root of a Gaussian integer, and a power too long ever to print is
+refused before it is computed.  Fractions appear only at the edges: the `re`
+and `im` parts, `str`, the sort key of a scalar, and as constructor input.
+Exponents of Gaussian factors need one more layer: Laurent polynomials in
+hbar over Q(i), e.g. the 2i/hbar of the kernel exponential, each the tuple
+of its (power, coefficient) pairs.
 """
 
 from __future__ import annotations
@@ -20,25 +22,7 @@ from .errors import CoefficientTooLong, RootTooLong
 
 _gcd = math.gcd
 _new = object.__new__
-
-
-def as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"expected an integer or Fraction, got {type(value).__name__}")
-
-
-def sqrt_fraction(q: Fraction) -> Fraction | None:
-    """Exact square root of a non-negative rational, or None if irrational."""
-    if q < 0:
-        return None
-    n, d = q.numerator, q.denominator
-    rn, rd = math.isqrt(n), math.isqrt(d)
-    if rn * rn != n or rd * rd != d:
-        return None
-    return Fraction(rn, rd)
+_HASH_MODULUS, _HASH_INF = sys.hash_info.modulus, sys.hash_info.inf
 
 
 def _triple(re: int, im: int, den: int) -> GaussianRational:
@@ -63,9 +47,10 @@ class GaussianRational:
     """Complex number with exact rational real and imaginary parts.
 
     Values are immutable: three ints (re + i*im)/den with den > 0 and
-    gcd(re, im, den) == 1, zero being (0, 0, 1), so equality and hashing
-    compare the triple.  `as_integer_ratios` gives both parts in lowest terms
-    as ints, `re` and `im` as `Fraction`s; the integer kernels read the triple.
+    gcd(re, im, den) == 1, zero being (0, 0, 1), so equality compares the
+    triple; a real value hashes like the equal int or Fraction.
+    `as_integer_ratios` gives both parts in lowest terms as ints, `re` and `im`
+    as `Fraction`s; the integer kernels read the triple.
     """
 
     __slots__ = ("_re", "_im", "_den")
@@ -74,7 +59,9 @@ class GaussianRational:
         if type(re) is int and type(im) is int:
             self._re, self._im, self._den = re, im, 1
             return
-        re, im = as_fraction(re), as_fraction(im)
+        for part in (re, im):
+            if not isinstance(part, (int, Fraction)):
+                raise TypeError(f"expected an integer or Fraction, got {type(part).__name__}")
         rd, idn = re.denominator, im.denominator
         # scaled to the lcm of two reduced denominators, the numerators have
         # no factor in common with it
@@ -194,7 +181,16 @@ class GaussianRational:
         return self._re == other._re and self._im == other._im and self._den == other._den
 
     def __hash__(self):
-        return hash((self._re, self._im, self._den))
+        # a real value hashes like the equal int or Fraction: re/den as the int
+        # re * den^-1 modulo the hash modulus, or +-inf where den has no inverse
+        re, im, den = self._re, self._im, self._den
+        if im:
+            return hash((re, im, den))
+        if den == 1:
+            return hash(re)
+        if den % _HASH_MODULUS:
+            return hash(re * pow(den, -1, _HASH_MODULUS))
+        return _HASH_INF if re >= 0 else -_HASH_INF
 
     def __bool__(self):
         return self._re != 0 or self._im != 0
@@ -207,22 +203,20 @@ class GaussianRational:
         return self._im == 0
 
     def sqrt(self) -> GaussianRational | None:
-        """A square root within Q(i), or None when no exact one exists."""
-        a, b = self.re, self.im
-        if b == 0:
-            if a >= 0:
-                s = sqrt_fraction(a)
-                return None if s is None else GaussianRational(s)
-            s = sqrt_fraction(-a)
-            return None if s is None else GaussianRational(0, s)
-        m = sqrt_fraction(a * a + b * b)
-        if m is None:
+        """A square root within Q(i), or None when no exact one exists.
+
+        It is the root u + i*v of the Gaussian integer a + i*b = (re + i*im)*den,
+        over den: Z[i] is integrally closed, so one exists exactly when the other
+        does.  With m = |a + i*b|, u^2 = (m + a)/2 and v^2 = (m - a)/2; the root
+        taken has u >= 0 and v of the sign of b, so a negative real gives
+        +i*sqrt(-a)."""
+        den = self._den
+        a, b = self._re * den, self._im * den
+        m = math.isqrt(a * a + b * b)
+        u, v = math.isqrt((m + a) >> 1), math.isqrt((m - a) >> 1)
+        if u * u - v * v != a or 2 * u * v != abs(b):
             return None
-        u = sqrt_fraction((a + m) / 2)
-        if u is None or u == 0:
-            return None
-        cand = GaussianRational(u, b / (2 * u))
-        return cand if cand * cand == self else None
+        return from_integers(u, -v if b < 0 else v, den)
 
     def to_complex(self) -> complex:
         return complex(self._re / self._den, self._im / self._den)
@@ -272,7 +266,7 @@ class HbarScalar(tuple):
 
     def __new__(cls, terms=()):
         acc: dict[int, GaussianRational] = {}
-        for h, c in terms.items() if isinstance(terms, dict) else terms:
+        for h, c in terms:
             c = GaussianRational.coerce(c)
             if not c:
                 continue

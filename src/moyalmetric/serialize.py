@@ -13,14 +13,14 @@ operator, parameter, report and candidate documents are output only.
 from __future__ import annotations
 
 import json
+import math
 import re
 import sys
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _string
 
 from .errors import CoefficientTooLong, ExponentTooLong, InvalidDocument
 from .pde import DifferentialOperator, SwansonParams
-from .rationals import HS_ZERO, ZERO, GaussianRational, HbarScalar
+from .rationals import HS_ZERO, ZERO, GaussianRational, HbarScalar, from_integers
 from .series import MetricSeries, check_order
 from .starlog import PositivityReport
 from .symbols import ExpQuadratic, PhaseSymbol, _canon_key
@@ -58,10 +58,12 @@ def rational_from_obj(obj) -> GaussianRational:
     if not isinstance(obj, list) or len(obj) != 4:
         raise InvalidDocument(f"bad rational entry {obj!r:.40}")
     ren, red, imn, imd = [_decimal(v, field) for v, field in zip(obj, _RATIONAL_FIELDS)]
-    try:
-        return GaussianRational(Fraction(ren, red), Fraction(imn, imd))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InvalidDocument(f"bad rational entry {obj!r:.40}: {exc}") from exc
+    # over den = lcm(|reD|, |imD|), each den // d carries the sign of its denominator
+    den = math.lcm(red, imd)
+    if not den:
+        raise InvalidDocument(f"bad rational entry {obj!r:.40}: zero denominator "
+                              f"{'reD' if not red else 'imD'}")
+    return from_integers(ren * (den // red), imn * (den // imd), den)
 
 
 def hbar_scalar_to_obj(scalar: HbarScalar) -> list:

@@ -217,8 +217,12 @@ class PhaseSymbol:
         return self._parts == o._parts
 
     def __hash__(self):
-        return hash(frozenset((eq, frozenset(poly.items()))
-                              for eq, poly in self._parts.items()))
+        # a constant hashes like the coefficient it equals, zero like 0
+        parts = self._parts
+        if len(parts) == 1 and parts.get(TRIVIAL_EXP, {}).keys() == {(0, 0, 0, 0)}:
+            return hash(parts[TRIVIAL_EXP][0, 0, 0, 0])
+        return hash(frozenset((eq, frozenset(poly.items())) for eq, poly in parts.items())
+                    if parts else 0)
 
     def __bool__(self):
         return bool(self._parts)

@@ -111,6 +111,13 @@ class TestBasicCommands:
         lines = out.strip().splitlines()
         assert lines == ["exp(x^2*hbar^-1)", "exp(-1/3*p^2*hbar^-1)"]
 
+    def test_gaussian_candidates_take_the_root_with_a_positive_real_part(self, capsys):
+        # the discriminant leads with 12 - 16i = (4 - 2i)^2 = (-4 + 2i)^2
+        assert run(capsys, "gaussian-candidates", "--a", "1", "--b", "2", "--c", "2",
+                   "--s", "1/hbar") == (
+            0, "exp((1/4-1/4*i)*p^2*hbar^-1 + x*p*hbar^-1 + (3/2-1/2*i)*x^2*hbar^-1)\n"
+               "exp((-3/4+1/4*i)*p^2*hbar^-1 + x*p*hbar^-1 + (-1/2+1/2*i)*x^2*hbar^-1)\n", "")
+
     def test_gaussian_candidates_irrational_exits_1(self, capsys):
         code, _, err = run(capsys, "gaussian-candidates", "--a", "1/2",
                            "--b", "3/2", "--c", "1", "--s", "1")
@@ -489,11 +496,13 @@ class TestDeterminismAndJson:
         for fields, named in (({"x": 2.7}, "'x'"), ({"p": True}, "'p'"),
                               ({"hbar": "1"}, "'hbar'"),
                               ({"coeff": ["1", "1", "0", 1.0]}, "imD"),
-                              ({"coeff": ["1", "0", "0", "1"]}, "rational")):
+                              ({"coeff": ["1", "0", "0", "1"]}, "zero denominator reD"),
+                              ({"coeff": ["1", "1", "0", "0"]}, "zero denominator imD"),
+                              ({"coeff": ["1", "0", "1", "0"]}, "zero denominator reD")):
             doc.write_text(json.dumps(poly_entry(**fields)))
             code, out, err = run(capsys, "dagger", "--from-json", str(doc))
             assert (code, out) == (2, "")
-            assert named in err
+            assert err.count("\n") == 1 and named in err
         doc.write_text(json.dumps(poly_entry()))
         code, out, _ = run(capsys, "dagger", "--from-json", str(doc))
         assert (code, out.strip()) == (0, "2*i*x*hbar^2 + x^2*p*hbar")

@@ -14,7 +14,7 @@ from conftest import exp_symbols, poly_symbols
 from moyalmetric import (CoefficientTooLong, PhaseSymbol, format_expression,
                          parse_expression, solve_metric_series)
 from moyalmetric.rationals import GaussianRational
-from moyalmetric.serialize import rational_to_obj
+from moyalmetric.serialize import rational_to_obj, symbol_to_obj
 from moyalmetric.symbols import ExpQuadratic, MonoKey, _canon_key
 
 # -- oracle: the earlier text renderer ----------------------------------------
@@ -215,8 +215,10 @@ def test_latex_golden():
                                    GaussianRational(1, Fraction(1, 10 ** 5000))])
 def test_coefficient_past_the_digit_limit(coeff):
     sym = PhaseSymbol.monomial(coeff, x=1)
-    for style in ("text", "latex", "json"):
+    for style in ("text", "latex"):
         with pytest.raises(CoefficientTooLong, match="digits"):
             format_expression(sym, style)
+    with pytest.raises(CoefficientTooLong, match="digits"):
+        symbol_to_obj(sym)
     with pytest.raises(CoefficientTooLong):
         rational_to_obj(coeff)

@@ -165,15 +165,17 @@ class TestFormat:
     def test_json_style_round_trips(self):
         import json
 
-        from moyalmetric.serialize import symbol_from_obj
+        from moyalmetric.serialize import dumps, symbol_from_obj, symbol_to_obj
 
         sym = mono(Fraction(1, 3), x=1, p=-2) + ONE
-        doc = format_expression(sym, "json")
+        doc = dumps(symbol_to_obj(sym))
         assert symbol_from_obj(json.loads(doc)) == sym
 
     def test_unknown_style(self):
-        with pytest.raises(ValueError):
-            format_expression(ONE, "html")
+        # JSON is written by serialize alone
+        for style in ("html", "json"):
+            with pytest.raises(ValueError, match=f"unknown style '{style}'"):
+                format_expression(ONE, style)
 
 
 class TestRoundTrip:

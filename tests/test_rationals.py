@@ -24,6 +24,9 @@ class TestGaussianRational:
         assert z.re == Fraction(1, 2) and z.im == Fraction(1, 2)
         assert GaussianRational(3) == 3
         assert GaussianRational.coerce(Fraction(1, 3)).re == Fraction(1, 3)
+        for args, name in (((0.5,), "float"), ((Fraction(1, 2), "2"), "str")):
+            with pytest.raises(TypeError, match=f"^expected an integer or Fraction, got {name}$"):
+                GaussianRational(*args)
 
     def test_arithmetic(self):
         assert I * I == -1
@@ -63,6 +66,12 @@ class TestGaussianRational:
         assert GaussianRational(3, 4).sqrt() == GaussianRational(2, 1)
         assert GaussianRational(2).sqrt() is None
         assert GaussianRational(1, 1).sqrt() is None
+        # the norm 25 is a square, but (5 + 4)/2 is not an integer
+        assert GaussianRational(4, 3).sqrt() is None
+        assert GaussianRational(Fraction(-9, 4)).sqrt() == Fraction(3, 2) * I
+        z = GaussianRational(Fraction(355, 123456), Fraction(-7, 999983))
+        assert (z * z).sqrt() == z
+        assert (-z * z).sqrt() == I * z  # 7/999983 + 355/123456*i
 
     # small ranges, so that the parts often share factors with den
     @given(st.integers(-60, 60), st.integers(-60, 60), st.integers(1, 60))
@@ -81,6 +90,26 @@ class TestGaussianRational:
         root = (z * z).sqrt()
         assert root is not None
         assert root * root == z * z
+
+
+class TestHashing:
+    """Equal values hash equally: a real Gaussian rational like the int or Fraction it equals."""
+
+    def test_sets_and_dict_lookups(self):
+        assert len({GaussianRational(1), 1}) == 1
+        assert {GaussianRational(Fraction(1, 3)), Fraction(1, 3), ZERO, 0, I} == {
+            Fraction(1, 3), 0, I}
+        table = {Fraction(-5, 2): "a", 7: "b", I: "c"}
+        assert [table[GaussianRational(Fraction(-5, 2))], table[GaussianRational(7)],
+                table[GaussianRational(0, 1)]] == ["a", "b", "c"]
+        assert {GaussianRational(Fraction(-5, 2)): "d"}[Fraction(-5, 2)] == "d"
+
+    @given(st.one_of(st.integers(), st.fractions()))
+    @example(-1)  # hash(-1) is -2
+    @example(Fraction(1, sys.hash_info.modulus))  # den has no inverse modulo the modulus
+    @example(Fraction(-3, 2 * sys.hash_info.modulus))
+    def test_real_values_hash_like_their_fraction(self, q):
+        assert hash(GaussianRational(q)) == hash(q)
 
 
 class TestHbarScalar:
@@ -651,7 +680,7 @@ class TestAgainstSeedScalar:
     @given(term_lists, st.integers(-3, 3))
     def test_unary_operations(self, a, k):
         new, old = HbarScalar(a), SeedScalar(a)
-        _same(HbarScalar(dict(a)), SeedScalar(dict(a)))
+        _same(HbarScalar(dict(a).items()), SeedScalar(dict(a)))
         _same(-new, -old)
         _same(new.conjugate(), old.conjugate())
         _same(new.shifted(k), old.shifted(k))
@@ -696,7 +725,7 @@ def _dense_sqrt(self) -> HbarScalar | None:
             prod = root.get(a, ZERO) * root.get(b, ZERO)
             acc = acc - (prod if a == b else prod * 2)
         root[m] = acc / (lead * 2)
-    cand = HbarScalar(root)
+    cand = HbarScalar(root.items())
     return cand if cand * cand == self else None
 
 

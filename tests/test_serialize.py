@@ -1,14 +1,17 @@
-"""serialize.dumps against the stdlib's indented encoder, and the symbol loader."""
+"""serialize.dumps against the stdlib's indented encoder, the rational reader
+against Fraction, and the symbol loader."""
 
 import json
+import math
 import sys
+from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given
 
-from moyalmetric import ExponentTooLong, PhaseSymbol
-from moyalmetric.serialize import dumps, symbol_from_obj
+from moyalmetric import ExponentTooLong, GaussianRational, PhaseSymbol
+from moyalmetric.serialize import dumps, rational_from_obj, symbol_from_obj
 
 scalars = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text())
 documents = st.recursive(
@@ -37,6 +40,20 @@ def test_an_int_past_the_digit_limit_is_too_long():
     big = 10 ** (sys.get_int_max_str_digits() + 1)
     with pytest.raises(ExponentTooLong):
         dumps({"x": [1, big]})
+
+
+nonzero = st.integers(-10 ** 6, 10 ** 6).filter(bool)
+
+
+@given(st.integers(-10 ** 6, 10 ** 6), nonzero, st.integers(-10 ** 6, 10 ** 6), nonzero,
+       st.sampled_from([str, int]))
+@example(3, -6, -4, -6, str)
+@example(0, -1, 0, 7, int)
+def test_rational_entries_read_as_their_fractions(ren, red, imn, imd, form):
+    # negative denominators and unreduced parts, as strings or JSON integers
+    z = rational_from_obj([form(ren), form(red), form(imn), form(imd)])
+    assert z == GaussianRational(Fraction(ren, red), Fraction(imn, imd))
+    assert z._den > 0 and math.gcd(z._re, z._im, z._den) == 1
 
 
 def test_symbol_documents_load_without_a_chain_of_sums(monkeypatch):

@@ -119,6 +119,13 @@ class TestRingOps:
         assert X * Fraction(1, 2) == mono(Fraction(1, 2), x=1)
         assert ONE == 1
 
+    def test_constants_hash_like_their_coefficient(self):
+        for value in (3, Fraction(-1, 3), I, GaussianRational(Fraction(1, 2), 5)):
+            assert mono(value) == value and hash(mono(value)) == hash(value)
+            assert len({mono(value), value}) == 1
+        assert hash(ZERO) == hash(0) and {ZERO: "zero"}[0] == "zero"
+        assert {0, ZERO, ONE, 1, X} == {0, 1, X}
+
     def test_g_slices_round_trip(self):
         sym = ONE + mono(3, x=2, g=1) + mono(I, p=-1, g=2)
         slices = sym.g_slices()
