@@ -11,8 +11,8 @@ import sys
 from fractions import Fraction
 
 from moyalmetric import (GaussianRational, PhaseSymbol,
-                         derive_metric_operator, gaussian_metric_candidates,
-                         residual, swanson_from_ladder)
+                         derive_metric_operator, format_expression,
+                         gaussian_metric_candidates, residual, swanson_from_ladder)
 from moyalmetric.rationals import HbarScalar, HS_ZERO
 
 I = GaussianRational(0, 1)
@@ -26,14 +26,16 @@ def main() -> int:
 
     params = swanson_from_ladder(omega, alpha, beta)
     print(f"ladder parameters (omega, alpha, beta) = ({omega}, {alpha}, {beta})")
-    print(f"couplings: a = {params.a}, b = {params.b}, c = {params.c}")
+    print("couplings: " + ", ".join(
+        f"{name} = {format_expression(PhaseSymbol.monomial(getattr(params, name)))}"
+        for name in ("a", "b", "c")))
 
     H = params.hamiltonian()
     print(f"H(x, p) = {H}")
     print(f"H^dag(x, p) = {H.dagger()}   (note the c*hbar reordering shift)")
 
     print("metric equation operator:")
-    for (m, n), coeff in sorted(derive_metric_operator(H).terms.items()):
+    for (m, n), coeff in derive_metric_operator(H).terms.items():
         print(f"  Dx^{m} Dp^{n}: {coeff}")
 
     nonzero = 0

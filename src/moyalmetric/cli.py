@@ -98,7 +98,7 @@ def _show_symbol(sym: PhaseSymbol, fmt: str) -> str:
 def _show_operator(op, fmt: str) -> str:
     term = "Dx^{} Dp^{}" if fmt == "text" else "\\partial_x^{{{}}}\\partial_p^{{{}}}"
     return _lines(f"{term.format(m, n)}: {format_expression(coeff, fmt)}"
-                  for (m, n), coeff in sorted(op.terms.items())) or "0\n"
+                  for (m, n), coeff in op.terms.items()) or "0\n"
 
 
 def _show_series(series: MetricSeries, fmt: str) -> str:
@@ -114,7 +114,9 @@ def _show_report(report, fmt: str) -> str:
 
 
 def _show_swanson(params: SwansonParams, fmt: str) -> str:
-    return _lines(f"{name} = {getattr(params, name)}" for name in ("a", "b", "c"))
+    # constant symbols, in text style for LaTeX too
+    return _lines(f"{name} = {format_expression(PhaseSymbol.monomial(getattr(params, name)))}"
+                  for name in ("a", "b", "c"))
 
 
 def _show_candidates(candidates, fmt: str) -> str:

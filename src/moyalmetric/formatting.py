@@ -1,15 +1,19 @@
 """Canonical text and LaTeX rendering of one symbol (JSON goes to serialize).
 
 Operators, series and reports are laid out line by line by the renderers of
-the command table in `cli`, which call this module once per coefficient.
+the command table in `cli`, which call this module once per coefficient; the
+`swanson` couplings print as constant symbols through it too.  This module and
+`serialize` are the only code that turns a coefficient into text.
 
 One renderer serves both styles.  A style table spells what differs between
 them: fractions (3/4 or \\frac{3}{4}), powers (x^2 or x^{2}), products (* or
 \\,), brackets, the gap around the sign inside a complex coefficient, and the
 exponential (exp(..) or e^{..}).  The text style is the inverse of the
 parser: rendering any symbol and parsing the result reproduces the symbol
-exactly.  Terms come in canonical order (g, x, p, hbar exponents; exponential
-parts by their coefficient triples, trivial part first).  A coefficient or
+exactly.  Terms come in the canonical order of `PhaseSymbol.sorted_parts`
+(g, x, p, hbar exponents; exponential parts by their coefficient triples,
+trivial part first), and an exponent's r, s, t terms in the order of
+`ExpQuadratic.SHAPES`, which is the canonical one.  A coefficient or
 an exponent past the interpreter's int-to-string digit limit raises
 CoefficientTooLong or ExponentTooLong.
 """
@@ -20,7 +24,7 @@ from typing import NamedTuple
 
 from .errors import CoefficientTooLong, ExponentTooLong
 from .rationals import GaussianRational
-from .symbols import ExpQuadratic, MonoKey, PhaseSymbol, _canon_key
+from .symbols import ExpQuadratic, MonoKey, PhaseSymbol
 
 
 class _Style(NamedTuple):
@@ -92,35 +96,28 @@ def _join_signed(pieces: list[tuple[bool, str]]) -> str:
     return "".join(out)
 
 
-def _polynomial(poly: dict[MonoKey, GaussianRational], st: _Style) -> list[tuple[bool, str]]:
-    return [_monomial(key, poly[key], st) for key in sorted(poly, key=_canon_key)]
-
-
 def _exponential(eq: ExpQuadratic, st: _Style) -> str:
-    poly = {(xd, pd, h, 0): c
-            for scalar, (xd, pd) in ((eq.r, (0, 2)), (eq.s, (1, 1)), (eq.t, (2, 0)))
-            for h, c in scalar}
-    return f"{st.exp[0]}{_join_signed(_polynomial(poly, st))}{st.exp[1]}"
+    # r, s, t in turn, each by ascending hbar power: the canonical term order
+    terms = [_monomial((xd, pd, h, 0), c, st)
+             for scalar, (xd, pd) in zip(eq, ExpQuadratic.SHAPES) for h, c in scalar]
+    return f"{st.exp[0]}{_join_signed(terms)}{st.exp[1]}"
 
 
 def _symbol(sym: PhaseSymbol, st: _Style) -> str:
-    parts = sym.parts
-    if not parts:
-        return "0"
     pieces: list[tuple[bool, str]] = []
-    for eq in sorted(parts, key=ExpQuadratic.sort_key):
-        poly = parts[eq]
+    for eq, terms in sym.sorted_parts():
         if eq.is_trivial:
-            pieces.extend(_polynomial(poly, st))
+            pieces += [_monomial(key, coeff, st) for key, coeff in terms]
             continue
         etext = _exponential(eq, st)
-        if len(poly) == 1:
-            neg, body = _monomial(*next(iter(poly.items())), st)
+        monomials = [_monomial(key, coeff, st) for key, coeff in terms]
+        if len(monomials) == 1:
+            (neg, body), = monomials
             pieces.append((neg, etext if body == "1" else f"{body}{st.times}{etext}"))
         else:
-            body = _join_signed(_polynomial(poly, st))
+            body = _join_signed(monomials)
             pieces.append((False, f"{st.brackets[0]}{body}{st.brackets[1]}{st.times}{etext}"))
-    return _join_signed(pieces)
+    return _join_signed(pieces) or "0"
 
 
 def format_expression(sym: PhaseSymbol, style: str = "text") -> str:

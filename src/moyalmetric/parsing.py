@@ -14,8 +14,10 @@ associate to the left):
 NUMBER is a non-negative integer literal; rationals are written with the
 division operator ("3/4").  Parentheses, exp(...) and unary minus may nest
 at most MAX_DEPTH levels deep.  A divisor must reduce to a single monomial (a
-product of literals and variable powers).  Arguments of exp(...) must reduce
-to quadratic forms r*p^2 + s*p*x + t*x^2 with Laurent-hbar coefficients.
+product of literals and variable powers), which divides term by term; a
+quotient term with a negative power of x or g is refused.  Arguments of
+exp(...) must reduce to quadratic forms r*p^2 + s*p*x + t*x^2 with
+Laurent-hbar coefficients.
 """
 
 from __future__ import annotations
@@ -127,17 +129,19 @@ class _Parser:
         return value
 
     def _divide(self, num: PhaseSymbol, den: PhaseSymbol, offset: int) -> PhaseSymbol:
+        """num / den for a monomial den, term by term: each quotient term has the
+        exponents of a term of num less those of den, and so may keep x or g."""
         if not den:
             raise ParseError("division by zero", offset)
-        parts = den.parts
-        single = (len(parts) == 1
-                  and next(iter(parts)).is_trivial
-                  and len(next(iter(parts.values()))) == 1)
-        if not single:
+        (eq, terms), *rest = den.sorted_parts()
+        if rest or not eq.is_trivial or len(terms) != 1:
             raise ParseError(
                 "divisor must be a product of literals and variable powers", offset)
+        ((dx, dp, dh, dg), dc), = terms
         try:
-            return num * den ** -1
+            return PhaseSymbol({part: {(x - dx, p - dp, h - dh, g - dg): c / dc
+                                       for (x, p, h, g), c in poly.items()}
+                                for part, poly in num.parts.items()})
         except ValueError:
             raise NegativeXPower(
                 "division would produce a negative power of x or g", offset) from None
@@ -211,7 +215,7 @@ def _shaped(sym: PhaseSymbol, shapes, error: ParseError) -> list[HbarScalar]:
 
 
 def _to_quadratic(sym: PhaseSymbol, offset: int) -> ExpQuadratic:
-    return ExpQuadratic(*_shaped(sym, ((0, 2), (1, 1), (2, 0)), NonQuadraticExponent(
+    return ExpQuadratic(*_shaped(sym, ExpQuadratic.SHAPES, NonQuadraticExponent(
         "exp argument must be a quadratic form in p and x", offset)))
 
 

@@ -5,8 +5,10 @@ holds three ints, (re + i*im)/den with den > 0 and no common factor, so each
 sum or product runs on ints and is brought to lowest terms by one gcd; the
 renderers read each part in lowest terms as two ints, a square root is the
 integer root of a Gaussian integer, and a power too long ever to print is
-refused before it is computed.  Fractions appear only at the edges: the `re`
-and `im` parts, `str`, the sort key of a scalar, and as constructor input.
+refused before it is computed.  Neither type prints itself: only `formatting`
+and `serialize` turn a coefficient into text, and `repr` shows the raw triple.
+Fractions appear only at the edges: the `re` and `im` parts, the sort key of a
+scalar, and as constructor input.
 Exponents of Gaussian factors need one more layer: Laurent polynomials in
 hbar over Q(i), e.g. the 2i/hbar of the kernel exponential, each the tuple
 of its (power, coefficient) pairs.
@@ -221,26 +223,8 @@ class GaussianRational:
     def to_complex(self) -> complex:
         return complex(self._re / self._den, self._im / self._den)
 
-    def __str__(self):
-        if not self:
-            return "0"
-        re, im = self.re, self.im
-        parts = []
-        if re:
-            parts.append(str(re))
-        if im:
-            if im == 1:
-                imtxt = "i"
-            elif im == -1:
-                imtxt = "-i"
-            else:
-                imtxt = f"{im}*i"
-            if parts and not imtxt.startswith("-"):
-                imtxt = "+" + imtxt
-            parts.append(imtxt)
-        return "".join(parts)
-
-    __repr__ = __str__
+    def __repr__(self):
+        return f"GaussianRational(({self._re} + {self._im}i)/{self._den})"
 
 
 ZERO = GaussianRational(0)
@@ -351,11 +335,6 @@ class HbarScalar(tuple):
 
     def evaluate(self, hval: complex) -> complex:
         return sum((c.to_complex() * hval ** h for h, c in self), 0j)
-
-    def __str__(self):
-        return " + ".join(f"({c})*hbar^{h}" if h else f"({c})" for h, c in self) or "0"
-
-    __repr__ = __str__
 
 
 HS_ZERO = HbarScalar()

@@ -23,7 +23,7 @@ from .pde import DifferentialOperator, SwansonParams
 from .rationals import HS_ZERO, ZERO, GaussianRational, HbarScalar, from_integers
 from .series import MetricSeries, check_order
 from .starlog import PositivityReport
-from .symbols import ExpQuadratic, PhaseSymbol, _canon_key
+from .symbols import ExpQuadratic, PhaseSymbol
 
 _DECIMAL = re.compile(r"-?[0-9]+")
 _ORDER_KEY = re.compile(r"0|[1-9][0-9]*")
@@ -84,20 +84,13 @@ def hbar_scalar_from_obj(obj) -> HbarScalar:
 
 
 def symbol_to_obj(sym: PhaseSymbol) -> dict:
-    parts = sym.parts
-    terms = []
-    for eq in sorted(parts, key=ExpQuadratic.sort_key):
-        poly = parts[eq]
-        poly_entries = []
-        for key in sorted(poly, key=_canon_key):
-            xd, pd, hd, gd = key
-            poly_entries.append({"coeff": rational_to_obj(poly[key]),
-                                 "x": xd, "p": pd, "hbar": hd, "g": gd})
-        terms.append({"exp": {"r": hbar_scalar_to_obj(eq.r),
-                              "s": hbar_scalar_to_obj(eq.s),
-                              "t": hbar_scalar_to_obj(eq.t)},
-                      "poly": poly_entries})
-    return {"terms": terms}
+    return {"terms": [{"exp": {"r": hbar_scalar_to_obj(eq.r),
+                               "s": hbar_scalar_to_obj(eq.s),
+                               "t": hbar_scalar_to_obj(eq.t)},
+                       "poly": [{"coeff": rational_to_obj(coeff), "x": xd, "p": pd,
+                                 "hbar": hd, "g": gd}
+                                for (xd, pd, hd, gd), coeff in terms]}
+                      for eq, terms in sym.sorted_parts()]}
 
 
 def symbol_from_obj(obj) -> PhaseSymbol:
@@ -152,7 +145,7 @@ def series_from_obj(obj) -> MetricSeries:
 
 def operator_to_obj(operator: DifferentialOperator) -> dict:
     return {"terms": [{"dx": m, "dp": n, "coeff": symbol_to_obj(coeff)}
-                      for (m, n), coeff in sorted(operator.terms.items())]}
+                      for (m, n), coeff in operator.terms.items()]}
 
 
 def swanson_to_obj(params: SwansonParams) -> dict:

@@ -68,6 +68,9 @@ class ExpQuadratic(NamedTuple):
     s: HbarScalar
     t: HbarScalar
 
+    # (xdeg, pdeg) of the monomial that r, s and t each multiply
+    SHAPES = ((0, 2), (1, 1), (2, 0))
+
     @property
     def is_trivial(self) -> bool:
         return not any(self)
@@ -233,12 +236,15 @@ class PhaseSymbol:
     def parts(self) -> dict[ExpQuadratic, dict[MonoKey, GaussianRational]]:
         return {eq: dict(poly) for eq, poly in self._parts.items()}
 
+    def sorted_parts(self) -> list[tuple[ExpQuadratic, list[tuple[MonoKey, GaussianRational]]]]:
+        """The canonical layout: parts by ExpQuadratic.sort_key (the trivial part
+        first), each part's (key, coeff) terms by (gdeg, xdeg, pdeg, hdeg)."""
+        return [(eq, sorted(self._parts[eq].items(), key=lambda term: _canon_key(term[0])))
+                for eq in sorted(self._parts, key=ExpQuadratic.sort_key)]
+
     def iter_terms(self) -> Iterator[tuple[ExpQuadratic, MonoKey, GaussianRational]]:
-        """Deterministic canonical iteration order."""
-        for eq in sorted(self._parts, key=ExpQuadratic.sort_key):
-            poly = self._parts[eq]
-            for key in sorted(poly, key=_canon_key):
-                yield eq, key, poly[key]
+        """The terms in the canonical order of sorted_parts."""
+        return ((eq, key, coeff) for eq, terms in self.sorted_parts() for key, coeff in terms)
 
     @property
     def is_polynomial(self) -> bool:
@@ -486,12 +492,13 @@ class DifferentialOperator:
 
     @property
     def terms(self) -> dict[tuple[int, int], PhaseSymbol]:
+        """The coefficient of each d_x^m d_p^n, in ascending (m, n)."""
         parts: dict[tuple[int, int], dict] = {}
         for eq, (den, ops) in self._ops.items():
             for m, n, cterms in ops:
                 parts.setdefault((m, n), {})[eq] = {key: from_integers(re, im, den)
                                                     for key, re, im in cterms}
-        return {mn: PhaseSymbol(coeff) for mn, coeff in parts.items()}
+        return {mn: PhaseSymbol(parts[mn]) for mn in sorted(parts)}
 
     def apply(self, f: PhaseSymbol) -> PhaseSymbol:
         """sum coeff * d_x^m d_p^n f.
@@ -540,7 +547,7 @@ class DifferentialOperator:
         return bool(self._ops)
 
     def __repr__(self):
-        chunks = [f"Dx^{m} Dp^{n}: {coeff}" for (m, n), coeff in sorted(self.terms.items())]
+        chunks = [f"Dx^{m} Dp^{n}: {coeff}" for (m, n), coeff in self.terms.items()]
         return "DifferentialOperator({" + "; ".join(chunks) + "})"
 
 

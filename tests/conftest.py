@@ -70,6 +70,23 @@ def pooled_exp_symbols(draw, max_x=3):
     return sym
 
 
+# Exponents for r, s and t: drawn per slot, two parts often share r, or r and s,
+# so that their sort keys tie on a leading field.  All three zero is the trivial part.
+EXPONENT_POOL = (HbarScalar(), HbarScalar.constant(1), HbarScalar.hbar_power(I * 2, -1),
+                 HbarScalar([(-1, Fraction(1, 2)), (0, -1)]))
+
+
+@st.composite
+def tied_exp_symbols(draw):
+    """Symbols with one to four parts whose exponents are drawn from EXPONENT_POOL."""
+    slot = st.sampled_from(EXPONENT_POOL)
+    sym = PhaseSymbol.zero()
+    for quad in draw(st.lists(st.builds(ExpQuadratic, slot, slot, slot),
+                              min_size=1, max_size=4, unique=True)):
+        sym = sym + draw(poly_symbols()) * PhaseSymbol.exponential(quad)
+    return sym
+
+
 # -- seeded plain-random generators (for fixed-count suites) -----------------
 
 def rand_fraction(rng: random.Random, lo=-4, hi=4, max_den=3) -> Fraction:

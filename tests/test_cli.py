@@ -104,6 +104,14 @@ class TestBasicCommands:
         assert code == 0
         assert out.splitlines() == ["a = 1/2", "b = 3/2", "c = 1"]
 
+    def test_swanson_prints_its_couplings_as_text_in_both_styles(self, capsys):
+        for argv, out in ((("--omega", "1", "--alpha", "2", "--beta", "0"),
+                           "a = -1/2\nb = 3/2\nc = 2\n"),
+                          (("--omega", "2", "--alpha", "1", "--beta", "1"),
+                           "a = 0\nb = 2\nc = 0\n")):
+            for fmt in ("text", "latex"):
+                assert run(capsys, "swanson", *argv, "--format", fmt) == (0, out, "")
+
     def test_gaussian_candidates(self, capsys):
         code, out, _ = run(capsys, "gaussian-candidates", "--a", "1/2",
                            "--b", "3/2", "--c", "1", "--s", "0")
@@ -185,6 +193,14 @@ class TestBasicCommands:
             assert (code, out) == (1, "")
             assert err.count("\n") == 1 and f"more than {LIMIT} digits" in err
             assert "set_int_max_str_digits" not in err
+
+    def test_swanson_coupling_past_the_digit_limit_exits_1(self, capsys):
+        # a = (omega - alpha - beta)/2 = 3*nines/2 has one digit more than the limit
+        nines = "9" * LIMIT
+        for fmt in ("text", "latex", "json"):
+            assert run(capsys, "swanson", "--omega", nines, f"--alpha=-{nines}",
+                       f"--beta=-{nines}", "--format", fmt) == (
+                1, "", f"error: coefficient has more than {LIMIT} digits, too long to print\n")
 
     def test_exponent_past_the_digit_limit_exits_1(self, capsys):
         nines = "9" * 4000

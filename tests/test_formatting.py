@@ -7,10 +7,11 @@ them byte for byte in both styles.
 
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from conftest import exp_symbols, poly_symbols
+from conftest import exp_symbols, poly_symbols, tied_exp_symbols
 from moyalmetric import (CoefficientTooLong, PhaseSymbol, format_expression,
                          parse_expression, solve_metric_series)
 from moyalmetric.rationals import GaussianRational
@@ -190,7 +191,7 @@ def test_polynomial_symbols_match_the_oracle(sym):
     assert format_expression(sym, "latex") == format_latex(sym)
 
 
-@given(exp_symbols())
+@given(st.one_of(exp_symbols(), tied_exp_symbols()))
 def test_exponential_symbols_match_the_oracle(sym):
     assert format_expression(sym, "text") == format_text(sym)
     assert format_expression(sym, "latex") == format_latex(sym)

@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from conftest import I, exp_symbols, rand_poly
+from conftest import I, exp_symbols, gaussian_rationals, rand_poly
 from moyalmetric import (G, KERNEL_EXP, NegativeXPower,
                          NonQuadraticExponent, ONE, P, ParseError, PhaseSymbol,
                          TRIVIAL_EXP, X, format_expression, parse_expression,
@@ -89,6 +90,27 @@ class TestParse:
             parse_expression("g^-2")
         with pytest.raises(NegativeXPower):
             parse_expression("p/(x)")
+
+    def test_division_by_a_monomial_is_term_by_term(self):
+        assert parse_expression("x^2/x") == X
+        assert parse_expression("x*p/x") == P
+        assert parse_expression("g^2/g") == G
+        assert parse_expression("x/(2*x)") == mono(Fraction(1, 2))
+        assert parse_expression("(x^3*g + x*exp(x^2))/(2*i*x)") == (
+            mono(GaussianRational(0, Fraction(-1, 2)), x=2, g=1)
+            + mono(GaussianRational(0, Fraction(-1, 2))) * PhaseSymbol.exponential(
+                ExpQuadratic(HbarScalar(), HbarScalar(), HbarScalar.constant(1))))
+        for text, offset in (("p/x", 1), ("exp(x^2)/x", 8), ("x*g/g^2", 3)):
+            with pytest.raises(NegativeXPower, match="^division would produce a negative "
+                               f"power of x or g \\(at byte {offset}\\)$"):
+                parse_expression(text)
+
+    @given(exp_symbols(), gaussian_rationals.filter(bool), st.integers(0, 3),
+           st.integers(-2, 2), st.integers(-2, 2), st.integers(0, 2))
+    def test_a_product_divided_by_its_monomial_factor(self, sym, c, x, p, h, g):
+        den = mono(c, x=x, p=p, hbar=h, g=g)
+        text = f"({format_expression(sym * den)})/({format_expression(den)})"
+        assert parse_expression(text) == sym
 
     def test_divisor_must_be_monomial(self):
         with pytest.raises(ParseError):

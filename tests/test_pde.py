@@ -267,6 +267,15 @@ class TestOneOperatorType:
     def test_colliding_exponential_parts_match_naive_series(self, L, f):
         assert L.apply(f) == _apply_naive(L, f)
 
+    def test_terms_come_in_ascending_order(self):
+        e1 = PhaseSymbol.exponential(ExpQuadratic(HS_ZERO, HS_ZERO, HbarScalar.constant(1)))
+        e2 = PhaseSymbol.exponential(ExpQuadratic(HbarScalar.constant(1), HS_ZERO, HS_ZERO))
+        # e2's orders, then e1's, then the trivial part's, were the stored order
+        L = DifferentialOperator({(2, 0): X * e2, (0, 3): P * e1, (1, 1): e1 + e2,
+                                  (0, 1): e2, (1, 0): G})
+        assert list(L.terms) == [(0, 1), (0, 3), (1, 0), (1, 1), (2, 0)]
+        assert L.terms[1, 1] == e1 + e2 and L.terms[2, 0] == X * e2
+
     def test_pairs_meeting_on_one_exponential_are_summed(self):
         ex2 = PhaseSymbol.exponential(ExpQuadratic(HS_ZERO, HS_ZERO, HbarScalar.constant(1)))
         L = DifferentialOperator({(0, 0): ex2 * ex2 + ex2})

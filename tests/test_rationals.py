@@ -357,7 +357,6 @@ def _agree(new, old):
         assert type(new) is GaussianRational
         assert (new.re, new.im) == (old.re, old.im)
         assert type(new.re) is Fraction and type(new.im) is Fraction
-        assert str(new) == str(old) and repr(new) == repr(old)
     else:
         assert type(new) is type(old) and new == old
 
@@ -652,7 +651,7 @@ def _same(new, old):
         assert new is old
     else:
         assert type(new) is HbarScalar and type(old) is SeedScalar
-        assert tuple(new) == old.terms and str(new) == str(old)
+        assert tuple(new) == old.terms
 
 
 def _scalar_outcome(fn, *args):

@@ -1,5 +1,6 @@
 """serialize.dumps against the stdlib's indented encoder, the rational reader
-against Fraction, and the symbol loader."""
+against Fraction, the symbol writer against the one it replaced, and the
+symbol loader."""
 
 import json
 import math
@@ -10,8 +11,11 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given
 
+from conftest import exp_symbols, tied_exp_symbols
 from moyalmetric import ExponentTooLong, GaussianRational, PhaseSymbol
-from moyalmetric.serialize import dumps, rational_from_obj, symbol_from_obj
+from moyalmetric.serialize import (dumps, hbar_scalar_to_obj, rational_from_obj,
+                                   rational_to_obj, symbol_from_obj, symbol_to_obj)
+from moyalmetric.symbols import ExpQuadratic, _canon_key
 
 scalars = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text())
 documents = st.recursive(
@@ -71,3 +75,29 @@ def test_symbol_documents_load_without_a_chain_of_sums(monkeypatch):
         assert sum(map(len, sym.parts.values())) == n
         counts.append(len(adds))
     assert counts[0] == counts[1]
+
+
+# -- oracle: the symbol writer that sorted a copy of the parts itself -----------
+
+def oracle_symbol_to_obj(sym: PhaseSymbol) -> dict:
+    parts = sym.parts
+    terms = []
+    for eq in sorted(parts, key=ExpQuadratic.sort_key):
+        poly = parts[eq]
+        poly_entries = []
+        for key in sorted(poly, key=_canon_key):
+            xd, pd, hd, gd = key
+            poly_entries.append({"coeff": rational_to_obj(poly[key]),
+                                 "x": xd, "p": pd, "hbar": hd, "g": gd})
+        terms.append({"exp": {"r": hbar_scalar_to_obj(eq.r),
+                              "s": hbar_scalar_to_obj(eq.s),
+                              "t": hbar_scalar_to_obj(eq.t)},
+                      "poly": poly_entries})
+    return {"terms": terms}
+
+
+@given(st.one_of(tied_exp_symbols(), exp_symbols()))
+@example(PhaseSymbol.zero())
+def test_symbol_documents_match_the_oracle(sym):
+    # dumps compares the key and list orders that dict equality ignores
+    assert dumps(symbol_to_obj(sym)) == dumps(oracle_symbol_to_obj(sym))
