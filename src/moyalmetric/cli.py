@@ -5,7 +5,7 @@ Every subcommand but finite-demo is one row of one command table,
 its result from the parsed arguments, the builder of its JSON document and a
 renderer of the whole text or LaTeX output.  `main` computes, dumps or
 renders, and only then prints, so a command that fails leaves stdout empty.
-finite-demo keeps its own handler, which prints its check table even when a
+finite-demo keeps its own handler, which writes its check table even when a
 check fails; it alone imports numpy and `finite`, so the other commands start
 without them.
 
@@ -254,30 +254,38 @@ def _finite_checks(n: int, pairs: int, seed: int) -> dict[str, float]:
     return checks
 
 
-def _cmd_finite_demo(args) -> int:
+@functools.cache  # depends on n alone; _finite_checks refuses n outside 2..64 first
+def _finite_header(n: int) -> str:
+    """The dimension line and the clock and shift matrices of finite-demo's text output,
+    printed under every numpy print option pinned, so a caller's options neither change
+    the text nor freeze into the cache."""
     import numpy as np
 
     from . import finite
 
+    with np.printoptions(precision=6, suppress=True, linewidth=120, threshold=1000,
+                         edgeitems=3, sign="-", floatmode="maxprec", legacy=False,
+                         formatter=None, nanstr="nan", infstr="inf"):
+        return _lines([f"dimension {n}, phase angle 2*pi/{n}",
+                       "clock matrix:", str(finite.clock(n)),
+                       "shift matrix:", str(finite.shift(n))])
+
+
+def _cmd_finite_demo(args) -> int:
     n = args.n
     checks = _finite_checks(n, args.pairs, args.seed)
     passed = all(dev < args.tolerance for dev in checks.values())
     if args.format == "json":
         finite_checks = {name: dev if math.isfinite(dev) else None  # JSON has no NaN
                          for name, dev in checks.items()}
-        print(serialize.dumps({"n": n, "pairs": args.pairs, "seed": args.seed,
+        out = serialize.dumps({"n": n, "pairs": args.pairs, "seed": args.seed,
                                "tolerance": args.tolerance, "checks": finite_checks,
-                               "pass": passed}))
+                               "pass": passed}) + "\n"
     else:
-        print(f"dimension {n}, phase angle 2*pi/{n}")
-        with np.printoptions(precision=6, suppress=True, linewidth=120):
-            print("clock matrix:")
-            print(finite.clock(n))
-            print("shift matrix:")
-            print(finite.shift(n))
-        for name, dev in checks.items():
-            print(f"{name}: max deviation {dev:.3e}")
-        print(f"result: {'ok' if passed else 'FAILED'} (tolerance {args.tolerance:g})")
+        out = _finite_header(n) + _lines(
+            [*(f"{name}: max deviation {dev:.3e}" for name, dev in checks.items()),
+             f"result: {'ok' if passed else 'FAILED'} (tolerance {args.tolerance:g})"])
+    sys.stdout.write(out)
     return 0 if passed else 1
 
 

@@ -104,13 +104,18 @@ def from_symbol(symbol: DiscreteSymbol) -> np.ndarray:
     return np.tensordot(symbol.coeffs, words, axes=([0, 1], [0, 1]))
 
 
+def _ordering_phases(n: int) -> np.ndarray:
+    """The phase table exp(-i*j*k*phi), phi = 2*pi/N, indexed [j, k]."""
+    phi = 2.0 * np.pi / n
+    return np.exp(-1j * phi * np.outer(np.arange(n), np.arange(n)))
+
+
 def discrete_star(s1: DiscreteSymbol, s2: DiscreteSymbol) -> DiscreteSymbol:
     """Coefficient convolution with the ordering phase exp(-i*m*n'*phi)."""
     if s1.n != s2.n:
         raise DimensionMismatch(f"dimension mismatch: {s1.n} vs {s2.n}")
     n = s1.n
-    phi = 2.0 * np.pi / n
-    phases = np.exp(-1j * phi * np.outer(np.arange(n), np.arange(n)))  # [m, n']
+    phases = _ordering_phases(n)  # [m, n']
     shifts = (np.arange(n)[:, None] - np.arange(n)) % n  # [c, n'] -> (c - n') mod N
     out = np.zeros((n, n), dtype=complex)
     for m in range(n):  # out[c, d] += sum_n' a[c-n', m] phase[m, n'] b[n', d-m]
@@ -121,9 +126,10 @@ def discrete_star(s1: DiscreteSymbol, s2: DiscreteSymbol) -> DiscreteSymbol:
 def discrete_dagger(symbol: DiscreteSymbol) -> DiscreteSymbol:
     """Coefficients of the conjugate-transpose: a*[-n, -m] * exp(-i*m*n*phi)."""
     n = symbol.n
-    phi = 2.0 * np.pi / n
     idx = (-np.arange(n)) % n
     flipped = np.conj(symbol.coeffs)[np.ix_(idx, idx)]
-    phases = np.exp(-1j * phi * np.outer(np.arange(n), np.arange(n)))
+    # named: from 256 KiB numpy reuses a nameless temporary as phases * flipped, and
+    # that operand order can round the last bit of a complex product differently
+    phases = _ordering_phases(n)
     return DiscreteSymbol(flipped * phases)
 

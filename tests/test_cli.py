@@ -29,6 +29,30 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def finite_demo_oracle(n: int, pairs: int, seed: int, tolerance: float) -> str:
+    """finite-demo's text output as the earlier handler printed it, line by line under
+    numpy's default print options, rendered by the installed numpy."""
+    import numpy as np
+
+    from moyalmetric import finite
+    from moyalmetric.cli import _finite_checks
+
+    checks = _finite_checks(n, pairs, seed)
+    passed = all(dev < tolerance for dev in checks.values())
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        print(f"dimension {n}, phase angle 2*pi/{n}")
+        with np.printoptions(precision=6, suppress=True, linewidth=120):
+            print("clock matrix:")
+            print(finite.clock(n))
+            print("shift matrix:")
+            print(finite.shift(n))
+        for name, dev in checks.items():
+            print(f"{name}: max deviation {dev:.3e}")
+        print(f"result: {'ok' if passed else 'FAILED'} (tolerance {tolerance:g})")
+    return out.getvalue()
+
+
 class TestBasicCommands:
     def test_star(self, capsys):
         code, out, _ = run(capsys, "star", "--left", "x", "--right", "p")
@@ -379,6 +403,35 @@ class TestBasicCommands:
         code, out, _ = run(capsys, "finite-demo", "--n", "3", "--pairs", "2")
         assert code == 0 and "result: ok" in out
         assert np.get_printoptions() == before
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 13, 31, 32, 64])  # numpy summarises from 32
+    @pytest.mark.parametrize("fmt", ["text", "latex"])
+    def test_finite_demo_text_matches_the_print_oracle(self, capsys, n, fmt):
+        expected = finite_demo_oracle(n, pairs=1, seed=7, tolerance=1e-9)
+        for _ in range(2):  # the second call reads the cached matrix text
+            assert run(capsys, "finite-demo", "--n", str(n), "--pairs", "1",
+                       "--format", fmt) == (0, expected, "")
+
+    def test_finite_demo_text_ignores_the_callers_print_options(self, capsys):
+        import numpy as np
+
+        from moyalmetric.cli import _finite_header
+
+        expected = finite_demo_oracle(5, pairs=2, seed=7, tolerance=1e-9)
+        _finite_header.cache_clear()  # the first render happens under the caller's options
+        with np.printoptions(threshold=5, sign="+"):
+            for _ in range(2):
+                assert run(capsys, "finite-demo", "--n", "5", "--pairs", "2") == (0, expected, "")
+        assert run(capsys, "finite-demo", "--n", "5", "--pairs", "2") == (0, expected, "")
+
+    def test_refused_dimensions_are_not_cached(self, capsys):
+        from moyalmetric.cli import _finite_header
+
+        size = _finite_header.cache_info().currsize
+        for n in ("1", "65"):
+            code, out, err = run(capsys, "finite-demo", "--n", n, "--pairs", "1")
+            assert (code, out) == (1, "") and err.startswith("error: ")
+        assert _finite_header.cache_info().currsize == size
 
     def test_finite_demo_json(self, capsys):
         code, out, _ = run(capsys, "finite-demo", "--n", "4", "--pairs", "3",

@@ -170,6 +170,14 @@ class TestDiscreteDagger:
             lhs = discrete_dagger(to_symbol(A))
             assert np.max(np.abs(lhs.coeffs - to_symbol(A.conj().T).coeffs)) < TOL
 
+    @pytest.mark.parametrize("n", [5, 160])  # 160: a 400 KB phase table
+    def test_bit_identical_to_the_inline_phase_table(self, n):
+        a = random_matrix(np.random.default_rng(n), n)
+        idx = (-np.arange(n)) % n
+        phases = np.exp(-1j * (2.0 * np.pi / n) * np.outer(np.arange(n), np.arange(n)))
+        expected = np.conj(a)[np.ix_(idx, idx)] * phases
+        assert np.array_equal(discrete_dagger(DiscreteSymbol(a)).coeffs, expected)
+
     def test_involution(self):
         rng = np.random.default_rng(13)
         s = to_symbol(random_matrix(rng, 5))
