@@ -256,9 +256,8 @@ def _finite_checks(n: int, pairs: int, seed: int) -> dict[str, float]:
 
 @functools.cache  # depends on n alone; _finite_checks refuses n outside 2..64 first
 def _finite_header(n: int) -> str:
-    """The dimension line and the clock and shift matrices of finite-demo's text output,
-    printed under every numpy print option pinned, so a caller's options neither change
-    the text nor freeze into the cache."""
+    """finite-demo's dimension line and matrices, under every numpy print option pinned so
+    that a caller's options neither change the text nor freeze into the cache."""
     import numpy as np
 
     from . import finite
