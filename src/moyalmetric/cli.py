@@ -127,8 +127,15 @@ class _Command(NamedTuple):
     help: str
     flags: tuple  # (flag, add_argument keywords) pairs, in --help order after --format
     compute: Callable[[argparse.Namespace], object]
-    to_obj: Callable[[object], object]  # result -> JSON; late-bound for perfbench's wrappers
+    # result -> what serialize.dumps writes: a symbol or series result itself, which
+    # dumps writes term by term; any other result as a document of dicts and lists,
+    # its builder late-bound for perfbench's wrappers
+    to_obj: Callable[[object], object]
     render: Callable[[object, str], str]  # (result, text or latex) -> the whole stdout
+
+
+def _itself(result):
+    return result
 
 
 def _symbol_flags(name: str, json_flag: str = "--from-json") -> tuple:
@@ -150,13 +157,13 @@ _COMMANDS = {
         _symbol_flags("left", "--left-from-json") + _symbol_flags("right", "--right-from-json"),
         lambda args: _symbol(args, "left", "left_from_json").star(
             _symbol(args, "right", "right_from_json")),
-        lambda sym: serialize.symbol_to_obj(sym), _show_symbol),
+        _itself, _show_symbol),
     "dagger": _Command("symbol of the hermitian-conjugate operator", _symbol_flags("expr"),
                        lambda args: _symbol(args, "expr").dagger(),
-                       lambda sym: serialize.symbol_to_obj(sym), _show_symbol),
+                       _itself, _show_symbol),
     "conj": _Command("complex conjugate of a symbol", _symbol_flags("expr"),
                      lambda args: _symbol(args, "expr").conjugate(),
-                     lambda sym: serialize.symbol_to_obj(sym), _show_symbol),
+                     _itself, _show_symbol),
     "is-hermitian": _Command("test the hermiticity criterion", _symbol_flags("expr"),
                              lambda args: _symbol(args, "expr").is_hermitian(),
                              lambda flag: {"hermitian": flag},
@@ -169,21 +176,21 @@ _COMMANDS = {
                           (("--hamiltonian", {"required": True}),
                            *_symbol_flags("target", "--target-from-json")),
                           lambda args: _applied(args, "target"),
-                          lambda sym: serialize.symbol_to_obj(sym), _show_symbol),
+                          _itself, _show_symbol),
     "residual": _Command("metric-equation residual of a candidate",
                          (("--hamiltonian", {"required": True}),
                           *_symbol_flags("metric", "--metric-from-json")),
                          lambda args: _applied(args, "metric"),
-                         lambda sym: serialize.symbol_to_obj(sym), _show_symbol),
+                         _itself, _show_symbol),
     "solve-metric": _Command(
         "perturbative metric series for p^2 + g*V(x)",
         (("--potential", {"required": True}),
          ("--order", {"type": _int_at_least(1), "required": True})),
         lambda args: solve_metric_series(parse_expression(args.potential), args.order),
-        lambda series: serialize.series_to_obj(series), _show_series),
+        _itself, _show_series),
     "log-metric": _Command("star-logarithm of a metric series", _series_flags(),
                            lambda args: star_log(_series(args)),
-                           lambda series: serialize.series_to_obj(series), _show_series),
+                           _itself, _show_series),
     "positivity": _Command("hermiticity report for the star-log", _series_flags(),
                            lambda args: positivity_evidence(_series(args)),
                            lambda report: serialize.report_to_obj(report), _show_report),

@@ -13,18 +13,25 @@ parser: rendering any symbol and parsing the result reproduces the symbol
 exactly.  Terms come in the canonical order of `PhaseSymbol.sorted_parts`
 (g, x, p, hbar exponents; exponential parts by their coefficient triples,
 trivial part first), and an exponent's r, s, t terms in the order of
-`ExpQuadratic.SHAPES`, which is the canonical one.  A coefficient or
-an exponent past the interpreter's int-to-string digit limit raises
-CoefficientTooLong or ExponentTooLong.
+`ExpQuadratic.SHAPES`, which is the canonical one.
+
+Each term is written in one pass by `_terms`: its sign, coefficient and powers
+straight from the coefficient's integer triple and the `MonoKey`, into one
+list that is joined once.  The terms of an exponent go through the same loop,
+and a part's exponential is one more factor after its powers.  A coefficient
+or an exponent past the interpreter's int-to-string digit limit raises
+CoefficientTooLong or ExponentTooLong, at the first term, in canonical order,
+that holds one: a part's exponent before its terms, a term's coefficient
+before its powers.
 """
 
 from __future__ import annotations
 
+from math import gcd
 from typing import NamedTuple
 
 from .errors import CoefficientTooLong, ExponentTooLong
-from .rationals import GaussianRational
-from .symbols import ExpQuadratic, MonoKey, PhaseSymbol
+from .symbols import ExpQuadratic, PhaseSymbol
 
 
 class _Style(NamedTuple):
@@ -34,90 +41,71 @@ class _Style(NamedTuple):
     brackets: tuple[str, str]
     gap: str                    # each side of the sign in a mixed coefficient
     exp: tuple[str, str]
-    names: tuple[tuple[str, int], ...]  # variable name and MonoKey index
+    names: tuple[str, str, str, str]  # the names of g, x, p and hbar, in the order written
 
 
 _STYLES = {
     "text": _Style(("", "/", ""), ("^", ""), "*", ("(", ")"), "", ("exp(", ")"),
-                   (("g", 3), ("x", 0), ("p", 1), ("hbar", 2))),
+                   ("g", "x", "p", "hbar")),
     "latex": _Style(("\\frac{", "}{", "}"), ("^{", "}"), "\\,", ("\\left(", "\\right)"),
-                    " ", ("e^{", "}"), (("g", 3), ("x", 0), ("p", 1), ("\\hbar", 2))),
+                    " ", ("e^{", "}"), ("g", "x", "p", "\\hbar")),
 }
 
 
-def _fraction(n: int, d: int, st: _Style) -> str:
-    try:
-        if d == 1:
-            return str(n)
-        sign = "-" if n < 0 else ""
-        return f"{sign}{st.frac[0]}{abs(n)}{st.frac[1]}{d}{st.frac[2]}"
-    except ValueError:  # past the interpreter's int-to-string digit limit
-        raise CoefficientTooLong from None
-
-
-def _imag(n: int, d: int, st: _Style) -> str:
-    """n/d * i for n > 0."""
-    return "i" if n == d == 1 else f"{_fraction(n, d, st)}{st.times}i"
-
-
-def _coeff(c: GaussianRational, st: _Style) -> tuple[bool, str]:
-    """(negated, text of |coeff|), with mixed complex values bracketed."""
-    rn, rd, im, idn = c.as_integer_ratios()
-    if not im:
-        return rn < 0, _fraction(abs(rn), rd, st)
-    if not rn:
-        return im < 0, _imag(abs(im), idn, st)
-    sign = "-" if im < 0 else "+"
-    return False, (f"{st.brackets[0]}{_fraction(rn, rd, st)}{st.gap}{sign}{st.gap}"
-                   f"{_imag(abs(im), idn, st)}{st.brackets[1]}")
-
-
-def _monomial(key: MonoKey, coeff: GaussianRational, st: _Style) -> tuple[bool, str]:
-    neg, ctext = _coeff(coeff, st)
-    try:
-        factors = [name if key[idx] == 1 else f"{name}{st.power[0]}{key[idx]}{st.power[1]}"
-                   for name, idx in st.names if key[idx]]
-    except ValueError:  # past the interpreter's int-to-string digit limit
-        raise ExponentTooLong from None
-    if not factors:
-        return neg, ctext
-    if ctext != "1":
-        factors.insert(0, ctext)
-    return neg, st.times.join(factors)
-
-
-def _join_signed(pieces: list[tuple[bool, str]]) -> str:
-    out = []
-    for idx, (neg, body) in enumerate(pieces):
-        if idx == 0:
-            out.append(f"-{body}" if neg else body)
-        else:
-            out.append(f" - {body}" if neg else f" + {body}")
-    return "".join(out)
+def _terms(terms, st: _Style, out: list[str], lead: bool, tail: str = "") -> None:
+    """Append the signed text of (MonoKey, coefficient) terms to out, one string
+    per term: '-' or nothing before the first when lead, else ' - ' or ' + '.
+    A nonempty tail is one more factor after each term's powers, and stands alone
+    for a coefficient of 1 with no powers."""
+    f0, f1, f2 = st.frac
+    p0, p1 = st.power
+    times, gap = st.times, st.gap
+    b0, b1 = st.brackets
+    tg, tx, tp, th = [times + name for name in st.names]  # each power after a product sign
+    minus, plus = ("-", "") if lead else (" - ", " + ")
+    for (x, p, h, g), c in terms:
+        re, im, den = c._re, c._im, c._den
+        try:
+            neg = re < 0 if not im else im < 0
+            if not im:  # a real triple is in lowest terms already
+                text = str(abs(re)) if den == 1 else f"{f0}{abs(re)}{f1}{den}{f2}"
+            else:
+                k = gcd(im, den)
+                a, d = abs(im) // k, den // k
+                text = ("i" if a == 1 else f"{a}{times}i") if d == 1 else f"{f0}{a}{f1}{d}{f2}{times}i"
+                if re:  # mixed: bracketed, the sign of the imaginary part inside
+                    k = gcd(re, den)
+                    n, d = re // k, den // k
+                    real = str(n) if d == 1 else f"{'-' if n < 0 else ''}{f0}{abs(n)}{f1}{d}{f2}"
+                    text = f"{b0}{real}{gap}{'-' if neg else '+'}{gap}{text}{b1}"
+                    neg = False
+        except ValueError:  # past the interpreter's int-to-string digit limit
+            raise CoefficientTooLong from None
+        try:
+            powers = (tg if g == 1 else f"{tg}{p0}{g}{p1}") if g else ""
+            if x:
+                powers = f"{powers}{tx}" if x == 1 else f"{powers}{tx}{p0}{x}{p1}"
+            if p:
+                powers = f"{powers}{tp}" if p == 1 else f"{powers}{tp}{p0}{p}{p1}"
+            if h:
+                powers = f"{powers}{th}" if h == 1 else f"{powers}{th}{p0}{h}{p1}"
+        except ValueError:  # past the interpreter's int-to-string digit limit
+            raise ExponentTooLong from None
+        if tail:
+            powers = f"{powers}{times}{tail}"
+        if powers:
+            text = powers[len(times):] if text == "1" else f"{text}{powers}"
+        out.append(f"{minus}{text}" if neg else f"{plus}{text}")
+        minus, plus = " - ", " + "
 
 
 def _exponential(eq: ExpQuadratic, st: _Style) -> str:
     # r, s, t in turn, each by ascending hbar power: the canonical term order
-    terms = [_monomial((xd, pd, h, 0), c, st)
-             for scalar, (xd, pd) in zip(eq, ExpQuadratic.SHAPES) for h, c in scalar]
-    return f"{st.exp[0]}{_join_signed(terms)}{st.exp[1]}"
-
-
-def _symbol(sym: PhaseSymbol, st: _Style) -> str:
-    pieces: list[tuple[bool, str]] = []
-    for eq, terms in sym.sorted_parts():
-        if eq.is_trivial:
-            pieces += [_monomial(key, coeff, st) for key, coeff in terms]
-            continue
-        etext = _exponential(eq, st)
-        monomials = [_monomial(key, coeff, st) for key, coeff in terms]
-        if len(monomials) == 1:
-            (neg, body), = monomials
-            pieces.append((neg, etext if body == "1" else f"{body}{st.times}{etext}"))
-        else:
-            body = _join_signed(monomials)
-            pieces.append((False, f"{st.brackets[0]}{body}{st.brackets[1]}{st.times}{etext}"))
-    return _join_signed(pieces) or "0"
+    out = [st.exp[0]]
+    _terms((((xd, pd, h, 0), c) for scalar, (xd, pd) in zip(eq, ExpQuadratic.SHAPES)
+            for h, c in scalar), st, out, True)
+    out.append(st.exp[1])
+    return "".join(out)
 
 
 def format_expression(sym: PhaseSymbol, style: str = "text") -> str:
@@ -125,4 +113,16 @@ def format_expression(sym: PhaseSymbol, style: str = "text") -> str:
     st = _STYLES.get(style)
     if st is None:
         raise ValueError(f"unknown style {style!r}")
-    return _symbol(sym, st)
+    out: list[str] = []
+    for eq, terms in sym.sorted_parts():
+        if eq.is_trivial:
+            _terms(terms, st, out, not out)
+        elif len(terms) == 1:
+            _terms(terms, st, out, not out, _exponential(eq, st))
+        else:
+            etext = _exponential(eq, st)
+            body: list[str] = []
+            _terms(terms, st, body, True)
+            out.append(f"{' + ' if out else ''}{st.brackets[0]}{''.join(body)}"
+                       f"{st.brackets[1]}{st.times}{etext}")
+    return "".join(out) or "0"

@@ -8,6 +8,15 @@ output byte-deterministic.
 
 Only symbol and series documents are read back (the --from-json inputs);
 operator, parameter, report and candidate documents are output only.
+
+`dumps` writes any PhaseSymbol or MetricSeries value it meets itself, one
+string per term straight from `sorted_parts()`, byte for byte the text of the
+document that `symbol_to_obj` or `series_to_obj` builds, without building it.
+Those builders remain: the operator, report and candidate documents hold
+their output, tests feed it to the stdlib encoder as the writer's oracle, and
+perfbench wraps them.  On a number past the digit limit the writer builds the
+document after all, so that it refuses as the document does: CoefficientTooLong
+for any coefficient ahead of ExponentTooLong for any exponent.
 """
 
 from __future__ import annotations
@@ -167,7 +176,9 @@ def candidates_to_obj(candidates: list[ExpQuadratic]) -> dict:
 
 
 def dumps(obj) -> str:
-    """json.dumps(obj, indent=2), byte for byte, without its pure-Python encoder.
+    """json.dumps(obj, indent=2), byte for byte, without its pure-Python encoder;
+    a PhaseSymbol or MetricSeries is written as its symbol_to_obj or series_to_obj
+    document.
 
     Dict keys must be strings.  An int past the interpreter's int-to-string
     digit limit raises ExponentTooLong.
@@ -209,8 +220,58 @@ def _encode(obj, out: list[str], newline: str) -> None:
             _encode(value, out, inner)
             sep = "," + inner
         out.append(newline + "]")
+    elif isinstance(obj, (PhaseSymbol, MetricSeries)):
+        try:
+            (_write_symbol if isinstance(obj, PhaseSymbol) else _write_series)(obj, out, newline)
+        except ValueError:  # a number past the digit limit: refuse as the document does
+            _encode(symbol_to_obj(obj) if isinstance(obj, PhaseSymbol)
+                    else series_to_obj(obj), [], newline)
+            raise
     else:  # None, booleans, floats, {} and []
         out.append(json.dumps(obj))
+
+
+def _write_symbol(sym: PhaseSymbol, out: list[str], newline: str) -> None:
+    """Append the text of dumps(symbol_to_obj(sym)) at depth newline, one string per term."""
+    n1, n2, n3, n4, n5, n6 = (newline + "  " * k for k in range(1, 7))
+    if not sym:
+        out.append(f'{{{n1}"terms": []{newline}}}')
+        return
+    head = f'{{{n1}"terms": ['
+    for eq, terms in sym.sorted_parts():
+        head = f'{head}{n2}{{{n3}"exp": {{{n4}'
+        for name, scalar in zip("rst", eq):
+            out.append(f'{head}"{name}": [')
+            sep = n5
+            for h, c in scalar:
+                rn, rd, imn, imd = c.as_integer_ratios()
+                out.append(f'{sep}[{n6}{h},{n6}"{rn}",{n6}"{rd}",{n6}"{imn}",{n6}"{imd}"{n5}]')
+                sep = f",{n5}"
+            out.append(f"{n4}]" if scalar else "]")
+            head = f",{n4}"
+        head = f'{n3}}},{n3}"poly": ['
+        for (x, p, h, g), c in terms:
+            rn, rd, imn, imd = c.as_integer_ratios()
+            out.append(f'{head}{n4}{{{n5}"coeff": [{n6}"{rn}",{n6}"{rd}",{n6}"{imn}",{n6}"{imd}"'
+                       f'{n5}],{n5}"x": {x},{n5}"p": {p},{n5}"hbar": {h},{n5}"g": {g}{n4}}}')
+            head = ","
+        out.append(f"{n3}]{n2}}}")
+        head = ","
+    out.append(f"{n1}]{newline}}}")
+
+
+def _write_series(series: MetricSeries, out: list[str], newline: str) -> None:
+    """Append the text of dumps(series_to_obj(series)) at depth newline."""
+    n1, n2 = newline + "  ", newline + "    "
+    head = f'{{{n1}"max_order": {series.max_order},{n1}"orders": {{'
+    if not series.orders:
+        out.append(f"{head}}}{newline}}}")
+        return
+    for n in sorted(series.orders):
+        out.append(f'{head}{n2}"{n}": ')
+        _write_symbol(series.orders[n], out, n2)
+        head = ","
+    out.append(f"{n1}}}{newline}}}")
 
 
 def load_document(path: str, from_obj):

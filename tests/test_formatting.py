@@ -1,22 +1,26 @@
-"""The style-table renderer against the two renderers it replaced.
+"""The one-pass renderer against the renderers it replaced.
 
 format_text and format_latex below are the earlier twin formatters, kept
 verbatim with their helpers as the oracle: the one renderer must agree with
-them byte for byte in both styles.
+them byte for byte in both styles.  chain_format_expression is the style-table
+renderer that built each term through _monomial -> _coeff -> _fraction/_imag,
+a factor list and a second joining pass, kept verbatim as the oracle of the
+one-pass term loop.
 """
 
 from fractions import Fraction
+from typing import NamedTuple
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from conftest import exp_symbols, poly_symbols, tied_exp_symbols
-from moyalmetric import (CoefficientTooLong, PhaseSymbol, format_expression,
-                         parse_expression, solve_metric_series)
+from conftest import I, exp_symbols, gaussian_rationals, poly_symbols, tied_exp_symbols
+from moyalmetric import (CoefficientTooLong, ExponentTooLong, HbarScalar, PhaseSymbol,
+                         format_expression, parse_expression, solve_metric_series)
 from moyalmetric.rationals import GaussianRational
 from moyalmetric.serialize import rational_to_obj, symbol_to_obj
-from moyalmetric.symbols import ExpQuadratic, MonoKey, _canon_key
+from moyalmetric.symbols import TRIVIAL_EXP, ExpQuadratic, MonoKey, _canon_key
 
 # -- oracle: the earlier text renderer ----------------------------------------
 
@@ -183,7 +187,103 @@ def format_latex(sym: PhaseSymbol) -> str:
     return _join_signed(pieces)
 
 
-# -- the renderer against the oracle ------------------------------------------
+# -- oracle: the _monomial-chain style-table renderer ---------------------------
+
+class _Style(NamedTuple):
+    frac: tuple[str, str, str]  # n/d is frac[0] + n + frac[1] + d + frac[2]
+    power: tuple[str, str]      # x^k is name + power[0] + k + power[1]
+    times: str
+    brackets: tuple[str, str]
+    gap: str                    # each side of the sign in a mixed coefficient
+    exp: tuple[str, str]
+    names: tuple[tuple[str, int], ...]  # variable name and MonoKey index
+
+
+_STYLES = {
+    "text": _Style(("", "/", ""), ("^", ""), "*", ("(", ")"), "", ("exp(", ")"),
+                   (("g", 3), ("x", 0), ("p", 1), ("hbar", 2))),
+    "latex": _Style(("\\frac{", "}{", "}"), ("^{", "}"), "\\,", ("\\left(", "\\right)"),
+                    " ", ("e^{", "}"), (("g", 3), ("x", 0), ("p", 1), ("\\hbar", 2))),
+}
+
+
+def _fraction(n: int, d: int, st: _Style) -> str:
+    try:
+        if d == 1:
+            return str(n)
+        sign = "-" if n < 0 else ""
+        return f"{sign}{st.frac[0]}{abs(n)}{st.frac[1]}{d}{st.frac[2]}"
+    except ValueError:  # past the interpreter's int-to-string digit limit
+        raise CoefficientTooLong from None
+
+
+def _imag(n: int, d: int, st: _Style) -> str:
+    """n/d * i for n > 0."""
+    return "i" if n == d == 1 else f"{_fraction(n, d, st)}{st.times}i"
+
+
+def _coeff(c: GaussianRational, st: _Style) -> tuple[bool, str]:
+    """(negated, text of |coeff|), with mixed complex values bracketed."""
+    rn, rd, im, idn = c.as_integer_ratios()
+    if not im:
+        return rn < 0, _fraction(abs(rn), rd, st)
+    if not rn:
+        return im < 0, _imag(abs(im), idn, st)
+    sign = "-" if im < 0 else "+"
+    return False, (f"{st.brackets[0]}{_fraction(rn, rd, st)}{st.gap}{sign}{st.gap}"
+                   f"{_imag(abs(im), idn, st)}{st.brackets[1]}")
+
+
+def _monomial(key: MonoKey, coeff: GaussianRational, st: _Style) -> tuple[bool, str]:
+    neg, ctext = _coeff(coeff, st)
+    try:
+        factors = [name if key[idx] == 1 else f"{name}{st.power[0]}{key[idx]}{st.power[1]}"
+                   for name, idx in st.names if key[idx]]
+    except ValueError:  # past the interpreter's int-to-string digit limit
+        raise ExponentTooLong from None
+    if not factors:
+        return neg, ctext
+    if ctext != "1":
+        factors.insert(0, ctext)
+    return neg, st.times.join(factors)
+
+
+# _join_signed is shared with the twin formatters above, byte for byte
+
+
+def _exponential(eq: ExpQuadratic, st: _Style) -> str:
+    # r, s, t in turn, each by ascending hbar power: the canonical term order
+    terms = [_monomial((xd, pd, h, 0), c, st)
+             for scalar, (xd, pd) in zip(eq, ExpQuadratic.SHAPES) for h, c in scalar]
+    return f"{st.exp[0]}{_join_signed(terms)}{st.exp[1]}"
+
+
+def _symbol(sym: PhaseSymbol, st: _Style) -> str:
+    pieces: list[tuple[bool, str]] = []
+    for eq, terms in sym.sorted_parts():
+        if eq.is_trivial:
+            pieces += [_monomial(key, coeff, st) for key, coeff in terms]
+            continue
+        etext = _exponential(eq, st)
+        monomials = [_monomial(key, coeff, st) for key, coeff in terms]
+        if len(monomials) == 1:
+            (neg, body), = monomials
+            pieces.append((neg, etext if body == "1" else f"{body}{st.times}{etext}"))
+        else:
+            body = _join_signed(monomials)
+            pieces.append((False, f"{st.brackets[0]}{body}{st.brackets[1]}{st.times}{etext}"))
+    return _join_signed(pieces) or "0"
+
+
+def chain_format_expression(sym: PhaseSymbol, style: str = "text") -> str:
+    """Render a symbol in the requested style: text or latex."""
+    st = _STYLES.get(style)
+    if st is None:
+        raise ValueError(f"unknown style {style!r}")
+    return _symbol(sym, st)
+
+
+# -- the renderer against the oracles -----------------------------------------
 
 @given(poly_symbols())
 def test_polynomial_symbols_match_the_oracle(sym):
@@ -223,3 +323,87 @@ def test_coefficient_past_the_digit_limit(coeff):
         symbol_to_obj(sym)
     with pytest.raises(CoefficientTooLong):
         rational_to_obj(coeff)
+
+
+# -- the one-pass term loop against the _monomial chain -------------------------
+
+units = st.sampled_from([GaussianRational(1), GaussianRational(-1), I, -I])
+coefficients = st.one_of(units, gaussian_rationals)
+
+
+@st.composite
+def unit_scalars(draw):
+    """Laurent scalars whose coefficients are often 1, -1, i or -i."""
+    return HbarScalar([(draw(st.integers(-3, 2)), draw(coefficients))
+                       for _ in range(draw(st.integers(0, 2)))])
+
+
+@st.composite
+def render_symbols(draw):
+    """Up to four parts, trivial or exponential, with unit, real, imaginary and
+    mixed coefficients and negative powers of p and hbar."""
+    parts = {}
+    for _ in range(draw(st.integers(1, 4))):
+        eq = (TRIVIAL_EXP if draw(st.booleans())
+              else ExpQuadratic(draw(unit_scalars()), draw(unit_scalars()), draw(unit_scalars())))
+        poly = parts.setdefault(eq, {})
+        for _ in range(draw(st.integers(1, 3))):
+            key = (draw(st.integers(0, 3)), draw(st.integers(-3, 3)), draw(st.integers(-3, 3)),
+                   draw(st.integers(0, 2)))
+            poly[key] = poly.get(key, GaussianRational(0)) + draw(coefficients)
+    return PhaseSymbol(parts)
+
+
+@given(st.one_of(render_symbols(), exp_symbols(), tied_exp_symbols()))
+def test_symbols_match_the_chain_renderer(sym):
+    for style in ("text", "latex"):
+        assert format_expression(sym, style) == chain_format_expression(sym, style)
+
+
+@pytest.mark.parametrize("order", [13, 24])
+def test_cubic_series_match_the_chain_renderer(order):
+    series = solve_metric_series(parse_expression("i*x^3"), order)
+    for n in range(order + 1):
+        for style in ("text", "latex"):
+            sym = series.order(n)
+            assert format_expression(sym, style) == chain_format_expression(sym, style)
+
+
+NINES = 10 ** 5000 - 1
+LONG = GaussianRational(2 ** 20000)
+LONG_EXP = PhaseSymbol.exponential(ExpQuadratic(HbarScalar(), HbarScalar.hbar_power(1, NINES),
+                                                HbarScalar()))
+
+
+@pytest.mark.parametrize("sym", [
+    PhaseSymbol.monomial(LONG, x=NINES),  # a term's coefficient before its powers
+    PhaseSymbol.monomial(1, x=NINES) + PhaseSymbol.monomial(LONG, g=1),
+    PhaseSymbol.monomial(LONG, x=1) + PhaseSymbol.monomial(1, p=-NINES, g=1),
+    LONG_EXP * PhaseSymbol.monomial(LONG),  # a part's exponent before its terms
+    LONG_EXP * PhaseSymbol.monomial(I, x=NINES) + LONG_EXP * PhaseSymbol.monomial(LONG, p=1),
+], ids=["both-in-one-term", "exponent-first", "coefficient-first", "exp-then-term",
+        "exp-then-terms"])
+def test_refusals_match_the_chain_renderer(sym):
+    for style in ("text", "latex"):
+        with pytest.raises((CoefficientTooLong, ExponentTooLong)) as new:
+            format_expression(sym, style)
+        with pytest.raises((CoefficientTooLong, ExponentTooLong)) as old:
+            chain_format_expression(sym, style)
+        assert type(new.value) is type(old.value)
+
+
+@st.composite
+def exponential_parts(draw):
+    """Symbols of two to five parts, at most one trivial, whose exponents often tie
+    on a leading field and mix denominators."""
+    scalar = st.one_of(st.sampled_from([HbarScalar(), HbarScalar.constant(1),
+                                        HbarScalar.constant(Fraction(1, 2))]), unit_scalars())
+    eqs = draw(st.lists(st.builds(ExpQuadratic, scalar, scalar, scalar), min_size=2,
+                        max_size=5, unique=True))
+    return PhaseSymbol({eq: {(0, 0, 0, 0): GaussianRational(1)} for eq in eqs})
+
+
+@given(exponential_parts())
+def test_sorted_parts_order_the_parts_by_sort_key(sym):
+    assert len(sym.parts) >= 2
+    assert [eq for eq, _ in sym.sorted_parts()] == sorted(sym.parts, key=ExpQuadratic.sort_key)

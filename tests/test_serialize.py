@@ -1,6 +1,7 @@
 """serialize.dumps against the stdlib's indented encoder, the rational reader
-against Fraction, the symbol writer against the one it replaced, and the
-symbol loader."""
+against Fraction, the symbol writer against the one it replaced, the direct
+symbol and series writer against the documents it replaces, and the symbol
+loader."""
 
 import json
 import math
@@ -12,9 +13,13 @@ import pytest
 from hypothesis import example, given
 
 from conftest import exp_symbols, tied_exp_symbols
-from moyalmetric import ExponentTooLong, GaussianRational, PhaseSymbol
+from moyalmetric import (CoefficientTooLong, ExponentTooLong, GaussianRational, HbarScalar,
+                         PhaseSymbol, parse_expression, solve_metric_series)
+from moyalmetric.cli import main
+from moyalmetric.series import MetricSeries
 from moyalmetric.serialize import (dumps, hbar_scalar_to_obj, rational_from_obj,
-                                   rational_to_obj, symbol_from_obj, symbol_to_obj)
+                                   rational_to_obj, series_to_obj, symbol_from_obj,
+                                   symbol_to_obj)
 from moyalmetric.symbols import ExpQuadratic, _canon_key
 
 scalars = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text())
@@ -101,3 +106,72 @@ def oracle_symbol_to_obj(sym: PhaseSymbol) -> dict:
 def test_symbol_documents_match_the_oracle(sym):
     # dumps compares the key and list orders that dict equality ignores
     assert dumps(symbol_to_obj(sym)) == dumps(oracle_symbol_to_obj(sym))
+
+
+# -- the direct writer of symbols and series against their documents ------------
+
+@given(st.one_of(tied_exp_symbols(), exp_symbols()))
+@example(PhaseSymbol.zero())  # an empty terms list
+def test_symbols_write_as_their_documents(sym):
+    assert dumps(sym) == dumps(symbol_to_obj(sym)) == json.dumps(symbol_to_obj(sym), indent=2)
+
+
+@st.composite
+def series_values(draw):
+    """The g-slices of a symbol, exponents included, as a series of some larger order."""
+    orders = draw(st.one_of(tied_exp_symbols(), exp_symbols())).g_slices()
+    return MetricSeries(orders, max(orders, default=0) + draw(st.integers(0, 2)))
+
+
+@given(series_values())
+@example(MetricSeries({}, 3))  # an empty orders object
+@example(solve_metric_series(parse_expression("i*x^3 + x^2"), 4))
+def test_series_write_as_their_documents(series):
+    assert (dumps(series) == dumps(series_to_obj(series))
+            == json.dumps(series_to_obj(series), indent=2))
+
+
+def test_values_inside_documents_write_as_their_documents():
+    sym = parse_expression("2*x*exp(i*x*p/hbar) - p")
+    series = MetricSeries({0: sym}, 1)
+    obj = {"a": [sym, series], "b": series}
+    assert dumps(obj) == json.dumps({"a": [symbol_to_obj(sym), series_to_obj(series)],
+                                     "b": series_to_obj(series)}, indent=2)
+
+
+NINES = 10 ** 5000 - 1
+LONG = GaussianRational(2 ** 20000)
+
+
+@pytest.mark.parametrize("sym, error", [
+    (PhaseSymbol.monomial(3, p=-NINES), ExponentTooLong),
+    (PhaseSymbol.monomial(LONG, x=1), CoefficientTooLong),
+    # the document holds every coefficient as text before any exponent is written
+    (PhaseSymbol.monomial(1, x=NINES) + PhaseSymbol.monomial(LONG, g=1), CoefficientTooLong),
+    (PhaseSymbol.exponential(ExpQuadratic(HbarScalar.hbar_power(1, NINES), HbarScalar(),
+                                          HbarScalar())), ExponentTooLong),
+])
+def test_refusals_match_the_document_path(sym, error):
+    # order 0 holds an exponent past the limit, ahead of sym's orders
+    series = MetricSeries({0: PhaseSymbol.monomial(1, x=NINES),
+                           **{n + 1: part for n, part in sym.g_slices().items()}}, 3)
+    for value, to_obj in ((sym, symbol_to_obj), (series, series_to_obj)):
+        with pytest.raises(error):
+            dumps(to_obj(value))
+        with pytest.raises(error):
+            dumps(value)
+
+
+@pytest.mark.parametrize("what, expr", [("coefficient", "2^99999*x"),
+                                        ("exponent", f"(x^{'9' * 4000})^{'9' * 4000}")])
+@pytest.mark.parametrize("argv", [("conj", "--expr"), ("dagger", "--expr"),
+                                  ("star", "--left", "p", "--right")])
+def test_refusals_read_the_same_in_every_format(capsys, argv, what, expr):
+    seen = set()
+    for fmt in ("text", "latex", "json"):
+        code = main([*argv, expr, "--format", fmt])
+        out, err = capsys.readouterr()
+        assert out == ""
+        seen.add((code, err))
+    assert seen == {(1, f"error: {what} has more than {sys.get_int_max_str_digits()} digits, "
+                        "too long to print\n")}
