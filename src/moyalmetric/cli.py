@@ -2,12 +2,12 @@
 
 Every subcommand but finite-demo is one row of one command table,
 `_COMMANDS`: its help text, its flags in --help order, the call that computes
-its result from the parsed arguments, the builder of its JSON document and a
-renderer of the whole text or LaTeX output.  `main` computes, dumps or
-renders, and only then prints, so a command that fails leaves stdout empty.
-finite-demo keeps its own handler, which writes its check table even when a
-check fails; it alone imports numpy and `finite`, so the other commands start
-without them.
+its result from the parsed arguments, the value that serialize.dumps writes
+as its JSON and a renderer of the whole text or LaTeX output.  `main`
+computes, dumps or renders, and only then prints, so a command that fails
+leaves stdout empty.  finite-demo keeps its own handler, which writes its
+check table even when a check fails; it alone imports numpy and `finite`, so
+the other commands start without them.
 
 Exit codes: 0 on success, 1 on domain errors (non-terminating series,
 irrational discriminants, failed finite-dimensional checks, ...), 2 on usage
@@ -127,10 +127,7 @@ class _Command(NamedTuple):
     help: str
     flags: tuple  # (flag, add_argument keywords) pairs, in --help order after --format
     compute: Callable[[argparse.Namespace], object]
-    # result -> what serialize.dumps writes: a symbol or series result itself, which
-    # dumps writes term by term; any other result as a document of dicts and lists,
-    # its builder late-bound for perfbench's wrappers
-    to_obj: Callable[[object], object]
+    json_value: Callable[[object], object]  # result -> what dumps writes; late-bound builders
     render: Callable[[object, str], str]  # (result, text or latex) -> the whole stdout
 
 
@@ -330,7 +327,7 @@ def main(argv=None) -> int:
             return _cmd_finite_demo(args)
         command = _COMMANDS[args.command]
         result = command.compute(args)
-        out = (serialize.dumps(command.to_obj(result)) + "\n" if args.format == "json"
+        out = (serialize.dumps(command.json_value(result)) + "\n" if args.format == "json"
                else command.render(result, args.format))
     except (ParseError, InvalidDocument) as exc:
         print(f"error: {exc}", file=sys.stderr)

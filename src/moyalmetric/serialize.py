@@ -9,14 +9,13 @@ output byte-deterministic.
 Only symbol and series documents are read back (the --from-json inputs);
 operator, parameter, report and candidate documents are output only.
 
-`dumps` writes any PhaseSymbol or MetricSeries value it meets itself, one
-string per term straight from `sorted_parts()`, byte for byte the text of the
-document that `symbol_to_obj` or `series_to_obj` builds, without building it.
-Those builders remain: the operator, report and candidate documents hold
-their output, tests feed it to the stdlib encoder as the writer's oracle, and
-perfbench wraps them.  On a number past the digit limit the writer builds the
-document after all, so that it refuses as the document does: CoefficientTooLong
-for any coefficient ahead of ExponentTooLong for any exponent.
+`dumps` is the one writer of the symbol and series layout: it writes any
+PhaseSymbol or MetricSeries value it meets, one string per term straight from
+`sorted_parts()`, byte for byte the text of the document that `symbol_to_obj`
+or `series_to_obj` builds.  The operator, report and candidate documents hold
+their symbols and series as values.  The two builders remain for callers that
+want plain dicts: tests feed them to the stdlib encoder as the writer's oracle,
+and perfbench wraps them.
 """
 
 from __future__ import annotations
@@ -153,7 +152,7 @@ def series_from_obj(obj) -> MetricSeries:
 
 
 def operator_to_obj(operator: DifferentialOperator) -> dict:
-    return {"terms": [{"dx": m, "dp": n, "coeff": symbol_to_obj(coeff)}
+    return {"terms": [{"dx": m, "dp": n, "coeff": coeff}
                       for (m, n), coeff in operator.terms.items()]}
 
 
@@ -167,12 +166,11 @@ def report_to_obj(report: PositivityReport) -> dict:
     return {"verdict": report.verdict,
             "per_order_hermitian": {str(n): flag for n, flag
                                     in sorted(report.per_order_hermitian.items())},
-            "log_series": series_to_obj(report.log_series)}
+            "log_series": report.log_series}
 
 
 def candidates_to_obj(candidates: list[ExpQuadratic]) -> dict:
-    return {"candidates": [symbol_to_obj(PhaseSymbol.exponential(eq))
-                           for eq in candidates]}
+    return {"candidates": [PhaseSymbol.exponential(eq) for eq in candidates]}
 
 
 def dumps(obj) -> str:
@@ -180,15 +178,29 @@ def dumps(obj) -> str:
     a PhaseSymbol or MetricSeries is written as its symbol_to_obj or series_to_obj
     document.
 
-    Dict keys must be strings.  An int past the interpreter's int-to-string
-    digit limit raises ExponentTooLong.
+    Dict keys must be strings.  A number past the interpreter's int-to-string
+    digit limit raises CoefficientTooLong if any coefficient of a symbol or
+    series in obj is one, as building its document would, and ExponentTooLong
+    otherwise.
     """
     out: list[str] = []
     try:
         _encode(obj, out, "\n")
-    except ValueError:  # from int.__repr__
+    except ValueError:  # from int.__repr__ or an f-string
+        _check_coefficients(obj)
         raise ExponentTooLong from None
     return "".join(out)
+
+
+def _check_coefficients(obj) -> None:
+    """CoefficientTooLong if a coefficient of a symbol or series in obj is past the digit limit."""
+    if isinstance(obj, PhaseSymbol):
+        symbol_to_obj(obj)
+    elif isinstance(obj, MetricSeries):
+        series_to_obj(obj)
+    elif isinstance(obj, (dict, list, tuple)):
+        for value in obj.values() if isinstance(obj, dict) else obj:
+            _check_coefficients(value)
 
 
 def _encode(obj, out: list[str], newline: str) -> None:
@@ -220,13 +232,10 @@ def _encode(obj, out: list[str], newline: str) -> None:
             _encode(value, out, inner)
             sep = "," + inner
         out.append(newline + "]")
-    elif isinstance(obj, (PhaseSymbol, MetricSeries)):
-        try:
-            (_write_symbol if isinstance(obj, PhaseSymbol) else _write_series)(obj, out, newline)
-        except ValueError:  # a number past the digit limit: refuse as the document does
-            _encode(symbol_to_obj(obj) if isinstance(obj, PhaseSymbol)
-                    else series_to_obj(obj), [], newline)
-            raise
+    elif isinstance(obj, PhaseSymbol):
+        _write_symbol(obj, out, newline)
+    elif isinstance(obj, MetricSeries):
+        _write_series(obj, out, newline)
     else:  # None, booleans, floats, {} and []
         out.append(json.dumps(obj))
 

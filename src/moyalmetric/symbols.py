@@ -238,18 +238,9 @@ class PhaseSymbol:
 
     def sorted_parts(self) -> list[tuple[ExpQuadratic, list[tuple[MonoKey, GaussianRational]]]]:
         """The canonical layout: parts by ExpQuadratic.sort_key (the trivial part
-        first), each part's (key, coeff) terms by (gdeg, xdeg, pdeg, hdeg).
-
-        The parts are ordered without building the key's Fractions: over the
-        common denominator D of every exponent coefficient of the symbol, each
-        (h, re, im) is the integer triple (h, re*D, im*D), which orders the same."""
+        first), each part's (key, coeff) terms by (gdeg, xdeg, pdeg, hdeg)."""
         parts = self._parts
-        eqs = parts
-        if len(parts) > 1:
-            den = math.lcm(*(c._den for eq in parts for scalar in eq for _, c in scalar))
-            eqs = sorted(parts, key=lambda eq: tuple(
-                tuple((h, c._re * (den // c._den), c._im * (den // c._den)) for h, c in scalar)
-                for scalar in eq))
+        eqs = sorted(parts, key=ExpQuadratic.sort_key) if len(parts) > 1 else parts
         return [(eq, sorted(parts[eq].items(), key=lambda term: _canon_key(term[0])))
                 for eq in eqs]
 

@@ -162,6 +162,16 @@ def test_refusals_match_the_document_path(sym, error):
             dumps(value)
 
 
+def test_documents_refuse_a_coefficient_anywhere_ahead_of_an_exponent():
+    # as when every symbol's document was built before any exponent was written
+    exponent, coefficient = PhaseSymbol.monomial(1, x=NINES), PhaseSymbol.monomial(LONG, x=1)
+    for value in (exponent, MetricSeries({0: exponent}, 1)):
+        with pytest.raises(CoefficientTooLong):
+            dumps({"terms": [{"dx": 0, "coeff": value}, {"dx": 1, "coeff": (coefficient,)}]})
+    with pytest.raises(ExponentTooLong):
+        dumps({"terms": [exponent, PhaseSymbol.monomial(3, x=1)], "dx": NINES})
+
+
 @pytest.mark.parametrize("what, expr", [("coefficient", "2^99999*x"),
                                         ("exponent", f"(x^{'9' * 4000})^{'9' * 4000}")])
 @pytest.mark.parametrize("argv", [("conj", "--expr"), ("dagger", "--expr"),
