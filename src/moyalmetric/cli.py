@@ -228,19 +228,37 @@ def _finite_checks(n: int, pairs: int, seed: int) -> dict[str, float]:
 
     # Gram matrix tr(U_i^dag U_j) = N * delta_ij, one block of rows per shift b: the words
     # U(a, b) are rows b::N, and a word with no entry in the block's columns meets the
-    # block in an exact zero off the diagonal.  On the true basis each block has N columns
-    # and N partner rows, so this is O(N^4) work; np.max keeps a NaN.
-    flat = finite.basis_words(n).reshape(n * n, n * n)
-    block_devs = np.empty(n)
-    for b in range(n):
-        block, own = flat[b::n], np.arange(b, n * n, n)
-        cols = block.any(axis=0)
-        partners = flat[:, cols]
-        hit = partners.any(axis=1)
-        hit[own] = True
-        rows = np.flatnonzero(hit)
-        gram = np.conj(block[:, cols]) @ partners[rows].T - n * (rows == own[:, None])
-        block_devs[b] = np.abs(gram).max()
+    # block in an exact zero off the diagonal; np.max keeps a NaN.  When the blocks'
+    # columns are disjoint and equally many, as on the true basis (N each), a block's
+    # only partners are its own words, and batches of blocks make one stacked
+    # conj(B) @ B^T each.  Otherwise each block is multiplied against its columns and
+    # every word with an entry there, which stays exact on any tensor.  O(N^4) work
+    # with O(N^3) temporaries either way.
+    words = finite.basis_words(n).reshape(n, n, n * n)  # [a, b, column]
+    support = words.any(axis=0)  # [b, column]
+    sizes = support.sum(axis=1)
+    if support.sum(axis=0).max() <= 1 and sizes.min() == sizes.max() > 0:
+        cols = np.nonzero(support)[1].reshape(n, 1, sizes[0])  # [b, 1, j]
+        step = max(1, finite.BATCH_ENTRIES // (n * sizes[0]))
+        rows = np.arange(n)
+        block_devs = []
+        for b in range(0, n, step):
+            batch = rows[b:b + step]
+            blocks = words[rows[:, None], batch[:, None, None], cols[batch]]  # [b, a, j]
+            gram = np.conj(blocks) @ blocks.transpose(0, 2, 1) - n * np.eye(n)
+            block_devs.append(np.abs(gram).max())
+    else:
+        flat = words.reshape(n * n, n * n)  # row n*a + b is U(a, b)
+        block_devs = np.empty(n)
+        for b in range(n):
+            block, own = flat[b::n], np.arange(b, n * n, n)
+            cols = block.any(axis=0)
+            partners = flat[:, cols]
+            hit = partners.any(axis=1)
+            hit[own] = True
+            rows = np.flatnonzero(hit)
+            gram = np.conj(block[:, cols]) @ partners[rows].T - n * (rows == own[:, None])
+            block_devs[b] = np.abs(gram).max()
     checks["trace_orthogonality"] = float(np.max(block_devs))
 
     devs = np.empty((pairs, 3))  # round trip, star, dagger per pair

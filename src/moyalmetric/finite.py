@@ -9,18 +9,19 @@ convolving coefficient arrays with the phase exp(-i*m*n'*phi), which is the
 discrete star product implemented here.
 
 Every map is whole-array numpy work with no per-element Python loop.  The
-words are one cached (N, N, N, N) tensor per N, 16*N^4 bytes, so basis_words
-refuses N above MAX_BASIS_DIMENSION (64, 268 MB).  to_symbol is one matvec
-against its (N^2, N^2) view and from_symbol one contraction with it;
-discrete_star loops over the shift index m only, one circulant-matrix product
-per m; the trace-orthogonality check of finite-demo reads the tensor one block
-of N words of equal shift at a time.  Each of these is O(N^4) work.  The other
-maps take any N up to MAX_DIMENSION.
+words are one (N, N, N, N) tensor per N, 16*N^4 bytes, so basis_words refuses
+N above MAX_BASIS_DIMENSION (64, 268 MB) and keeps the tensors of the most
+recently used N within BASIS_CACHE_BYTES.  to_symbol is one matvec against its
+(N^2, N^2) view and from_symbol one contraction with it.  discrete_star makes
+one circulant-matrix product per shift m, stacked into batched matmuls of at
+most BATCH_ENTRIES entries per operand.  The other maps take any N up to
+MAX_DIMENSION.
 """
 
 from __future__ import annotations
 
 import functools
+from collections import OrderedDict, namedtuple
 
 import numpy as np
 
@@ -28,6 +29,12 @@ from .errors import BadDimension, DimensionMismatch
 
 MAX_DIMENSION = 256
 MAX_BASIS_DIMENSION = 64  # basis_words(64) is a 268 MB tensor; 128 would be 4.3 GB
+# The basis cache holds tensors up to this many bytes in all, evicting the least
+# recently used: the N = 64 tensor alone, or every N up to 37.
+BASIS_CACHE_BYTES = 16 * MAX_BASIS_DIMENSION ** 4
+# Complex entries per operand of one stacked matmul (128 KiB): discrete_star
+# takes N <= 20 in one batch and N >= 65 one shift per batch.
+BATCH_ENTRIES = 8192
 
 
 def _check_dim(n: int) -> None:
@@ -52,18 +59,36 @@ def shift(n: int) -> np.ndarray:
     return np.roll(np.eye(n, dtype=complex), 1, axis=0)
 
 
-@functools.cache  # keys an int n by itself, so an equal float or numpy n misses, and raises
+_basis_cache: OrderedDict[int, np.ndarray] = OrderedDict()
+BasisCacheInfo = namedtuple("BasisCacheInfo", "currsize nbytes")
+
+
 def basis_words(n: int) -> np.ndarray:
     """All U(a, b) = clock^a @ shift^b, shaped (n, n, n, n): one tensor per n, shared by
-    every caller; a refused n raises, so it is never cached."""
+    every caller.  Only an int n hits the cache, so an equal float or numpy n is refused;
+    a refused n raises, so it is never cached."""
+    words = _basis_cache.get(n) if type(n) is int else None
+    if words is not None:
+        _basis_cache.move_to_end(n)
+        return words
     _check_dim(n)
     if n > MAX_BASIS_DIMENSION:
         raise BadDimension(f"the basis tensor takes 16*N^4 bytes; dimension must be at most "
                            f"{MAX_BASIS_DIMENSION}, got {n}")
+    held = sum(w.nbytes for w in _basis_cache.values())
+    while _basis_cache and held + 16 * n ** 4 > BASIS_CACHE_BYTES:  # evict before building
+        held -= _basis_cache.popitem(last=False)[1].nbytes
     k = np.arange(n)
     clock_diags = np.exp(2j * np.pi * (np.outer(k, k) % n) / n)  # [a, i]: clock^a[i, i]
     shift_pows = (k[:, None] - k) % n == k[:, None, None]  # [b, i, j]: shift^b[i, j] = 1
-    return clock_diags[:, None, :, None] * shift_pows
+    words = _basis_cache[n] = clock_diags[:, None, :, None] * shift_pows
+    words.flags.writeable = False  # every caller of one n shares it
+    return words
+
+
+basis_words.cache_info = lambda: BasisCacheInfo(
+    len(_basis_cache), sum(w.nbytes for w in _basis_cache.values()))
+basis_words.cache_clear = _basis_cache.clear
 
 
 class DiscreteSymbol:
@@ -104,10 +129,14 @@ def from_symbol(symbol: DiscreteSymbol) -> np.ndarray:
     return np.tensordot(symbol.coeffs, words, axes=([0, 1], [0, 1]))
 
 
+@functools.lru_cache(maxsize=16)  # 16 tables of at most 1 MiB; every finite-weyl N fits
 def _ordering_phases(n: int) -> np.ndarray:
-    """The phase table exp(-i*j*k*phi), phi = 2*pi/N, indexed [j, k]."""
+    """The phase table exp(-i*j*k*phi), phi = 2*pi/N, indexed [j, k]; read-only, as
+    every caller of one N shares it."""
     phi = 2.0 * np.pi / n
-    return np.exp(-1j * phi * np.outer(np.arange(n), np.arange(n)))
+    phases = np.exp(-1j * phi * np.outer(np.arange(n), np.arange(n)))
+    phases.flags.writeable = False
+    return phases
 
 
 def discrete_star(s1: DiscreteSymbol, s2: DiscreteSymbol) -> DiscreteSymbol:
@@ -116,10 +145,22 @@ def discrete_star(s1: DiscreteSymbol, s2: DiscreteSymbol) -> DiscreteSymbol:
         raise DimensionMismatch(f"dimension mismatch: {s1.n} vs {s2.n}")
     n = s1.n
     phases = _ordering_phases(n)  # [m, n']
-    shifts = (np.arange(n)[:, None] - np.arange(n)) % n  # [c, n'] -> (c - n') mod N
+    # Strided views of the operands doubled along their shifted axis, so that an index
+    # N + k - j needs no mod N: lefts[m, c, n'] = a[(c - n') mod N, m], the circulant
+    # of column m, and rights[m, n', d] = b[n', (d - m) mod N].  The views read the
+    # doubled arrays in C order, which concatenate keeps from C-ordered operands.
+    a, b = np.ascontiguousarray(s1.coeffs), np.ascontiguousarray(s2.coeffs)
+    a2, b2 = np.concatenate((a, a)), np.concatenate((b, b), axis=1)
+    item = a2.itemsize
+    lefts = np.ndarray((n, n, n), complex, a2, n * n * item, (item, n * item, -n * item))
+    rights = np.ndarray((n, n, n), complex, b2, n * item, (-item, 2 * n * item, item))
     out = np.zeros((n, n), dtype=complex)
-    for m in range(n):  # out[c, d] += sum_n' a[c-n', m] phase[m, n'] b[n', d-m]
-        out += s1.coeffs[shifts, m] @ (phases[m][:, None] * s2.coeffs[:, shifts[:, m]])
+    step = max(1, BATCH_ENTRIES // (n * n))
+    for m in range(0, n, step):  # out[c, d] += sum_n' a[c-n', m] phase[m, n'] b[n', d-m]
+        batch = slice(m, m + step)
+        for product in np.ascontiguousarray(lefts[batch]) @ (phases[batch, :, None]
+                                                             * rights[batch]):
+            out += product  # in ascending m, one shift at a time, as a loop over m adds
     return DiscreteSymbol(out)
 
 

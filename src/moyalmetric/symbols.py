@@ -56,9 +56,10 @@ MAX_POWER_TERM_PAIRS = 20_000
 MAX_LIVE_ORDER = 1000
 
 
-def _canon_key(key: MonoKey):
-    """Canonical term order: by (gdeg, xdeg, pdeg, hdeg)."""
-    return (key[3], key[0], key[1], key[2])
+def _term_key(term: tuple[MonoKey, GaussianRational]):
+    """Canonical order of (key, coeff) terms, one call per term: by (gdeg, xdeg, pdeg, hdeg)."""
+    key = term[0]
+    return key[3], key[0], key[1], key[2]
 
 
 class ExpQuadratic(NamedTuple):
@@ -241,8 +242,7 @@ class PhaseSymbol:
         first), each part's (key, coeff) terms by (gdeg, xdeg, pdeg, hdeg)."""
         parts = self._parts
         eqs = sorted(parts, key=ExpQuadratic.sort_key) if len(parts) > 1 else parts
-        return [(eq, sorted(parts[eq].items(), key=lambda term: _canon_key(term[0])))
-                for eq in eqs]
+        return [(eq, sorted(parts[eq].items(), key=_term_key)) for eq in eqs]
 
     def iter_terms(self) -> Iterator[tuple[ExpQuadratic, MonoKey, GaussianRational]]:
         """The terms in the canonical order of sorted_parts."""
@@ -309,9 +309,9 @@ class PhaseSymbol:
                 f"star series does not terminate: left factor has {_blocker(self._parts, 0)} "
                 f"and right factor has {_blocker(o._parts, 1)}")
         if top > MAX_LIVE_ORDER:
-            raise LiveOrderTooLarge(
-                f"star series needs order {top}, past the limit of {MAX_LIVE_ORDER}, for "
-                + (f"x^{top} in the left factor" if top == xtop else f"p^{top} in the right factor"))
+            raise _past_live_order("star series", top, *(
+                (PhaseSymbol.monomial(1, x=top), "in the left factor") if top == xtop
+                else (PhaseSymbol.monomial(1, p=top), "in the right factor")))
         var, side, applied = ("x", self, o) if xtop < math.inf else ("p", o, self)
         return DifferentialOperator._from_ops(
             {eq: _star_ops(poly, var, top) for eq, poly in side._parts.items()}).apply(applied)
@@ -334,9 +334,8 @@ class PhaseSymbol:
         if top > MAX_LIVE_ORDER:
             _, a, b = max((min(_live(eq, key)), key[0], key[1])
                           for eq, poly in self._parts.items() for key in poly)
-            raise LiveOrderTooLarge(
-                f"twist series needs order {top}, past the limit of {MAX_LIVE_ORDER}, for "
-                f"{PhaseSymbol.monomial(1, x=a, p=b)} in the symbol")
+            raise _past_live_order("twist series", top, PhaseSymbol.monomial(1, x=a, p=b),
+                                   "in the symbol")
         # numerators (sign*i)^k * top!/k! over the denominator top!
         den = re = math.factorial(top)
         ops, im = [], 0
@@ -428,6 +427,14 @@ def _live_order(parts, i: int) -> float:
     return max((_live(eq, key)[i] for eq, poly in parts.items() for key in poly), default=0)
 
 
+def _past_live_order(what: str, top: int, power: PhaseSymbol, where: str) -> LiveOrderTooLarge:
+    """The refusal of a series that lives to order top, naming the power that needs it.
+    Naming the power first raises ExponentTooLong when top is too long to print."""
+    power = str(power)
+    return LiveOrderTooLarge(f"{what} needs order {top}, past the limit of {MAX_LIVE_ORDER}, "
+                             f"for {power} {where}")
+
+
 def _blocker(parts, i: int) -> str:
     """What keeps d_x (i = 0) or d_p (i = 1) alive on parts, as text: the first
     exponent that holds the variable, else the lowest negative power of p."""
@@ -448,9 +455,9 @@ def star_terms(sym: PhaseSymbol, var: str) -> dict[tuple[int, int], PhaseSymbol]
     """
     top = _live_order(sym._parts, "xp".index(var))
     if top > MAX_LIVE_ORDER:
-        raise LiveOrderTooLarge(
-            f"metric operator needs order {top}, past the limit of {MAX_LIVE_ORDER}, for "
-            + (f"x^{top} in the Hamiltonian" if var == "x" else f"p^{top} in its adjoint"))
+        raise _past_live_order("metric operator", top, *(
+            (PhaseSymbol.monomial(1, x=top), "in the Hamiltonian") if var == "x"
+            else (PhaseSymbol.monomial(1, p=top), "in its adjoint")))
     terms = {}
     k = 0
     while sym:

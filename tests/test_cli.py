@@ -234,6 +234,17 @@ class TestBasicCommands:
                 assert (code, out) == (1, "")
                 assert err == f"error: exponent has more than {LIMIT} digits, too long to print\n"
 
+    def test_live_order_past_the_digit_limit_exits_1(self, capsys):
+        # the refusals name the power that needs the order, so they cannot print it either
+        nines = "9" * 4000
+        for argv in (("derive-pde", "--hamiltonian", f"p^2+(x^{nines})^{nines}"),
+                     ("derive-pde", "--hamiltonian", f"p^2+x+(p^{nines})^{nines}"),
+                     ("star", "--left", f"(x^{nines})^{nines}", "--right", f"(p^{nines})^{nines}"),
+                     ("dagger", "--expr", f"(x^{nines})^{nines}*(p^{nines})^{nines}")):
+            for fmt in ("text", "latex", "json"):
+                assert run(capsys, *argv, "--format", fmt) == (
+                    1, "", f"error: exponent has more than {LIMIT} digits, too long to print\n")
+
     def test_result_too_long_to_print_prints_nothing(self, capsys, tmp_path):
         # g^0 and g^1 of the log print; its g^2 slice carries the 7999-digit square
         series = MetricSeries({0: PhaseSymbol.monomial(1),

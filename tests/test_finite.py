@@ -170,6 +170,10 @@ class TestDiscreteDagger:
             lhs = discrete_dagger(to_symbol(A))
             assert np.max(np.abs(lhs.coeffs - to_symbol(A.conj().T).coeffs)) < TOL
 
+    def test_shared_phase_table_is_read_only(self):
+        with pytest.raises(ValueError, match="read-only"):
+            finite._ordering_phases(5)[0, 0] = 0
+
     @pytest.mark.parametrize("n", [5, 160])  # 160: a 400 KB phase table
     def test_bit_identical_to_the_inline_phase_table(self, n):
         a = random_matrix(np.random.default_rng(n), n)
@@ -235,6 +239,37 @@ class TestBasisBudget:
             tracemalloc.stop()
         assert peak < 64 * n ** 3
 
+    def test_cache_evicts_the_least_recently_used_past_its_byte_budget(self, monkeypatch):
+        basis_words.cache_clear()
+        monkeypatch.setattr(finite, "BASIS_CACHE_BYTES", 16 * (4 ** 4 + 7 ** 4))
+        for n in (4, 5, 6):
+            basis_words(n)
+        four = basis_words(4)  # now the most recently used
+        with pytest.raises(ValueError, match="read-only"):  # shared by every caller
+            four[0, 0, 0, 0] = 0
+        assert basis_words.cache_info() == (3, 16 * (4 ** 4 + 5 ** 4 + 6 ** 4))
+        basis_words(7)  # 16*7^4 bytes: 5 and then 6 go, oldest first
+        assert basis_words.cache_info() == (2, 16 * (4 ** 4 + 7 ** 4))
+        assert basis_words(4) is four
+        basis_words(5)  # evicts 7, the least recently used
+        assert basis_words.cache_info() == (2, 16 * (4 ** 4 + 5 ** 4))
+        assert basis_words(4) is four
+        monkeypatch.setattr(finite, "BASIS_CACHE_BYTES", 0)
+        fresh = basis_words(8)  # past the budget alone: built, kept and the others evicted
+        assert basis_words.cache_info() == (1, 16 * 8 ** 4)
+        assert basis_words(8) is fresh
+        assert np.array_equal(basis_words(4), four) and basis_words(4) is not four
+        basis_words.cache_clear()
+        assert basis_words.cache_info() == (0, 0)
+
+    def test_cache_keeps_every_finite_weyl_dimension(self):
+        dims = (*range(4, 15), 16, 18, 20, 22, 24)  # the benchmark's finite-weyl N
+        basis_words.cache_clear()
+        built = {n: basis_words(n) for n in dims}
+        assert all(basis_words(n) is built[n] for n in dims)
+        assert basis_words.cache_info() == (len(dims), sum(16 * n ** 4 for n in dims))
+        basis_words.cache_clear()
+
     def test_basis_free_maps_keep_the_dimension_limit(self):
         n = 65
         g, h = clock(n), shift(n)
@@ -269,6 +304,35 @@ def loop_discrete_star(s1, s2):
                 continue
             out += c * np.roll(phases[b][:, None] * s2.coeffs, (a, b), axis=(0, 1))
     return DiscreteSymbol(out)
+
+
+def shift_loop_discrete_star(s1, s2):
+    """The per-shift kernel the batched discrete_star replaced, verbatim."""
+    if s1.n != s2.n:
+        raise DimensionMismatch(f"dimension mismatch: {s1.n} vs {s2.n}")
+    n = s1.n
+    phases = finite._ordering_phases(n)  # [m, n']
+    shifts = (np.arange(n)[:, None] - np.arange(n)) % n  # [c, n'] -> (c - n') mod N
+    out = np.zeros((n, n), dtype=complex)
+    for m in range(n):  # out[c, d] += sum_n' a[c-n', m] phase[m, n'] b[n', d-m]
+        out += s1.coeffs[shifts, m] @ (phases[m][:, None] * s2.coeffs[:, shifts[:, m]])
+    return DiscreteSymbol(out)
+
+
+def block_loop_trace_orthogonality(n):
+    """The per-block Gram pass of finite-demo before its batched path, verbatim."""
+    flat = finite.basis_words(n).reshape(n * n, n * n)
+    block_devs = np.empty(n)
+    for b in range(n):
+        block, own = flat[b::n], np.arange(b, n * n, n)
+        cols = block.any(axis=0)
+        partners = flat[:, cols]
+        hit = partners.any(axis=1)
+        hit[own] = True
+        rows = np.flatnonzero(hit)
+        gram = np.conj(block[:, cols]) @ partners[rows].T - n * (rows == own[:, None])
+        block_devs[b] = np.abs(gram).max()
+    return float(np.max(block_devs))
 
 
 def loop_trace_orthogonality(n):
@@ -362,3 +426,47 @@ class TestLoopOracles:
                 assert math.isnan(checked)
             else:
                 assert abs(checked - loop_trace_orthogonality(n)) < ORACLE_TOL
+
+
+class TestBatchedKernels:
+    """The batched discrete_star and Gram check give the per-shift and per-block
+    loops' arrays bit for bit."""
+
+    @pytest.mark.parametrize("n", [*range(2, 65), 128, 256])
+    def test_discrete_star_is_bitwise_the_shift_loop(self, n):
+        rng = np.random.default_rng(500 + n)
+        left, right = (DiscreteSymbol(random_matrix(rng, n)) for _ in range(2))
+        assert (discrete_star(left, right).coeffs.tobytes()
+                == shift_loop_discrete_star(left, right).coeffs.tobytes())
+
+    @pytest.mark.parametrize("entries", [1, 2 * 13 ** 2, 5 * 13 ** 2, 13 ** 3])
+    def test_discrete_star_is_bitwise_the_shift_loop_for_any_batch(self, entries, monkeypatch):
+        monkeypatch.setattr(finite, "BATCH_ENTRIES", entries)  # 13, 7, 3 and 1 batches
+        rng = np.random.default_rng(600)
+        symbols = list(oracle_symbols(rng, 13))
+        symbols.append(DiscreteSymbol(random_matrix(rng, 13).T))  # a non-contiguous array
+        for left in symbols:
+            for right in symbols[::3]:
+                assert (discrete_star(left, right).coeffs.tobytes()
+                        == shift_loop_discrete_star(left, right).coeffs.tobytes())
+
+    @pytest.mark.parametrize("n", [*range(2, 33), 64])
+    def test_orthogonality_check_is_the_block_loop(self, n):
+        basis_words.cache_clear()
+        expected = block_loop_trace_orthogonality(n)
+        basis_words.cache_clear()
+        assert _finite_checks(n, pairs=1, seed=0)["trace_orthogonality"] == expected
+        basis_words.cache_clear()
+
+    def test_discrete_star_allocates_batches_not_an_n3_stack(self):
+        n = 256
+        rng = np.random.default_rng(7)
+        left, right = (DiscreteSymbol(random_matrix(rng, n)) for _ in range(2))
+        tracemalloc.start()
+        try:
+            discrete_star(left, right)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        batch = max(finite.BATCH_ENTRIES, n * n) * 16  # bytes of one batch operand
+        assert peak < 16 * batch < 16 * n ** 3 // 10

@@ -20,7 +20,13 @@ from moyalmetric import (CoefficientTooLong, ExponentTooLong, HbarScalar, PhaseS
                          format_expression, parse_expression, solve_metric_series)
 from moyalmetric.rationals import GaussianRational
 from moyalmetric.serialize import rational_to_obj, symbol_to_obj
-from moyalmetric.symbols import TRIVIAL_EXP, ExpQuadratic, MonoKey, _canon_key
+from moyalmetric.symbols import TRIVIAL_EXP, ExpQuadratic, MonoKey
+
+
+def _canon_key(key):
+    """Canonical term order: by (gdeg, xdeg, pdeg, hdeg)."""
+    return key[3], key[0], key[1], key[2]
+
 
 # -- oracle: the earlier text renderer ----------------------------------------
 

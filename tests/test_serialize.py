@@ -20,7 +20,13 @@ from moyalmetric.series import MetricSeries
 from moyalmetric.serialize import (dumps, hbar_scalar_to_obj, rational_from_obj,
                                    rational_to_obj, series_to_obj, symbol_from_obj,
                                    symbol_to_obj)
-from moyalmetric.symbols import ExpQuadratic, _canon_key
+from moyalmetric.symbols import ExpQuadratic
+
+
+def _canon_key(key):
+    """Canonical term order: by (gdeg, xdeg, pdeg, hdeg)."""
+    return key[3], key[0], key[1], key[2]
+
 
 scalars = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text())
 documents = st.recursive(
