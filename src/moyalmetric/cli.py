@@ -205,7 +205,7 @@ _COMMANDS = {
 }
 
 
-# Budget of finite-demo --pairs: one pair takes about 0.17 s at N = 64.
+# Budget of finite-demo --pairs: one pair takes about 0.06 s at N = 64 (2-vCPU VM).
 MAX_PAIRS = 1000
 
 

@@ -169,8 +169,5 @@ def discrete_dagger(symbol: DiscreteSymbol) -> DiscreteSymbol:
     n = symbol.n
     idx = (-np.arange(n)) % n
     flipped = np.conj(symbol.coeffs)[np.ix_(idx, idx)]
-    # named: from 256 KiB numpy reuses a nameless temporary as phases * flipped, and
-    # that operand order can round the last bit of a complex product differently
-    phases = _ordering_phases(n)
-    return DiscreteSymbol(flipped * phases)
+    return DiscreteSymbol(flipped * _ordering_phases(n))
 
