@@ -8,14 +8,15 @@ has a unique coefficient array a[n, m]; multiplying matrices corresponds to
 convolving coefficient arrays with the phase exp(-i*m*n'*phi), which is the
 discrete star product implemented here.
 
-Every map is whole-array numpy work with no per-element Python loop.  The
-words are one (N, N, N, N) tensor per N, 16*N^4 bytes, so basis_words refuses
-N above MAX_BASIS_DIMENSION (64, 268 MB) and keeps the tensors of the most
-recently used N within BASIS_CACHE_BYTES.  to_symbol is one matvec against its
-(N^2, N^2) view and from_symbol one contraction with it.  discrete_star makes
-one circulant-matrix product per shift m, stacked into batched matmuls of at
-most BATCH_ENTRIES entries per operand.  The other maps take any N up to
-MAX_DIMENSION.
+Every map is whole-array numpy work with no per-element Python loop.  to_symbol
+is one DFT of the operator's wrapped diagonals, a[n, m] = (1/N) sum_j
+w^(-n*j) A[j, (j - m) mod N], with no basis tensor.  from_symbol is the word
+sum itself, one contraction with basis_words: one (N, N, N, N) tensor per N,
+16*N^4 bytes, so basis_words refuses N above MAX_BASIS_DIMENSION (64, 268 MB)
+and keeps the tensors of the most recently used N within BASIS_CACHE_BYTES.
+discrete_star makes one circulant-matrix product per shift m, stacked into
+batched matmuls of at most BATCH_ENTRIES entries per operand.  Every map but
+from_symbol takes any N up to MAX_DIMENSION.
 """
 
 from __future__ import annotations
@@ -112,18 +113,20 @@ class DiscreteSymbol:
 
 
 def to_symbol(operator: np.ndarray) -> DiscreteSymbol:
-    """Expansion coefficients a[n, m] = tr(U(n, m)^dag A) / N."""
+    """Expansion coefficients a[n, m] = tr(U(n, m)^dag A) / N: U(n, m) has the entries
+    w^(n*j) at (j, (j - m) mod N), so a is the DFT of A's wrapped diagonals."""
     arr = np.asarray(operator, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise BadDimension("operator must be a square matrix")
     n = arr.shape[0]
     _check_dim(n)
-    flat = basis_words(n).reshape(n * n, n * n)  # a view: row n*a + b is U(a, b)
-    return DiscreteSymbol(np.conj(flat @ np.conj(arr.ravel())).reshape(n, n) / n)
+    diagonals = arr.ravel()[_wrapped_diagonals(n)]  # [j, m]: A[j, (j - m) mod N]
+    return DiscreteSymbol(_ordering_phases(n) @ diagonals / n)
 
 
 def from_symbol(symbol: DiscreteSymbol) -> np.ndarray:
-    """Reconstruct the operator sum a[n, m] g^n h^m."""
+    """Reconstruct the operator sum a[n, m] g^n h^m from the words themselves, the
+    definition that to_symbol's DFT inverts."""
     n = symbol.n
     words = basis_words(n)
     return np.tensordot(symbol.coeffs, words, axes=([0, 1], [0, 1]))
@@ -137,6 +140,16 @@ def _ordering_phases(n: int) -> np.ndarray:
     phases = np.exp(-1j * phi * np.outer(np.arange(n), np.arange(n)))
     phases.flags.writeable = False
     return phases
+
+
+@functools.lru_cache(maxsize=16)
+def _wrapped_diagonals(n: int) -> np.ndarray:
+    """Flat index of A[j, (j - m) mod N] into a C-ordered N x N array, indexed [j, m];
+    read-only, as every caller of one N shares it."""
+    k = np.arange(n)
+    index = k[:, None] * n + (k[:, None] - k) % n
+    index.flags.writeable = False
+    return index
 
 
 def discrete_star(s1: DiscreteSymbol, s2: DiscreteSymbol) -> DiscreteSymbol:

@@ -161,9 +161,9 @@ class PhaseSymbol:
             return NotImplemented
         return o - self
 
-    def __neg__(self):
-        return PhaseSymbol({eq: {k: -c for k, c in poly.items()}
-                            for eq, poly in self._parts.items()})
+    def __neg__(self):  # negating nonzero coefficients keeps the parts canonical
+        return PhaseSymbol._from_parts({eq: {k: -c for k, c in poly.items()}
+                                        for eq, poly in self._parts.items()})
 
     def __mul__(self, other):
         o = self._coerce(other)

@@ -218,8 +218,8 @@ class TestBasisBudget:
         cached = basis_words.cache_info().currsize
         with pytest.raises(BadDimension, match=f"at most {MAX_BASIS_DIMENSION}, got 65"):
             basis_words(n)
-        with pytest.raises(BadDimension, match=f"at most {MAX_BASIS_DIMENSION}"):
-            to_symbol(np.eye(n))
+        with pytest.raises(BadDimension, match=f"at most {MAX_BASIS_DIMENSION}, got 65"):
+            from_symbol(DiscreteSymbol(np.eye(n)))
         assert basis_words.cache_info().currsize == cached
 
     def test_cached_dimension_does_not_admit_an_equal_non_int(self):
@@ -277,9 +277,23 @@ class TestBasisBudget:
         s = DiscreteSymbol(np.eye(n))
         assert discrete_star(s, s).n == n
         assert discrete_dagger(s).n == n
+        assert to_symbol(np.eye(n)).n == n
+        with pytest.raises(BadDimension, match=r"an integer in \[2, 256\], got 257"):
+            to_symbol(np.eye(257))
 
 
 # The loop kernels the whole-array ones replaced, kept as oracles.
+
+def tensor_to_symbol(operator: np.ndarray) -> DiscreteSymbol:
+    """The matvec against the basis tensor that the DFT to_symbol replaced, verbatim."""
+    arr = np.asarray(operator, dtype=complex)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise BadDimension("operator must be a square matrix")
+    n = arr.shape[0]
+    finite._check_dim(n)
+    flat = basis_words(n).reshape(n * n, n * n)  # a view: row n*a + b is U(a, b)
+    return DiscreteSymbol(np.conj(flat @ np.conj(arr.ravel())).reshape(n, n) / n)
+
 
 def loop_to_symbol(operator):
     arr = np.asarray(operator, dtype=complex)
@@ -366,6 +380,59 @@ def oracle_symbols(rng, n):
     for _ in range(4):
         yield DiscreteSymbol(sparse_coeffs(rng, n))
         yield to_symbol(random_matrix(rng, n))
+
+
+def oracle_operators(rng, n):
+    """Operators of oracle_symbols' kinds: zero, clock, shift, one word, sparse and random."""
+    single = np.zeros((n, n), dtype=complex)
+    single[n - 1, 1 % n] = 2.0 - 1.0j
+    yield np.zeros((n, n))
+    yield clock(n)
+    yield shift(n)
+    yield from_symbol(DiscreteSymbol(single))
+    for _ in range(4):
+        yield from_symbol(DiscreteSymbol(sparse_coeffs(rng, n)))
+        yield random_matrix(rng, n)
+    yield random_matrix(rng, n).T  # a non-contiguous array
+
+
+class TestDiagonalDFT:
+    """to_symbol's DFT of the wrapped diagonals against the basis-tensor matvec and the
+    vdot loop, and the round trip that compares it with the words."""
+
+    @pytest.mark.parametrize("n", range(2, 65))
+    def test_to_symbol_matches_the_tensor_and_the_vdot_loop(self, n):
+        rng = np.random.default_rng(700 + n)
+        for op in oracle_operators(rng, n):
+            dft = to_symbol(op).coeffs
+            assert np.max(np.abs(dft - tensor_to_symbol(op).coeffs)) < ORACLE_TOL
+            assert np.max(np.abs(dft - loop_to_symbol(op).coeffs)) < ORACLE_TOL
+
+    @pytest.mark.parametrize("n", [65, 128, 256])  # past the basis tensor
+    def test_a_word_has_its_unit_coefficient(self, n):
+        g, h = clock(n), shift(n)
+        for a, b in ((0, 0), (1, 0), (0, 1), (3, n - 2), (n - 1, n // 2)):
+            word = np.linalg.matrix_power(g, a) @ np.linalg.matrix_power(h, b)
+            expected = np.zeros((n, n))
+            expected[a, b] = 1.0
+            assert np.max(np.abs(to_symbol(word).coeffs - expected)) < ORACLE_TOL
+
+    def test_shared_diagonal_index_is_read_only(self):
+        with pytest.raises(ValueError, match="read-only"):
+            finite._wrapped_diagonals(5)[0, 0] = 0
+
+    def test_round_trip_sees_words_of_the_other_ordering(self, monkeypatch):
+        # h^b g^a is a phase times g^a h^b: unitary and trace-orthogonal, so only the
+        # round trip, which rebuilds the operator from the words, tells the two apart.
+        n = 5
+        g, h = clock(n), shift(n)
+        power = np.linalg.matrix_power
+        swapped = np.array([[power(h, b) @ power(g, a) for b in range(n)] for a in range(n)])
+        monkeypatch.setattr(finite, "basis_words", lambda _n: swapped)
+        checks = _finite_checks(n, 2, 0)
+        assert checks["trace_orthogonality"] < TOL
+        assert checks["round_trip"] > 1
+        assert checks["star_isomorphism"] < TOL and checks["dagger_transpose"] < TOL
 
 
 class TestLoopOracles:

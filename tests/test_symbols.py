@@ -42,6 +42,13 @@ class TestRingOps:
         assert X + (-X) == ZERO
         assert not (X - X)
 
+    @given(st.one_of(poly_symbols(), exp_symbols()))
+    def test_negation_is_canonical(self, sym):
+        neg = -sym  # built without the checking constructor
+        rebuilt = PhaseSymbol(neg.parts)
+        assert neg == rebuilt and list(neg.parts.items()) == list(rebuilt.parts.items())
+        assert not (sym + neg) and -neg == sym
+
     def test_hamiltonian_build(self):
         H = P ** 2 + I * G * X ** 3
         assert H.parts == {TRIVIAL_EXP: {(0, 2, 0, 0): 1, (3, 0, 0, 1): I}}
