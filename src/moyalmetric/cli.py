@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import re
 import sys
 from fractions import Fraction
 from typing import Callable, NamedTuple
@@ -36,10 +37,16 @@ from .symbols import PhaseSymbol
 
 
 def _fraction(text: str) -> Fraction:
+    """A rational flag.  An exponent past the digit limit is refused before Fraction
+    builds 10**exponent, which takes seconds past 10^7; the echo keeps 40 characters."""
+    shown = text if len(text) <= 40 else text[:37] + "..."
+    exponent, limit = re.search(r"[eE]([-+]?[\d_]+)\s*\Z", text), sys.get_int_max_str_digits()
     try:
+        if exponent and abs(int(exponent[1])) > limit:
+            raise argparse.ArgumentTypeError(f"exponent larger than {limit} in magnitude: {shown!r}")
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"not a rational number: {shown!r}") from exc
 
 
 def _int_at_least(low: int):
@@ -210,6 +217,8 @@ MAX_PAIRS = 1000
 
 
 def _finite_checks(n: int, pairs: int, seed: int) -> dict[str, float]:
+    """finite-demo's deviations: the Weyl relations, the words' trace orthogonality
+    from the clock table, then per random pair the round trip, star and dagger."""
     if pairs > MAX_PAIRS:
         raise ValueError(f"--pairs {pairs} exceeds the limit of {MAX_PAIRS}")
     import numpy as np
@@ -226,40 +235,11 @@ def _finite_checks(n: int, pairs: int, seed: int) -> dict[str, float]:
     checks["h_power_n"] = float(np.max(np.abs(np.linalg.matrix_power(h, n) - eye)))
     checks["trace_gh"] = float(abs(np.trace(g @ h)))
 
-    # Gram matrix tr(U_i^dag U_j) = N * delta_ij, one block of rows per shift b: the words
-    # U(a, b) are rows b::N, and a word with no entry in the block's columns meets the
-    # block in an exact zero off the diagonal; np.max keeps a NaN.  When the blocks'
-    # columns are disjoint and equally many, as on the true basis (N each), a block's
-    # only partners are its own words, and batches of blocks make one stacked
-    # conj(B) @ B^T each.  Otherwise each block is multiplied against its columns and
-    # every word with an entry there, which stays exact on any tensor.  O(N^4) work
-    # with O(N^3) temporaries either way.
-    words = finite.basis_words(n).reshape(n, n, n * n)  # [a, b, column]
-    support = words.any(axis=0)  # [b, column]
-    sizes = support.sum(axis=1)
-    if support.sum(axis=0).max() <= 1 and sizes.min() == sizes.max() > 0:
-        cols = np.nonzero(support)[1].reshape(n, 1, sizes[0])  # [b, 1, j]
-        step = max(1, finite.BATCH_ENTRIES // (n * sizes[0]))
-        rows = np.arange(n)
-        block_devs = []
-        for b in range(0, n, step):
-            batch = rows[b:b + step]
-            blocks = words[rows[:, None], batch[:, None, None], cols[batch]]  # [b, a, j]
-            gram = np.conj(blocks) @ blocks.transpose(0, 2, 1) - n * np.eye(n)
-            block_devs.append(np.abs(gram).max())
-    else:
-        flat = words.reshape(n * n, n * n)  # row n*a + b is U(a, b)
-        block_devs = np.empty(n)
-        for b in range(n):
-            block, own = flat[b::n], np.arange(b, n * n, n)
-            cols = block.any(axis=0)
-            partners = flat[:, cols]
-            hit = partners.any(axis=1)
-            hit[own] = True
-            rows = np.flatnonzero(hit)
-            gram = np.conj(block[:, cols]) @ partners[rows].T - n * (rows == own[:, None])
-            block_devs[b] = np.abs(gram).max()
-    checks["trace_orthogonality"] = float(np.max(block_devs))
+    # Gram matrix tr(U_i^dag U_j) = N * delta_ij of the words g^a h^b: words of different
+    # shifts b have disjoint supports, and those of one shift meet where their clock
+    # diagonals do, so every block is the Gram matrix of the table's rows.
+    table = finite.clock_powers(n)  # [a, i]: the diagonal of g^a
+    checks["trace_orthogonality"] = float(np.abs(np.conj(table) @ table.T - n * eye).max())
 
     devs = np.empty((pairs, 3))  # round trip, star, dagger per pair
     for k in range(pairs):

@@ -8,6 +8,10 @@ has a unique coefficient array a[n, m]; multiplying matrices corresponds to
 convolving coefficient arrays with the phase exp(-i*m*n'*phi), which is the
 discrete star product implemented here.
 
+Every clock phase comes from one cached, read-only table, clock_powers(N)[a, i] =
+w^((a*i) mod N), the diagonal of g^a: clock is its row 1, the basis tensor
+multiplies it into the shifts, and the ordering phases are its conjugate.
+
 Every map is whole-array numpy work with no per-element Python loop.  to_symbol
 is one DFT of the operator's wrapped diagonals, a[n, m] = (1/N) sum_j
 w^(-n*j) A[j, (j - m) mod N], with no basis tensor.  from_symbol is the word
@@ -48,10 +52,23 @@ def phase_angle(n: int) -> float:
     return 2.0 * np.pi / n
 
 
+# 16 tables of at most 1 MiB, every finite-weyl N; typed, so that an equal float or
+# numpy n misses the cache and is refused.
+@functools.lru_cache(maxsize=16, typed=True)
+def clock_powers(n: int) -> np.ndarray:
+    """The phases exp(2*pi*i*((a*k) mod N)/N), indexed [a, k]: row a is the diagonal of
+    clock^a.  Read-only, as every caller of one N shares it."""
+    _check_dim(n)
+    k = np.arange(n)
+    table = np.exp(2j * np.pi * (np.outer(k, k) % n) / n)
+    table.flags.writeable = False
+    return table
+
+
 def clock(n: int) -> np.ndarray:
     """Diagonal phase matrix diag(exp(2*pi*i*k/N)), k = 0..N-1."""
     _check_dim(n)
-    return np.diag(np.exp(2j * np.pi * np.arange(n) / n))
+    return np.diag(clock_powers(n)[1])
 
 
 def shift(n: int) -> np.ndarray:
@@ -80,9 +97,8 @@ def basis_words(n: int) -> np.ndarray:
     while _basis_cache and held + 16 * n ** 4 > BASIS_CACHE_BYTES:  # evict before building
         held -= _basis_cache.popitem(last=False)[1].nbytes
     k = np.arange(n)
-    clock_diags = np.exp(2j * np.pi * (np.outer(k, k) % n) / n)  # [a, i]: clock^a[i, i]
     shift_pows = (k[:, None] - k) % n == k[:, None, None]  # [b, i, j]: shift^b[i, j] = 1
-    words = _basis_cache[n] = clock_diags[:, None, :, None] * shift_pows
+    words = _basis_cache[n] = clock_powers(n)[:, None, :, None] * shift_pows
     words.flags.writeable = False  # every caller of one n shares it
     return words
 
@@ -132,12 +148,11 @@ def from_symbol(symbol: DiscreteSymbol) -> np.ndarray:
     return np.tensordot(symbol.coeffs, words, axes=([0, 1], [0, 1]))
 
 
-@functools.lru_cache(maxsize=16)  # 16 tables of at most 1 MiB; every finite-weyl N fits
+@functools.lru_cache(maxsize=16)  # every finite-weyl N fits
 def _ordering_phases(n: int) -> np.ndarray:
-    """The phase table exp(-i*j*k*phi), phi = 2*pi/N, indexed [j, k]; read-only, as
-    every caller of one N shares it."""
-    phi = 2.0 * np.pi / n
-    phases = np.exp(-1j * phi * np.outer(np.arange(n), np.arange(n)))
+    """The phase table exp(-i*j*k*phi), phi = 2*pi/N, indexed [j, k]: the conjugate of
+    clock_powers(N), read-only for the same reason."""
+    phases = np.conj(clock_powers(n))
     phases.flags.writeable = False
     return phases
 

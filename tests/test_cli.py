@@ -226,6 +226,32 @@ class TestBasicCommands:
                        f"--beta=-{nines}", "--format", fmt) == (
                 1, "", f"error: coefficient has more than {LIMIT} digits, too long to print\n")
 
+    @pytest.mark.parametrize("command, flag, others", [
+        ("swanson", "omega", ("--alpha", "0", "--beta", "0")),
+        ("gaussian-candidates", "c", ("--a", "1", "--b", "1"))])
+    def test_rational_with_a_huge_exponent_is_refused_at_once(self, capsys, command, flag,
+                                                             others):
+        # Fraction("1e10000000") alone takes seconds, building 10**exponent first
+        for value in ("1e100000000", "-1e100000000", "1e-100000000", f"7E+{LIMIT + 1}"):
+            start = time.perf_counter()
+            code, out, err = run(capsys, command, f"--{flag}={value}", *others)
+            assert time.perf_counter() - start < 1
+            assert (code, out) == (2, "")
+            assert err.splitlines()[-1] == (
+                f"moyalmetric {command}: error: argument --{flag}: exponent larger than "
+                f"{LIMIT} in magnitude: {value!r}")
+        # an exponent at the limit reaches the coefficient's digit-limit refusal
+        assert run(capsys, command, f"--{flag}=7e{LIMIT}", *others) == (
+            1, "", f"error: coefficient has more than {LIMIT} digits, too long to print\n")
+
+    def test_refused_rational_is_echoed_in_at_most_40_characters(self, capsys):
+        for value in ("7" * 5000, "1e" + "9" * 5000):
+            code, out, err = run(capsys, "swanson", "--omega", value, "--alpha", "0",
+                                 "--beta", "0")
+            assert (code, out) == (2, "")
+            assert err.splitlines()[-1] == ("moyalmetric swanson: error: argument --omega: "
+                                            f"not a rational number: {value[:37] + '...'!r}")
+
     def test_exponent_past_the_digit_limit_exits_1(self, capsys):
         nines = "9" * 4000
         for expr in (f"(x^{nines})^{nines}", f"exp(p^2*(hbar^{nines})^{nines})"):

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -7,10 +8,10 @@ import pytest
 from hypothesis import given
 
 from moyalmetric import BadDimension, DimensionMismatch, finite
-from moyalmetric.cli import _finite_checks
+from moyalmetric.cli import _finite_checks, main
 from moyalmetric.finite import (MAX_BASIS_DIMENSION, DiscreteSymbol, basis_words, clock,
-                                discrete_dagger, discrete_star, from_symbol, phase_angle,
-                                shift, to_symbol)
+                                clock_powers, discrete_dagger, discrete_star, from_symbol,
+                                phase_angle, shift, to_symbol)
 
 TOL = 1e-9
 DIMS = (2, 3, 5, 8)
@@ -178,7 +179,8 @@ class TestDiscreteDagger:
     def test_bit_identical_to_the_inline_phase_table(self, n):
         a = random_matrix(np.random.default_rng(n), n)
         idx = (-np.arange(n)) % n
-        phases = np.exp(-1j * (2.0 * np.pi / n) * np.outer(np.arange(n), np.arange(n)))
+        k = np.arange(n)
+        phases = np.conj(np.exp(2j * np.pi * (np.outer(k, k) % n) / n))
         expected = np.conj(a)[np.ix_(idx, idx)] * phases
         assert np.array_equal(discrete_dagger(DiscreteSymbol(a)).coeffs, expected)
 
@@ -457,18 +459,22 @@ class TestLoopOracles:
                 assert dev < ORACLE_TOL
 
     @pytest.mark.parametrize("n", ORACLE_DIMS)
-    def test_orthogonality_check_matches_vdot_loop(self, n, monkeypatch):
+    def test_orthogonality_check_matches_vdot_loop(self, n, monkeypatch, capsys):
         checked = _finite_checks(n, pairs=1, seed=0)["trace_orthogonality"]
         assert abs(checked - loop_trace_orthogonality(n)) < ORACLE_TOL
-        # A broken basis: one word rescaled, another nudged off orthogonality.
+        # A broken basis: one word rescaled, another nudged off orthogonality.  The Gram
+        # check and the DFT to_symbol read the clock table, but from_symbol's word sum
+        # reads the tensor, so finite-demo fails through the round trip alone.
         words = basis_words(n).copy()
         words[1, 0] *= 1.5
         words[n - 1, 1, 0, 0] += 0.3j
         monkeypatch.setattr(finite, "basis_words", lambda _n: words)
-        checked = _finite_checks(n, pairs=1, seed=0)["trace_orthogonality"]
-        expected = loop_trace_orthogonality(n)
-        assert expected > 1.0
-        assert abs(checked - expected) < ORACLE_TOL
+        assert loop_trace_orthogonality(n) > 1.0
+        assert main(["finite-demo", "--n", str(n), "--pairs", "1", "--seed", "0",
+                     "--format", "json"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["checks"]["trace_orthogonality"] == checked
+        assert [name for name, dev in doc["checks"].items() if not dev < TOL] == ["round_trip"]
 
     @given(st.data())
     def test_orthogonality_check_matches_vdot_loop_on_perturbed_bases(self, data):
@@ -488,11 +494,18 @@ class TestLoopOracles:
             words[a, b, i, data.draw(st.integers(0, n - 1))] = np.nan
         with pytest.MonkeyPatch.context() as monkeypatch:
             monkeypatch.setattr(finite, "basis_words", lambda _n: words)
-            checked = _finite_checks(n, pairs=1, seed=0)["trace_orthogonality"]
+            checked = block_loop_trace_orthogonality(n)
             if kind == "nan":
                 assert math.isnan(checked)
             else:
                 assert abs(checked - loop_trace_orthogonality(n)) < ORACLE_TOL
+            round_trip = _finite_checks(n, pairs=1, seed=0)["round_trip"]
+        # one entry moves by `change` (a whole word for "zero"); every coefficient of the
+        # round trip's seed-0 operator is at least 0.02 in magnitude for N <= 8
+        change = {"scale": abs(value - 1), "off_support": abs(value), "zero": 1.0,
+                  "nan": math.inf}[kind]
+        if change > 1e-6:
+            assert not round_trip < TOL
 
 
 class TestBatchedKernels:
@@ -537,3 +550,41 @@ class TestBatchedKernels:
             tracemalloc.stop()
         batch = max(finite.BATCH_ENTRIES, n * n) * 16  # bytes of one batch operand
         assert peak < 16 * batch < 16 * n ** 3 // 10
+
+
+class TestClockTable:
+    """One reduced phase table w^((a*k) mod N) behind clock, the basis tensor and the
+    ordering phases."""
+
+    @pytest.mark.parametrize("n", [49, 256])
+    def test_ordering_phases_take_the_reduced_exponent(self, n):
+        k = np.arange(n)
+        expected = np.conj(np.exp(2j * np.pi * (np.outer(k, k) % n) / n))
+        assert np.array_equal(finite._ordering_phases(n), expected)
+
+    def test_deviations_at_49_stay_at_rounding(self):
+        # the unreduced exponent j*k read 8.4e-14 and 1.4e-13 here
+        checks = _finite_checks(49, 3, 7)
+        assert checks["round_trip"] < 2e-14 and checks["star_isomorphism"] < 2e-14
+
+    @pytest.mark.parametrize("n", range(2, 65))
+    def test_clock_and_basis_are_bitwise_unchanged(self, n):
+        # clock and the tensor as they were built before the shared table, verbatim; the
+        # tensor is compared one clock power at a time, so N = 64 holds no second copy
+        k = np.arange(n)
+        assert clock(n).tobytes() == np.diag(np.exp(2j * np.pi * k / n)).tobytes()
+        clock_diags = np.exp(2j * np.pi * (np.outer(k, k) % n) / n)  # [a, i]: clock^a[i, i]
+        shift_pows = (k[:, None] - k) % n == k[:, None, None]  # [b, i, j]: shift^b[i, j] = 1
+        basis_words.cache_clear()
+        words = basis_words(n)
+        assert all(words[a].tobytes() == (clock_diags[a, None, :, None] * shift_pows).tobytes()
+                   for a in range(n))
+        basis_words.cache_clear()
+
+    def test_table_is_shared_read_only_and_takes_int_dimensions(self):
+        with pytest.raises(ValueError, match="read-only"):
+            clock_powers(5)[0, 0] = 0
+        assert clock_powers(4) is clock_powers(4)
+        for n in (4.0, np.int64(4), 1, 257):
+            with pytest.raises(BadDimension):
+                clock_powers(n)
