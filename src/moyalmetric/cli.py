@@ -314,10 +314,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _bind_dash_values(argv: list[str]) -> list[str]:
+    """argv with each value that begins with a single '-' joined to the flag before it
+    as --flag=value, in one pass: argparse alone reads '-1/2' or '-x' there as an
+    unknown option.  Every flag is -h or begins with '--', so those stay flags; --help,
+    its prefixes and the separator -- take no value."""
+    out: list[str] = []
+    for arg in argv:
+        if (out and arg[:1] == "-" and arg[:2] != "--" and arg != "-h"
+                and out[-1][:2] == "--" and "=" not in out[-1]
+                and not "--help".startswith(out[-1])):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_bind_dash_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
     try:

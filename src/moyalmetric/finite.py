@@ -8,9 +8,10 @@ has a unique coefficient array a[n, m]; multiplying matrices corresponds to
 convolving coefficient arrays with the phase exp(-i*m*n'*phi), which is the
 discrete star product implemented here.
 
-Every clock phase comes from one cached, read-only table, clock_powers(N)[a, i] =
-w^((a*i) mod N), the diagonal of g^a: clock is its row 1, the basis tensor
-multiplies it into the shifts, and the ordering phases are its conjugate.
+Every per-N table is one cached, read-only record, _tables(N): the clock phases
+w^((a*i) mod N), indexed [a, i], whose row a is the diagonal of g^a; their
+conjugate, which is both the DFT matrix and the ordering phases; and the flat
+index of an operator's wrapped diagonals.
 
 Every map is whole-array numpy work with no per-element Python loop.  to_symbol
 is one DFT of the operator's wrapped diagonals, a[n, m] = (1/N) sum_j
@@ -52,17 +53,28 @@ def phase_angle(n: int) -> float:
     return 2.0 * np.pi / n
 
 
-# 16 tables of at most 1 MiB, every finite-weyl N; typed, so that an equal float or
+_Tables = namedtuple("_Tables", "clock dft diagonals")
+
+
+# 16 records of at most 2.5 MiB, every finite-weyl N; typed, so that an equal float or
 # numpy n misses the cache and is refused.
 @functools.lru_cache(maxsize=16, typed=True)
-def clock_powers(n: int) -> np.ndarray:
-    """The phases exp(2*pi*i*((a*k) mod N)/N), indexed [a, k]: row a is the diagonal of
-    clock^a.  Read-only, as every caller of one N shares it."""
+def _tables(n: int) -> _Tables:
+    """The per-N tables, read-only, as every caller of one N shares them: clock[a, k] =
+    w^((a*k) mod N), whose row a is the diagonal of clock^a; dft, its conjugate; and
+    diagonals[j, m], the flat index of A[j, (j - m) mod N] into a C-ordered array."""
     _check_dim(n)
     k = np.arange(n)
-    table = np.exp(2j * np.pi * (np.outer(k, k) % n) / n)
-    table.flags.writeable = False
-    return table
+    powers = np.exp(2j * np.pi * (np.outer(k, k) % n) / n)
+    tables = _Tables(powers, np.conj(powers), k[:, None] * n + (k[:, None] - k) % n)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def clock_powers(n: int) -> np.ndarray:
+    """_tables(n).clock: row a is the diagonal of clock^a."""
+    return _tables(n).clock
 
 
 def clock(n: int) -> np.ndarray:
@@ -136,8 +148,8 @@ def to_symbol(operator: np.ndarray) -> DiscreteSymbol:
         raise BadDimension("operator must be a square matrix")
     n = arr.shape[0]
     _check_dim(n)
-    diagonals = arr.ravel()[_wrapped_diagonals(n)]  # [j, m]: A[j, (j - m) mod N]
-    return DiscreteSymbol(_ordering_phases(n) @ diagonals / n)
+    tables = _tables(n)  # one gather of A's wrapped diagonals, then one DFT
+    return DiscreteSymbol(tables.dft @ arr.ravel()[tables.diagonals] / n)
 
 
 def from_symbol(symbol: DiscreteSymbol) -> np.ndarray:
@@ -148,31 +160,12 @@ def from_symbol(symbol: DiscreteSymbol) -> np.ndarray:
     return np.tensordot(symbol.coeffs, words, axes=([0, 1], [0, 1]))
 
 
-@functools.lru_cache(maxsize=16)  # every finite-weyl N fits
-def _ordering_phases(n: int) -> np.ndarray:
-    """The phase table exp(-i*j*k*phi), phi = 2*pi/N, indexed [j, k]: the conjugate of
-    clock_powers(N), read-only for the same reason."""
-    phases = np.conj(clock_powers(n))
-    phases.flags.writeable = False
-    return phases
-
-
-@functools.lru_cache(maxsize=16)
-def _wrapped_diagonals(n: int) -> np.ndarray:
-    """Flat index of A[j, (j - m) mod N] into a C-ordered N x N array, indexed [j, m];
-    read-only, as every caller of one N shares it."""
-    k = np.arange(n)
-    index = k[:, None] * n + (k[:, None] - k) % n
-    index.flags.writeable = False
-    return index
-
-
 def discrete_star(s1: DiscreteSymbol, s2: DiscreteSymbol) -> DiscreteSymbol:
     """Coefficient convolution with the ordering phase exp(-i*m*n'*phi)."""
     if s1.n != s2.n:
         raise DimensionMismatch(f"dimension mismatch: {s1.n} vs {s2.n}")
     n = s1.n
-    phases = _ordering_phases(n)  # [m, n']
+    phases = _tables(n).dft  # [m, n']: exp(-i*m*n'*phi)
     # Strided views of the operands doubled along their shifted axis, so that an index
     # N + k - j needs no mod N: lefts[m, c, n'] = a[(c - n') mod N, m], the circulant
     # of column m, and rights[m, n', d] = b[n', (d - m) mod N].  The views read the
@@ -197,5 +190,5 @@ def discrete_dagger(symbol: DiscreteSymbol) -> DiscreteSymbol:
     n = symbol.n
     idx = (-np.arange(n)) % n
     flipped = np.conj(symbol.coeffs)[np.ix_(idx, idx)]
-    return DiscreteSymbol(flipped * _ordering_phases(n))
+    return DiscreteSymbol(flipped * _tables(n).dft)
 

@@ -9,13 +9,11 @@ output byte-deterministic.
 Only symbol and series documents are read back (the --from-json inputs);
 operator, parameter, report and candidate documents are output only.
 
-`dumps` is the one writer of the symbol and series layout: it writes any
+`dumps` is the one statement of the symbol and series layout: it writes any
 PhaseSymbol or MetricSeries value it meets, one string per term straight from
-`sorted_parts()`, byte for byte the text of the document that `symbol_to_obj`
-or `series_to_obj` builds.  The operator, report and candidate documents hold
-their symbols and series as values.  The two builders remain for callers that
-want plain dicts: tests feed them to the stdlib encoder as the writer's oracle,
-and perfbench wraps them.
+`sorted_parts()`.  The operator, report and candidate documents hold their
+symbols and series as values, and symbol_to_obj and series_to_obj read the
+text of dumps back for callers that want plain dicts.
 """
 
 from __future__ import annotations
@@ -74,10 +72,6 @@ def rational_from_obj(obj) -> GaussianRational:
     return from_integers(ren * (den // red), imn * (den // imd), den)
 
 
-def hbar_scalar_to_obj(scalar: HbarScalar) -> list:
-    return [[h] + rational_to_obj(c) for h, c in scalar]
-
-
 def hbar_scalar_from_obj(obj) -> HbarScalar:
     if not isinstance(obj, list):
         raise InvalidDocument("hbar scalar must be a list")
@@ -92,13 +86,7 @@ def hbar_scalar_from_obj(obj) -> HbarScalar:
 
 
 def symbol_to_obj(sym: PhaseSymbol) -> dict:
-    return {"terms": [{"exp": {"r": hbar_scalar_to_obj(eq.r),
-                               "s": hbar_scalar_to_obj(eq.s),
-                               "t": hbar_scalar_to_obj(eq.t)},
-                       "poly": [{"coeff": rational_to_obj(coeff), "x": xd, "p": pd,
-                                 "hbar": hd, "g": gd}
-                                for (xd, pd, hd, gd), coeff in terms]}
-                      for eq, terms in sym.sorted_parts()]}
+    return json.loads(dumps(sym))
 
 
 def symbol_from_obj(obj) -> PhaseSymbol:
@@ -126,13 +114,11 @@ def symbol_from_obj(obj) -> PhaseSymbol:
 
 
 def series_to_obj(series: MetricSeries) -> dict:
-    return {"max_order": series.max_order,
-            "orders": {str(n): symbol_to_obj(series.order(n))
-                       for n in sorted(series.orders)}}
+    return json.loads(dumps(series))
 
 
 def _order_key(key: str) -> int:
-    """An order key in canonical decimal, as series_to_obj writes it."""
+    """An order key in canonical decimal, as dumps writes it."""
     if _ORDER_KEY.fullmatch(key):
         return _decimal(key, f"series order key {key!r:.40}")
     raise InvalidDocument(f"series order key {key!r:.40} is not a canonical decimal integer")
@@ -175,13 +161,11 @@ def candidates_to_obj(candidates: list[ExpQuadratic]) -> dict:
 
 def dumps(obj) -> str:
     """json.dumps(obj, indent=2), byte for byte, without its pure-Python encoder;
-    a PhaseSymbol or MetricSeries is written as its symbol_to_obj or series_to_obj
-    document.
+    a PhaseSymbol or MetricSeries is written as its symbol or series document.
 
     Dict keys must be strings.  A number past the interpreter's int-to-string
     digit limit raises CoefficientTooLong if any coefficient of a symbol or
-    series in obj is one, as building its document would, and ExponentTooLong
-    otherwise.
+    series in obj is one, and ExponentTooLong otherwise.
     """
     out: list[str] = []
     try:
@@ -194,10 +178,13 @@ def dumps(obj) -> str:
 
 def _check_coefficients(obj) -> None:
     """CoefficientTooLong if a coefficient of a symbol or series in obj is past the digit limit."""
+    if isinstance(obj, MetricSeries):
+        obj = list(obj.orders.values())
     if isinstance(obj, PhaseSymbol):
-        symbol_to_obj(obj)
-    elif isinstance(obj, MetricSeries):
-        series_to_obj(obj)
+        for eq, terms in obj.parts.items():
+            for pairs in (*eq, terms.items()):  # (power, c) per scalar, (key, c) per term
+                for _, c in pairs:
+                    rational_to_obj(c)
     elif isinstance(obj, (dict, list, tuple)):
         for value in obj.values() if isinstance(obj, dict) else obj:
             _check_coefficients(value)
@@ -241,7 +228,7 @@ def _encode(obj, out: list[str], newline: str) -> None:
 
 
 def _write_symbol(sym: PhaseSymbol, out: list[str], newline: str) -> None:
-    """Append the text of dumps(symbol_to_obj(sym)) at depth newline, one string per term."""
+    """Append the symbol document of sym at depth newline, one string per term."""
     n1, n2, n3, n4, n5, n6 = (newline + "  " * k for k in range(1, 7))
     if not sym:
         out.append(f'{{{n1}"terms": []{newline}}}')
@@ -270,7 +257,7 @@ def _write_symbol(sym: PhaseSymbol, out: list[str], newline: str) -> None:
 
 
 def _write_series(series: MetricSeries, out: list[str], newline: str) -> None:
-    """Append the text of dumps(series_to_obj(series)) at depth newline."""
+    """Append the series document of series at depth newline."""
     n1, n2 = newline + "  ", newline + "    "
     head = f'{{{n1}"max_order": {series.max_order},{n1}"orders": {{'
     if not series.orders:

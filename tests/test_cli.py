@@ -695,6 +695,45 @@ class TestLightImports:
         assert out == "False\n"
 
 
+class TestDashValues:
+    """argparse alone reads a value that begins with '-' and is not a plain negative
+    number as an unknown option, and exits 2 with "expected one argument"."""
+
+    @pytest.mark.parametrize("argv, code", [
+        (("swanson", "--omega", "-1/2", "--alpha", "0", "--beta", "0"), 0),
+        (("swanson", "--omega", "-1e3", "--alpha", "0", "--beta", "0"), 0),
+        (("swanson", "--omega", "-2", "--alpha", "0", "--beta", "0"), 0),
+        (("dagger", "--expr", "-x"), 0),
+        (("dagger", "--expr", "-hbar*x"), 0),  # not -h with the argument bar*x
+        (("swanson", "--om", "-1/2", "--alpha", "0", "--beta", "0"), 0),  # a prefix
+        (("solve-metric", "--potential", "-i*x^3", "--order", "2"), 0),
+        (("star", "--left", "-p", "--right", "-x"), 0),
+        (("gaussian-candidates", "--a", "1/2", "--b", "-3/2", "--c", "1",
+          "--s", "-2*i/hbar"), 0),
+        (("finite-demo", "--n", "-1", "--pairs", "1"), 1),
+    ])
+    def test_a_dash_value_binds_to_the_flag_before_it(self, capsys, argv, code):
+        joined = [argv[0]]
+        for k in range(1, len(argv), 2):
+            joined.append(f"{argv[k]}={argv[k + 1]}")
+        result = run(capsys, *argv)
+        assert result[0] == code
+        assert result == run(capsys, *joined)
+
+    @pytest.mark.parametrize("argv", [
+        ("star", "--left", "--right", "x"),
+        ("dagger", "--expr", "--form", "json"),  # argparse takes a unique prefix for its flag
+        ("star", "--left", "-h"),
+        ("dagger", "--expr", "--format=json"),
+        ("dagger", "--expr", "--"),
+        ("dagger", "--expr", "--x"),
+    ])
+    def test_a_flag_after_a_flag_stays_a_flag(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1].endswith(f"argument {argv[1]}: expected one argument")
+
+
 class TestProductBudget:
     def test_plain_product_of_allowed_powers_exits_1(self, capsys):
         expr = "*".join(["(1+x+p)^30"] * 4)

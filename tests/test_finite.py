@@ -173,7 +173,7 @@ class TestDiscreteDagger:
 
     def test_shared_phase_table_is_read_only(self):
         with pytest.raises(ValueError, match="read-only"):
-            finite._ordering_phases(5)[0, 0] = 0
+            finite._tables(5).dft[0, 0] = 0
 
     @pytest.mark.parametrize("n", [5, 160])  # 160: a 400 KB phase table
     def test_bit_identical_to_the_inline_phase_table(self, n):
@@ -327,7 +327,7 @@ def shift_loop_discrete_star(s1, s2):
     if s1.n != s2.n:
         raise DimensionMismatch(f"dimension mismatch: {s1.n} vs {s2.n}")
     n = s1.n
-    phases = finite._ordering_phases(n)  # [m, n']
+    phases = np.conj(finite.clock_powers(n))  # [m, n']
     shifts = (np.arange(n)[:, None] - np.arange(n)) % n  # [c, n'] -> (c - n') mod N
     out = np.zeros((n, n), dtype=complex)
     for m in range(n):  # out[c, d] += sum_n' a[c-n', m] phase[m, n'] b[n', d-m]
@@ -421,7 +421,7 @@ class TestDiagonalDFT:
 
     def test_shared_diagonal_index_is_read_only(self):
         with pytest.raises(ValueError, match="read-only"):
-            finite._wrapped_diagonals(5)[0, 0] = 0
+            finite._tables(5).diagonals[0, 0] = 0
 
     def test_round_trip_sees_words_of_the_other_ordering(self, monkeypatch):
         # h^b g^a is a phase times g^a h^b: unitary and trace-orthogonal, so only the
@@ -560,7 +560,7 @@ class TestClockTable:
     def test_ordering_phases_take_the_reduced_exponent(self, n):
         k = np.arange(n)
         expected = np.conj(np.exp(2j * np.pi * (np.outer(k, k) % n) / n))
-        assert np.array_equal(finite._ordering_phases(n), expected)
+        assert np.array_equal(finite._tables(n).dft, expected)
 
     def test_deviations_at_49_stay_at_rounding(self):
         # the unreduced exponent j*k read 8.4e-14 and 1.4e-13 here
@@ -580,6 +580,11 @@ class TestClockTable:
         assert all(words[a].tobytes() == (clock_diags[a, None, :, None] * shift_pows).tobytes()
                    for a in range(n))
         basis_words.cache_clear()
+
+    def test_one_record_holds_the_tables_of_one_dimension(self):
+        tables = finite._tables(7)
+        assert finite._tables(7) is tables and clock_powers(7) is tables.clock
+        assert np.array_equal(tables.dft, np.conj(tables.clock))
 
     def test_table_is_shared_read_only_and_takes_int_dimensions(self):
         with pytest.raises(ValueError, match="read-only"):

@@ -1,7 +1,6 @@
 """serialize.dumps against the stdlib's indented encoder, the rational reader
-against Fraction, the symbol writer against the one it replaced, the direct
-symbol and series writer against the documents it replaces, and the symbol
-loader."""
+against Fraction, the symbol and series writer against the document builders
+it replaced, and the symbol loader."""
 
 import json
 import math
@@ -17,9 +16,8 @@ from moyalmetric import (CoefficientTooLong, ExponentTooLong, GaussianRational, 
                          PhaseSymbol, parse_expression, solve_metric_series)
 from moyalmetric.cli import main
 from moyalmetric.series import MetricSeries
-from moyalmetric.serialize import (dumps, hbar_scalar_to_obj, rational_from_obj,
-                                   rational_to_obj, series_to_obj, symbol_from_obj,
-                                   symbol_to_obj)
+from moyalmetric.serialize import (dumps, rational_from_obj, rational_to_obj, series_to_obj,
+                                   symbol_from_obj, symbol_to_obj)
 from moyalmetric.symbols import ExpQuadratic
 
 
@@ -88,7 +86,11 @@ def test_symbol_documents_load_without_a_chain_of_sums(monkeypatch):
     assert counts[0] == counts[1]
 
 
-# -- oracle: the symbol writer that sorted a copy of the parts itself -----------
+# -- oracle: the document builders, the symbol one sorting a copy of the parts ---
+
+def oracle_hbar_scalar_to_obj(scalar: HbarScalar) -> list:
+    return [[h] + rational_to_obj(c) for h, c in scalar]
+
 
 def oracle_symbol_to_obj(sym: PhaseSymbol) -> dict:
     parts = sym.parts
@@ -100,11 +102,17 @@ def oracle_symbol_to_obj(sym: PhaseSymbol) -> dict:
             xd, pd, hd, gd = key
             poly_entries.append({"coeff": rational_to_obj(poly[key]),
                                  "x": xd, "p": pd, "hbar": hd, "g": gd})
-        terms.append({"exp": {"r": hbar_scalar_to_obj(eq.r),
-                              "s": hbar_scalar_to_obj(eq.s),
-                              "t": hbar_scalar_to_obj(eq.t)},
+        terms.append({"exp": {"r": oracle_hbar_scalar_to_obj(eq.r),
+                              "s": oracle_hbar_scalar_to_obj(eq.s),
+                              "t": oracle_hbar_scalar_to_obj(eq.t)},
                       "poly": poly_entries})
     return {"terms": terms}
+
+
+def oracle_series_to_obj(series: MetricSeries) -> dict:
+    return {"max_order": series.max_order,
+            "orders": {str(n): oracle_symbol_to_obj(series.order(n))
+                       for n in sorted(series.orders)}}
 
 
 @given(st.one_of(tied_exp_symbols(), exp_symbols()))
@@ -114,12 +122,13 @@ def test_symbol_documents_match_the_oracle(sym):
     assert dumps(symbol_to_obj(sym)) == dumps(oracle_symbol_to_obj(sym))
 
 
-# -- the direct writer of symbols and series against their documents ------------
+# -- the writer of symbols and series against the oracle documents --------------
 
 @given(st.one_of(tied_exp_symbols(), exp_symbols()))
 @example(PhaseSymbol.zero())  # an empty terms list
 def test_symbols_write_as_their_documents(sym):
     assert dumps(sym) == dumps(symbol_to_obj(sym)) == json.dumps(symbol_to_obj(sym), indent=2)
+    assert dumps(sym) == json.dumps(oracle_symbol_to_obj(sym), indent=2)
 
 
 @st.composite
@@ -135,14 +144,16 @@ def series_values(draw):
 def test_series_write_as_their_documents(series):
     assert (dumps(series) == dumps(series_to_obj(series))
             == json.dumps(series_to_obj(series), indent=2))
+    assert dumps(series) == json.dumps(oracle_series_to_obj(series), indent=2)
 
 
 def test_values_inside_documents_write_as_their_documents():
     sym = parse_expression("2*x*exp(i*x*p/hbar) - p")
     series = MetricSeries({0: sym}, 1)
     obj = {"a": [sym, series], "b": series}
-    assert dumps(obj) == json.dumps({"a": [symbol_to_obj(sym), series_to_obj(series)],
-                                     "b": series_to_obj(series)}, indent=2)
+    series_doc = oracle_series_to_obj(series)
+    assert dumps(obj) == json.dumps({"a": [oracle_symbol_to_obj(sym), series_doc],
+                                     "b": series_doc}, indent=2)
 
 
 NINES = 10 ** 5000 - 1
@@ -176,6 +187,15 @@ def test_documents_refuse_a_coefficient_anywhere_ahead_of_an_exponent():
             dumps({"terms": [{"dx": 0, "coeff": value}, {"dx": 1, "coeff": (coefficient,)}]})
     with pytest.raises(ExponentTooLong):
         dumps({"terms": [exponent, PhaseSymbol.monomial(3, x=1)], "dx": NINES})
+
+
+def test_a_coefficient_inside_an_exponent_outranks_an_exponent():
+    # the exponent x^NINES is met first, the long coefficient only in the scalar r
+    long_r = ExpQuadratic(HbarScalar.constant(LONG), HbarScalar(), HbarScalar())
+    sym = PhaseSymbol.monomial(1, x=NINES) + PhaseSymbol.exponential(long_r)
+    for value in (sym, MetricSeries({0: sym}, 1), {"a": [1, {"b": (sym,)}]}):
+        with pytest.raises(CoefficientTooLong):
+            dumps(value)
 
 
 @pytest.mark.parametrize("what, expr", [("coefficient", "2^99999*x"),
