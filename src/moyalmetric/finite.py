@@ -22,6 +22,15 @@ and keeps the tensors of the most recently used N within BASIS_CACHE_BYTES.
 discrete_star makes one circulant-matrix product per shift m, stacked into
 batched matmuls of at most BATCH_ENTRIES entries per operand.  Every map but
 from_symbol takes any N up to MAX_DIMENSION.
+
+DiscreteSymbol and every map but discrete_star also take a stack of operators
+along leading axes, in the same code through `...` indexing.  to_symbol and
+discrete_dagger give each operator of a stack bit for bit what it gives alone;
+from_symbol contracts the whole stack at once and agrees with that to rounding;
+discrete_star takes one symbol per operand.  finite-demo checks its random pairs
+in chunks of at most max(1, BATCH_ENTRIES // N^2) pairs, so its memory does not
+grow with the number of pairs: to_symbol and discrete_dagger run once per chunk,
+from_symbol and discrete_star once per pair.
 """
 
 from __future__ import annotations
@@ -121,20 +130,21 @@ basis_words.cache_clear = _basis_cache.clear
 
 
 class DiscreteSymbol:
-    """Coefficient array a[n, m] of an operator in the clock/shift basis."""
+    """Coefficient array a[..., n, m] of an operator, or of a stack of them along
+    leading axes, in the clock/shift basis."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: np.ndarray):
         arr = np.asarray(coeffs, dtype=complex)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        if arr.ndim < 2 or arr.shape[-2] != arr.shape[-1]:
             raise BadDimension("coefficient array must be square")
-        _check_dim(arr.shape[0])
+        _check_dim(arr.shape[-1])
         self.coeffs = arr
 
     @property
     def n(self) -> int:
-        return self.coeffs.shape[0]
+        return self.coeffs.shape[-1]
 
     def __repr__(self):
         return f"DiscreteSymbol(n={self.n})"
@@ -142,28 +152,34 @@ class DiscreteSymbol:
 
 def to_symbol(operator: np.ndarray) -> DiscreteSymbol:
     """Expansion coefficients a[n, m] = tr(U(n, m)^dag A) / N: U(n, m) has the entries
-    w^(n*j) at (j, (j - m) mod N), so a is the DFT of A's wrapped diagonals."""
+    w^(n*j) at (j, (j - m) mod N), so a is the DFT of A's wrapped diagonals.  A stack
+    of operators along leading axes gives the stack of their symbols."""
     arr = np.asarray(operator, dtype=complex)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+    if arr.ndim < 2 or arr.shape[-2] != arr.shape[-1]:
         raise BadDimension("operator must be a square matrix")
-    n = arr.shape[0]
+    n = arr.shape[-1]
     _check_dim(n)
     tables = _tables(n)  # one gather of A's wrapped diagonals, then one DFT
-    return DiscreteSymbol(tables.dft @ arr.ravel()[tables.diagonals] / n)
+    flat = arr.reshape(*arr.shape[:-2], n * n)  # C order, as ravel reads one operator
+    return DiscreteSymbol(tables.dft @ flat[..., tables.diagonals] / n)
 
 
 def from_symbol(symbol: DiscreteSymbol) -> np.ndarray:
     """Reconstruct the operator sum a[n, m] g^n h^m from the words themselves, the
-    definition that to_symbol's DFT inverts."""
+    definition that to_symbol's DFT inverts.  A stack of symbols gives its operators
+    through one contraction, equal to one symbol at a time to rounding."""
     n = symbol.n
     words = basis_words(n)
-    return np.tensordot(symbol.coeffs, words, axes=([0, 1], [0, 1]))
+    return np.tensordot(symbol.coeffs, words, axes=([-2, -1], [0, 1]))
 
 
 def discrete_star(s1: DiscreteSymbol, s2: DiscreteSymbol) -> DiscreteSymbol:
-    """Coefficient convolution with the ordering phase exp(-i*m*n'*phi)."""
+    """Coefficient convolution with the ordering phase exp(-i*m*n'*phi), of one
+    symbol per operand."""
     if s1.n != s2.n:
         raise DimensionMismatch(f"dimension mismatch: {s1.n} vs {s2.n}")
+    if s1.coeffs.ndim != 2 or s2.coeffs.ndim != 2:
+        raise BadDimension("discrete_star takes one symbol per operand, not a stack")
     n = s1.n
     phases = _tables(n).dft  # [m, n']: exp(-i*m*n'*phi)
     # Strided views of the operands doubled along their shifted axis, so that an index
@@ -186,9 +202,10 @@ def discrete_star(s1: DiscreteSymbol, s2: DiscreteSymbol) -> DiscreteSymbol:
 
 
 def discrete_dagger(symbol: DiscreteSymbol) -> DiscreteSymbol:
-    """Coefficients of the conjugate-transpose: a*[-n, -m] * exp(-i*m*n*phi)."""
+    """Coefficients of the conjugate-transpose: a*[-n, -m] * exp(-i*m*n*phi), of each
+    symbol of a stack."""
     n = symbol.n
     idx = (-np.arange(n)) % n
-    flipped = np.conj(symbol.coeffs)[np.ix_(idx, idx)]
+    flipped = np.conj(symbol.coeffs)[..., idx[:, None], idx]
     return DiscreteSymbol(flipped * _tables(n).dft)
 

@@ -518,6 +518,37 @@ class TestBasicCommands:
         assert doc["checks"]["round_trip"] is None
         assert doc["checks"]["trace_orthogonality"] < 1e-9
 
+    @pytest.mark.parametrize("n", [4, 64])  # one chunk of 3 pairs; chunks of 2 and 1
+    def test_finite_demo_nan_in_the_last_pair_fails(self, capsys, monkeypatch, n):
+        # Python's max() would drop a NaN that is not first; the pair maxima must not.
+        from moyalmetric import finite
+
+        pairs = 3
+        for name, check in (("from_symbol", "round_trip"), ("discrete_star", "star_isomorphism")):
+            for fmt in ("text", "json"):
+                exact, calls = getattr(finite, name), []
+
+                def nan_in_the_last_pair(*args, exact=exact, calls=calls):
+                    out = exact(*args)
+                    calls.append(args)
+                    if len(calls) == pairs:  # an operator, or a symbol's coefficients
+                        getattr(out, "coeffs", out)[0, 1] = float("nan")
+                    return out
+
+                with monkeypatch.context() as patch:
+                    patch.setattr(finite, name, nan_in_the_last_pair)
+                    code, out, _ = run(capsys, "finite-demo", "--n", str(n), "--pairs", str(pairs),
+                                       "--format", fmt)
+                assert code == 1 and len(calls) == pairs
+                if fmt == "text":
+                    assert f"{check}: max deviation nan" in out and "result: FAILED" in out
+                    assert out.count(" nan") == 1
+                else:
+                    doc = json.loads(out)  # strict JSON: the NaN is reported as null
+                    assert doc["pass"] is False
+                    assert [key for key, dev in doc["checks"].items() if dev is None] == [check]
+                    assert all(dev < 1e-9 for dev in doc["checks"].values() if dev is not None)
+
     def test_finite_demo_past_the_pairs_budget_exits_1(self, capsys):
         from moyalmetric.cli import MAX_PAIRS
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 
 from moyalmetric import BadDimension, DimensionMismatch, finite
-from moyalmetric.cli import _finite_checks, main
+from moyalmetric.cli import MAX_PAIRS, _finite_checks, main
 from moyalmetric.finite import (MAX_BASIS_DIMENSION, DiscreteSymbol, basis_words, clock,
                                 clock_powers, discrete_dagger, discrete_star, from_symbol,
                                 phase_angle, shift, to_symbol)
@@ -138,8 +138,9 @@ class TestDiscreteStar:
             assert np.max(np.abs(lhs.coeffs - rhs.coeffs)) < TOL
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            discrete_star(to_symbol(np.eye(2)), to_symbol(np.eye(3)))
+        for left in (np.eye(2), np.zeros((2, 2, 2))):  # one operator, or a stack of two
+            with pytest.raises(DimensionMismatch, match="^dimension mismatch: 2 vs 3$"):
+                discrete_star(to_symbol(left), to_symbol(np.eye(3)))
 
 
 class TestDiscreteDagger:
@@ -362,6 +363,45 @@ def loop_trace_orthogonality(n):
                     dev = max(dev, abs(np.vdot(words[a, b], words[c, d]) - expected))
     return float(dev)
 
+
+
+def pair_loop_finite_checks(n: int, pairs: int, seed: int) -> dict[str, float]:
+    """finite-demo's checks as they ran one random pair per loop pass, verbatim."""
+    if pairs > MAX_PAIRS:
+        raise ValueError(f"--pairs {pairs} exceeds the limit of {MAX_PAIRS}")
+    import numpy as np
+
+    from moyalmetric import finite
+
+    rng = np.random.default_rng(seed)
+    g, h = finite.clock(n), finite.shift(n)
+    phi = finite.phase_angle(n)
+    eye = np.eye(n)
+    checks: dict[str, float] = {}
+    checks["gh_phase"] = float(np.max(np.abs(g @ h - np.exp(1j * phi) * h @ g)))
+    checks["g_power_n"] = float(np.max(np.abs(np.linalg.matrix_power(g, n) - eye)))
+    checks["h_power_n"] = float(np.max(np.abs(np.linalg.matrix_power(h, n) - eye)))
+    checks["trace_gh"] = float(abs(np.trace(g @ h)))
+
+    # Gram matrix tr(U_i^dag U_j) = N * delta_ij of the words g^a h^b: words of different
+    # shifts b have disjoint supports, and those of one shift meet where their clock
+    # diagonals do, so every block is the Gram matrix of the table's rows.
+    table = finite.clock_powers(n)  # [a, i]: the diagonal of g^a
+    checks["trace_orthogonality"] = float(np.abs(np.conj(table) @ table.T - n * eye).max())
+
+    devs = np.empty((pairs, 3))  # round trip, star, dagger per pair
+    for k in range(pairs):
+        A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        B = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        sa, sb = finite.to_symbol(A), finite.to_symbol(B)
+        devs[k, 0] = np.max(np.abs(finite.from_symbol(sa) - A))
+        prod = finite.discrete_star(sa, sb)
+        devs[k, 1] = np.max(np.abs(prod.coeffs - finite.to_symbol(A @ B).coeffs))
+        dag = finite.discrete_dagger(sa)
+        devs[k, 2] = np.max(np.abs(dag.coeffs - finite.to_symbol(A.conj().T).coeffs))
+    checks["round_trip"], checks["star_isomorphism"], checks["dagger_transpose"] = (
+        float(dev) for dev in np.max(devs, axis=0))
+    return checks
 
 ORACLE_TOL = 1e-12
 ORACLE_DIMS = (2, 3, 5, 8, 13)
@@ -593,3 +633,76 @@ class TestClockTable:
         for n in (4.0, np.int64(4), 1, 257):
             with pytest.raises(BadDimension):
                 clock_powers(n)
+
+
+def bits(checks):
+    return {name: dev.hex() for name, dev in checks.items()}
+
+
+def chunk_pairs(n):
+    return max(1, finite.BATCH_ENTRIES // n ** 2)
+
+
+class TestPairChunks:
+    """finite-demo draws and maps its random pairs one chunk at a time, through the
+    stacked to_symbol and discrete_dagger; the checks are the pair loop's bit for bit."""
+
+    @pytest.mark.parametrize("n", range(2, 65))
+    def test_checks_are_bitwise_the_pair_loop(self, n):
+        step = chunk_pairs(n)  # past MAX_PAIRS for N <= 2: one capped chunk
+        for pairs in sorted({1, 2, 3, 4, min(step, MAX_PAIRS), min(step + 1, MAX_PAIRS)}):
+            for seed in (0, 1, 7):
+                assert (bits(_finite_checks(n, pairs, seed))
+                        == bits(pair_loop_finite_checks(n, pairs, seed))), (pairs, seed)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 10, 24, 64, 65, 256])
+    def test_stacked_maps_are_bitwise_per_operator(self, n):
+        rng = np.random.default_rng(800 + n)
+        stack = rng.normal(size=(3, n, n)) + 1j * rng.normal(size=(3, n, n))
+        views = (stack, stack.swapaxes(1, 2), stack[::-2], np.asfortranarray(stack),
+                 stack[None, :, ::-1])  # contiguous, transposed, strided, F-ordered, 4-D
+        for ops in views:
+            symbols = to_symbol(ops)
+            daggers = discrete_dagger(symbols)
+            assert symbols.coeffs.shape == daggers.coeffs.shape == ops.shape
+            for index in np.ndindex(ops.shape[:-2]):
+                alone = to_symbol(ops[index])
+                assert symbols.coeffs[index].tobytes() == alone.coeffs.tobytes()
+                assert (daggers.coeffs[index].tobytes()
+                        == discrete_dagger(alone).coeffs.tobytes())
+
+    def test_stacked_from_symbol_agrees_to_rounding(self):
+        rng = np.random.default_rng(850)
+        stack = DiscreteSymbol(rng.normal(size=(2, 4, 6, 6)))
+        rebuilt = from_symbol(stack)
+        assert rebuilt.shape == (2, 4, 6, 6)
+        for index in np.ndindex(2, 4):
+            single = from_symbol(DiscreteSymbol(stack.coeffs[index]))
+            assert np.max(np.abs(rebuilt[index] - single)) < ORACLE_TOL
+
+    def test_bad_shapes_keep_their_messages(self):
+        for shape in ((4,), (3, 4), (2, 3, 4), (0,)):
+            with pytest.raises(BadDimension, match="^operator must be a square matrix$"):
+                to_symbol(np.zeros(shape))
+            with pytest.raises(BadDimension, match="^coefficient array must be square$"):
+                DiscreteSymbol(np.zeros(shape))
+        with pytest.raises(BadDimension, match=r"an integer in \[2, 256\], got 1"):
+            to_symbol(np.zeros((3, 1, 1)))
+        stack = to_symbol(np.zeros((3, 3, 3)))  # three 3 x 3 operators, not one 3 x 3 x 3
+        with pytest.raises(BadDimension, match="one symbol per operand, not a stack"):
+            discrete_star(stack, to_symbol(np.eye(3)))
+        with pytest.raises(BadDimension, match="one symbol per operand, not a stack"):
+            discrete_star(to_symbol(np.eye(3)), stack)
+
+    def test_memory_does_not_grow_with_the_pairs(self):
+        n = 64
+        _finite_checks(n, 2, 0)  # builds the 268 MB tensor before either run is measured
+        peaks = []
+        for pairs in (2, 40):  # 1 and 20 chunks of 2 pairs
+            tracemalloc.start()
+            try:
+                _finite_checks(n, pairs, 0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0]
