@@ -1,31 +1,23 @@
 #!/usr/bin/env python3
 """Sweep the clock/shift isomorphism checks over a range of dimensions.
 
-Usage: python3 scripts/finite_weyl_checks.py [--pairs K] [N ...]
+Usage: python3 scripts/finite_weyl_checks.py [N ...]
 
-Checks K random pairs per dimension (default 25).  Exits 1 when any dimension
-fails a check.
+Exits 1 when any dimension fails a check.
 """
 
-import argparse
 import sys
 
 from moyalmetric.cli import _finite_checks
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description="clock/shift isomorphism checks per N")
-    parser.add_argument("dims", nargs="*", type=int, metavar="N")
-    parser.add_argument("--pairs", type=int, default=25, metavar="K")
-    args = parser.parse_args()
-    if args.pairs < 1:
-        parser.error(f"--pairs must be at least 1, got {args.pairs}")
-    dims = args.dims or [2, 3, 5, 8, 13, 21]
+    dims = [int(arg) for arg in sys.argv[1:]] or [2, 3, 5, 8, 13, 21]
     tol = 1e-9
     names = None
     failed = False
     for n in dims:
-        checks = _finite_checks(n, pairs=args.pairs, seed=11)
+        checks = _finite_checks(n, pairs=25, seed=11)
         if names is None:
             names = list(checks)
             print("N    " + "  ".join(f"{name:>20s}" for name in names))

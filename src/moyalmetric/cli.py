@@ -251,14 +251,16 @@ def _finite_checks(n: int, pairs: int, seed: int) -> dict[str, float]:
         draws = rng.normal(size=(min(step, pairs - first), 4, n, n))
         A, B = draws[:, 0] + 1j * draws[:, 1], draws[:, 2] + 1j * draws[:, 3]
         sa, sb = finite.to_symbol(A), finite.to_symbol(B)
-        symbols = [(finite.DiscreteSymbol(a), finite.DiscreteSymbol(b))
-                   for a, b in zip(sa.coeffs, sb.coeffs)]
-        rebuilt = np.array([finite.from_symbol(a) for a, _ in symbols])
-        prods = np.array([finite.discrete_star(a, b).coeffs for a, b in symbols])
+        rebuilt, products = np.empty_like(A), np.empty_like(A)
+        for k in range(len(draws)):  # back to back, while the basis tensor is in cache
+            rebuilt[k] = finite.from_symbol(finite.DiscreteSymbol(sa.coeffs[k]))
+        for k in range(len(draws)):
+            a, b = finite.DiscreteSymbol(sa.coeffs[k]), finite.DiscreteSymbol(sb.coeffs[k])
+            products[k] = finite.discrete_star(a, b).coeffs
         adjoints = finite.to_symbol(A.conj().swapaxes(1, 2)).coeffs
         chunk = devs[first:first + len(draws)]
         chunk[:, 0] = np.abs(rebuilt - A).max(axis=(1, 2))
-        chunk[:, 1] = np.abs(prods - finite.to_symbol(A @ B).coeffs).max(axis=(1, 2))
+        chunk[:, 1] = np.abs(products - finite.to_symbol(A @ B).coeffs).max(axis=(1, 2))
         chunk[:, 2] = np.abs(finite.discrete_dagger(sa).coeffs - adjoints).max(axis=(1, 2))
     checks["round_trip"], checks["star_isomorphism"], checks["dagger_transpose"] = (
         float(dev) for dev in np.max(devs, axis=0))

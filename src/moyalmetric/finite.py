@@ -24,13 +24,8 @@ batched matmuls of at most BATCH_ENTRIES entries per operand.  Every map but
 from_symbol takes any N up to MAX_DIMENSION.
 
 DiscreteSymbol and every map but discrete_star also take a stack of operators
-along leading axes, in the same code through `...` indexing.  to_symbol and
-discrete_dagger give each operator of a stack bit for bit what it gives alone;
-from_symbol contracts the whole stack at once and agrees with that to rounding;
-discrete_star takes one symbol per operand.  finite-demo checks its random pairs
-in chunks of at most max(1, BATCH_ENTRIES // N^2) pairs, so its memory does not
-grow with the number of pairs: to_symbol and discrete_dagger run once per chunk,
-from_symbol and discrete_star once per pair.
+along leading axes, in the same code through `...` indexing; discrete_star takes
+one symbol per operand.
 """
 
 from __future__ import annotations
