@@ -504,7 +504,7 @@ class TestBasicCommands:
 
         def to_symbol_with_nan(operator):
             symbol = exact_to_symbol(operator)
-            symbol.coeffs[0, 1] = float("nan")
+            symbol.coeffs[..., 0, 1] = float("nan")  # in every operator of a stack
             return symbol
 
         monkeypatch.setattr(finite, "to_symbol", to_symbol_with_nan)
@@ -564,6 +564,16 @@ class TestBasicCommands:
         code, out, err = run(capsys, "finite-demo", "--n", "65", "--pairs", "1")
         assert (code, out) == (1, "")
         assert err.count("\n") == 1 and "at most 64, got 65" in err
+
+    @pytest.mark.parametrize("n, message", [
+        *((n, f"dimension must be an integer in [2, 256], got {n}") for n in (-1, 0, 1, 300)),
+        *((n, f"the basis tensor takes 16*N^4 bytes; dimension must be at most 64, got {n}")
+          for n in (65, 256)),
+    ])
+    def test_finite_demo_refuses_a_dimension(self, capsys, n, message):
+        for _ in range(2):  # the second time 65 and 256 have passed the per-N checks before
+            assert (run(capsys, "finite-demo", "--n", str(n), "--pairs", "1")
+                    == (1, "", f"error: {message}\n"))
 
 class TestDeterminismAndJson:
     def test_identical_invocations_byte_identical(self, capsys):

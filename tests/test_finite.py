@@ -640,7 +640,7 @@ def bits(checks):
 
 
 def chunk_pairs(n):
-    return max(1, finite.BATCH_ENTRIES // n ** 2)
+    return max(1, finite.BATCH_ENTRIES // (4 * n ** 2))
 
 
 class TestPairChunks:
@@ -649,7 +649,7 @@ class TestPairChunks:
 
     @pytest.mark.parametrize("n", range(2, 65))
     def test_checks_are_bitwise_the_pair_loop(self, n):
-        step = chunk_pairs(n)  # past MAX_PAIRS for N <= 2: one capped chunk
+        step = chunk_pairs(n)
         for pairs in sorted({1, 2, 3, 4, min(step, MAX_PAIRS), min(step + 1, MAX_PAIRS)}):
             for seed in (0, 1, 7):
                 assert (bits(_finite_checks(n, pairs, seed))
@@ -694,11 +694,13 @@ class TestPairChunks:
         with pytest.raises(BadDimension, match="one symbol per operand, not a stack"):
             discrete_star(to_symbol(np.eye(3)), stack)
 
-    def test_memory_does_not_grow_with_the_pairs(self):
-        n = 64
-        _finite_checks(n, 2, 0)  # builds the 268 MB tensor before either run is measured
+    # BATCH_ENTRIES // N^2 pairs and 5 times as many (20 times at N = 64): a chunk's
+    # arrays must be freed before the next chunk is drawn.
+    @pytest.mark.parametrize("n, counts", [(10, (81, 405)), (24, (14, 70)), (64, (2, 40))])
+    def test_memory_does_not_grow_with_the_pairs(self, n, counts):
+        _finite_checks(n, 2, 0)  # builds the basis tensor before either run is measured
         peaks = []
-        for pairs in (2, 40):  # 1 and 20 chunks of 2 pairs
+        for pairs in counts:
             tracemalloc.start()
             try:
                 _finite_checks(n, pairs, 0)
@@ -706,3 +708,15 @@ class TestPairChunks:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 1.25 * peaks[0]
+
+    def test_per_n_checks_run_once_per_n(self, monkeypatch):
+        n = 9
+        expected = bits(pair_loop_finite_checks(n, 2, 3))
+        first = _finite_checks(n, 2, 3)
+        for name in first:  # a caller's edits must not reach the cached checks
+            first[name] = math.nan
+        calls, exact = [], np.linalg.matrix_power
+        monkeypatch.setattr(np.linalg, "matrix_power",
+                            lambda *args: calls.append(args) or exact(*args))
+        assert bits(_finite_checks(n, 2, 3)) == expected
+        assert calls == []
