@@ -694,8 +694,8 @@ class TestPairChunks:
         with pytest.raises(BadDimension, match="one symbol per operand, not a stack"):
             discrete_star(to_symbol(np.eye(3)), stack)
 
-    # BATCH_ENTRIES // N^2 pairs and 5 times as many (20 times at N = 64): a chunk's
-    # arrays must be freed before the next chunk is drawn.
+    # BATCH_ENTRIES // N^2 pairs, several chunks at N = 10 and 24, and 5 times as many
+    # (20 times at N = 64).
     @pytest.mark.parametrize("n, counts", [(10, (81, 405)), (24, (14, 70)), (64, (2, 40))])
     def test_memory_does_not_grow_with_the_pairs(self, n, counts):
         _finite_checks(n, 2, 0)  # builds the basis tensor before either run is measured
