@@ -297,9 +297,7 @@ def _weyl_checks(n: int) -> dict[str, float]:
     return checks
 
 
-# Depends on n alone, like _weyl_checks; finite-demo renders it only after
-# _finite_checks has accepted n, which refuses every n outside 2..64 first.
-@functools.cache
+@functools.cache  # n alone, like _weyl_checks; _finite_checks refuses n outside 2..64 first
 def _finite_header(n: int) -> str:
     """finite-demo's dimension line and matrices, under every numpy print option pinned so
     that a caller's options neither change the text nor freeze into the cache."""
