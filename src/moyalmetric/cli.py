@@ -331,16 +331,18 @@ def _cmd_finite_demo(args) -> int:
     return 0 if passed else 1
 
 
-@functools.cache  # parse_args leaves the parser unchanged; build it once per process
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache  # parsing leaves the parsers unchanged; build them once per process
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each command's sub-parser, by command name."""
     parser = argparse.ArgumentParser(
         prog="moyalmetric",
         description="Exact star-product calculus for metric operators of "
                     "non-hermitian Hamiltonians.")
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
 
     def add(name, help_text, flags):
-        p = sub.add_parser(name, help=help_text)
+        p = commands[name] = sub.add_parser(name, help=help_text)
         p.add_argument("--format", choices=("text", "latex", "json"), default="text")
         for flag, options in flags:
             p.add_argument(flag, **options)
@@ -352,7 +354,11 @@ def build_parser() -> argparse.ArgumentParser:
         ("--pairs", {"type": _int_at_least(1), "default": 50}),
         ("--seed", {"type": _int_at_least(0), "default": 7}),
         ("--tolerance", {"type": _positive_float, "default": 1e-9})))
-    return parser
+    return parser, commands
+
+
+def build_parser() -> argparse.ArgumentParser:
+    return _parsers()[0]
 
 
 def _bind_dash_values(argv: list[str]) -> list[str]:
@@ -371,10 +377,24 @@ def _bind_dash_values(argv: list[str]) -> list[str]:
     return out
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """argv parsed as parse_args does, in one pass where argv[0] names a command: the
+    top-level parser hands everything after the command to that command's sub-parser
+    and refuses what it leaves over, so that sub-parser can take it directly.  An empty
+    argv, -h, --help or an unknown word goes through the top-level parser."""
+    parser, commands = _parsers()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extra = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(_bind_dash_values(sys.argv[1:] if argv is None else argv))
+        args = _parse(_bind_dash_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
     try:

@@ -18,6 +18,13 @@ product of literals and variable powers), which divides term by term; a
 quotient term with a negative power of x or g is refused.  Arguments of
 exp(...) must reduce to quadratic forms r*p^2 + s*p*x + t*x^2 with
 Laurent-hbar coefficients.
+
+Monomial factors are folded while parsing: a number, a variable, an integer
+power of one and the unary minus of one are (key, coefficient) pairs, and
+* and / between two pairs add or subtract their keys and multiply or divide
+their coefficients.  A PhaseSymbol is built once per term, and where a
+factor is a parenthesised expression or exp(...), which then multiplies or
+divides as a symbol.
 """
 
 from __future__ import annotations
@@ -25,15 +32,18 @@ from __future__ import annotations
 import sys
 
 from .errors import NegativeXPower, NonQuadraticExponent, ParseError
-from .rationals import GaussianRational, HbarScalar
-from .symbols import ExpQuadratic, PhaseSymbol, _sum
+from .rationals import ONE, GaussianRational, HbarScalar, I
+from .symbols import TRIVIAL_EXP, ExpQuadratic, PhaseSymbol, _sum
 
+_ORIGIN = (0, 0, 0, 0)
+
+# names of monomials, as (key, coefficient) pairs
 _VARIABLES = {
-    "x": PhaseSymbol.monomial(1, x=1),
-    "p": PhaseSymbol.monomial(1, p=1),
-    "hbar": PhaseSymbol.monomial(1, hbar=1),
-    "g": PhaseSymbol.monomial(1, g=1),
-    "i": PhaseSymbol.monomial(GaussianRational(0, 1)),
+    "x": ((1, 0, 0, 0), ONE),
+    "p": ((0, 1, 0, 0), ONE),
+    "hbar": ((0, 0, 1, 0), ONE),
+    "g": ((0, 0, 0, 1), ONE),
+    "i": (_ORIGIN, I),
 }
 
 _PUNCT = set("+-*/^()")
@@ -73,6 +83,19 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+def _symbol(value) -> PhaseSymbol:
+    """A factor as a symbol: a (key, coefficient) pair becomes a one-term symbol.  A
+    pair with a nonzero coefficient never holds a negative power of x or g."""
+    if type(value) is not tuple:
+        return value
+    key, coeff = value
+    return PhaseSymbol._from_parts({TRIVIAL_EXP: {key: coeff}} if coeff else {})
+
+
+def _negated(value):
+    return (value[0], -value[1]) if type(value) is tuple else -value
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
@@ -110,43 +133,56 @@ class _Parser:
         return value
 
     def expr(self) -> PhaseSymbol:
-        terms = [self.term()]
+        terms = [_symbol(self.term())]
         while self.peek()[0] in ("+", "-"):
             op = self.advance()
             rhs = self.term()
-            terms.append(rhs if op[0] == "+" else -rhs)
+            terms.append(_symbol(rhs if op[0] == "+" else _negated(rhs)))
         return terms[0] if len(terms) == 1 else _sum(terms)
 
-    def term(self) -> PhaseSymbol:
+    def term(self):
         value = self.factor()
         while self.peek()[0] in ("*", "/"):
             op = self.advance()
             rhs = self.factor()
-            if op[0] == "*":
-                value = value * rhs
-            else:
+            if op[0] == "/":
                 value = self._divide(value, rhs, op[2])
+            elif type(value) is tuple and type(rhs) is tuple:
+                (k1, c1), (k2, c2) = value, rhs
+                value = (k1[0] + k2[0], k1[1] + k2[1], k1[2] + k2[2], k1[3] + k2[3]), c1 * c2
+            else:
+                value = _symbol(value) * _symbol(rhs)
         return value
 
-    def _divide(self, num: PhaseSymbol, den: PhaseSymbol, offset: int) -> PhaseSymbol:
+    def _divide(self, num, den, offset: int):
         """num / den for a monomial den, term by term: each quotient term has the
         exponents of a term of num less those of den, and so may keep x or g."""
-        if not den:
+        if type(den) is not tuple:
+            if not den:
+                raise ParseError("division by zero", offset)
+            (eq, terms), *rest = den.sorted_parts()
+            if rest or not eq.is_trivial or len(terms) != 1:
+                raise ParseError(
+                    "divisor must be a product of literals and variable powers", offset)
+            den, = terms
+        (dx, dp, dh, dg), dc = den
+        if not dc:
             raise ParseError("division by zero", offset)
-        (eq, terms), *rest = den.sorted_parts()
-        if rest or not eq.is_trivial or len(terms) != 1:
-            raise ParseError(
-                "divisor must be a product of literals and variable powers", offset)
-        ((dx, dp, dh, dg), dc), = terms
-        try:
-            return PhaseSymbol({part: {(x - dx, p - dp, h - dh, g - dg): c / dc
-                                       for (x, p, h, g), c in poly.items()}
-                                for part, poly in num.parts.items()})
-        except ValueError:
-            raise NegativeXPower(
-                "division would produce a negative power of x or g", offset) from None
+        if type(num) is tuple:
+            (x, p, h, g), c = num
+            c = c / dc
+            if not c or (x >= dx and g >= dg):
+                return (x - dx, p - dp, h - dh, g - dg), c
+        else:
+            try:
+                return PhaseSymbol({part: {(x - dx, p - dp, h - dh, g - dg): c / dc
+                                           for (x, p, h, g), c in poly.items()}
+                                    for part, poly in num.parts.items()})
+            except ValueError:
+                pass
+        raise NegativeXPower("division would produce a negative power of x or g", offset)
 
-    def factor(self) -> PhaseSymbol:
+    def factor(self):
         # every recursion of the grammar passes through here
         tok = self.peek()
         if self.depth > MAX_DEPTH:
@@ -154,13 +190,13 @@ class _Parser:
         self.depth += 1
         if tok[0] == "-":
             self.advance()
-            value = -self.factor()
+            value = _negated(self.factor())
         else:
             value = self.power()
         self.depth -= 1
         return value
 
-    def power(self) -> PhaseSymbol:
+    def power(self):
         base_offset = self.peek()[2]
         value = self.atom()
         if self.peek()[0] != "^":
@@ -171,6 +207,14 @@ class _Parser:
             self.advance()
             negate = True
         exponent = -self.number() if negate else self.number()
+        if type(value) is tuple:
+            key, coeff = value
+            if exponent >= 0 or coeff and not (key[0] or key[3]):
+                if coeff is not ONE:  # a variable's
+                    coeff = coeff ** exponent
+                return (key[0] * exponent, key[1] * exponent, key[2] * exponent,
+                        key[3] * exponent), coeff
+            value = _symbol(value)  # whose power names what cannot be inverted
         try:
             return value ** exponent
         except ValueError as exc:
@@ -179,11 +223,11 @@ class _Parser:
                     "negative power of x or g is not representable", base_offset) from None
             raise ParseError(str(exc), base_offset) from None  # e.g. a sum or an exponential
 
-    def atom(self) -> PhaseSymbol:
+    def atom(self):
         tok = self.peek()
         kind, text, offset = tok
         if kind == "number":
-            return PhaseSymbol.monomial(self.number())
+            return _ORIGIN, GaussianRational(self.number())
         if kind == "name":
             self.advance()
             if text == "exp":
@@ -191,10 +235,10 @@ class _Parser:
                 inner = self.expr()
                 self.expect(")")
                 return PhaseSymbol.exponential(_to_quadratic(inner, offset))
-            sym = _VARIABLES.get(text)
-            if sym is None:
+            pair = _VARIABLES.get(text)
+            if pair is None:
                 raise ParseError(f"unknown name {text!r}", offset)
-            return sym
+            return pair
         if kind == "(":
             self.advance()
             inner = self.expr()

@@ -133,7 +133,10 @@ class PhaseSymbol:
 
     @classmethod
     def monomial(cls, coeff=1, x: int = 0, p: int = 0, hbar: int = 0, g: int = 0) -> PhaseSymbol:
-        return cls({TRIVIAL_EXP: {(x, p, hbar, g): GaussianRational.coerce(coeff)}})
+        c = GaussianRational.coerce(coeff)
+        if c and x >= 0 and g >= 0:  # already canonical
+            return cls._from_parts({TRIVIAL_EXP: {(x, p, hbar, g): c}})
+        return cls({TRIVIAL_EXP: {(x, p, hbar, g): c}})
 
     @classmethod
     def exponential(cls, quad: ExpQuadratic) -> PhaseSymbol:
@@ -173,6 +176,15 @@ class PhaseSymbol:
         if pairs > MAX_POWER_TERM_PAIRS:
             raise PowerTooLarge(f"product needs {pairs} term pairs, "
                                 f"past the limit of {MAX_POWER_TERM_PAIRS}")
+        for mono, other in ((o, self), (self, o)):
+            if len(terms := mono._parts.get(TRIVIAL_EXP, ())) == 1 and len(mono._parts) == 1:
+                # a product with one monomial shifts the keys and scales the coefficients,
+                # and so keeps the other factor canonical
+                ((dx, dp, dh, dg), m), = terms.items()
+                return PhaseSymbol._from_parts(
+                    {eq: {(x + dx, p + dp, h + dh, g + dg): c * m
+                          for (x, p, h, g), c in poly.items()}
+                     for eq, poly in other._parts.items()})
         acc: dict[ExpQuadratic, dict[MonoKey, GaussianRational]] = {}
         for eq1, poly1 in self._parts.items():
             for eq2, poly2 in o._parts.items():

@@ -13,7 +13,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from moyalmetric import parse_expression, solve_metric_series
+from moyalmetric import cli, parse_expression, solve_metric_series
 from moyalmetric.cli import main
 from moyalmetric.rationals import MAX_ROOT_TERMS
 from moyalmetric.series import MetricSeries
@@ -773,6 +773,51 @@ class TestDashValues:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert err.splitlines()[-1].endswith(f"argument {argv[1]}: expected one argument")
+
+
+class TestDispatch:
+    """main hands everything after a command to that command's sub-parser.  The oracle is
+    the top-level parse_args, which walks argv and then has the sub-parser walk it again."""
+
+    CORPUS = [
+        (), ("-h",), ("--help",), ("--he",), ("-hx",), ("star", "-h"), ("residual", "--help"),
+        ("--help", "star"), ("dagger", "--he"), ("star", "-hx"),
+        ("frobnicate",), ("frobnicate", "--expr", "x"), ("--format", "json", "dagger"),
+        ("--bogus",), ("dagger", "--expr", "x", "--bogus"), ("dagger", "--bogus=1", "--expr", "x"),
+        ("dagger", "--expr", "x", "extra"), ("dagger", "--expr", "x", "extra", "more"),
+        ("residual", "--metric", "x"), ("swanson", "--omega", "1"), ("finite-demo",),
+        ("star", "--le", "x", "--ri", "p"), ("star", "--le=x", "--right", "p", "--fo", "latex"),
+        ("residual", "--ham", "p^2", "--met", "x"), ("dagger", "--ex=x", "--fo", "latex"),
+        ("dagger", "--", "--expr", "x"), ("dagger", "--expr", "x", "--"),
+        ("dagger", "--expr", "--", "x"), ("dagger", "--expr", "x", "--format=latex"),
+        ("dagger", "--expr", "x", "--format", "html"), ("dagger", "--expr", "x", "--expr", "p"),
+        ("swanson", "--omega", "-1/2", "--alpha", "0", "--beta", "0"),
+        ("swanson", "--omega", "1/0", "--alpha", "0", "--beta", "0"),
+        ("solve-metric", "--potential", "i*x^3", "--order", "0"),
+        ("solve-metric", "--potential", "i*x^3", "--order", "two"),
+        ("solve-metric", "--potential", "i*x^3", "--order", "2", "--format", "json"),
+        ("finite-demo", "--n", "1", "--pairs", "1"), ("finite-demo", "--n", "3", "--pairs", "2"),
+        ("finite-demo", "--n", "3", "--tolerance", "0"),
+        ("residual", "--hamiltonian", "p^2 + i*x^3", "--metric", "x*p"),
+        ("residual", "--hamiltonian", "p^2 + i*x^3", "--metric", "x/0"),
+        ("is-hermitian", "--expr", "-x^2", "-p"),
+    ]
+
+    @pytest.mark.parametrize("argv", CORPUS)
+    def test_matches_the_top_level_parser(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        direct = run(capsys, *argv)
+        monkeypatch.setattr(cli, "_parse", lambda args: cli.build_parser().parse_args(args))
+        assert run(capsys, *argv) == direct
+
+    def test_a_command_skips_the_top_level_parser(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the top-level parser walked argv")
+
+        monkeypatch.setattr(cli.build_parser(), "parse_known_args", refuse)
+        assert run(capsys, "conj", "--expr", "i*x") == (0, "-i*x\n", "")
+        with pytest.raises(AssertionError, match="walked argv"):
+            main(["--help"])
 
 
 class TestProductBudget:

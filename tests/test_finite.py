@@ -696,6 +696,10 @@ class TestPairChunks:
 
     @staticmethod
     def assert_peak_stays_flat(n, counts):
+        """Pairs of one chunk, then of many: the peak grows by less than half of one
+        chunk's draw, so no chunk's arrays outlive the next chunk's draw."""
+        step = chunk_pairs(n)
+        assert counts[0] <= step < counts[1]
         _finite_checks(n, 2, 0)  # builds the basis tensor before either run is measured
         peaks = []
         for pairs in counts:
@@ -705,13 +709,13 @@ class TestPairChunks:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert peaks[1] <= 1.25 * peaks[0]
+        assert peaks[1] - peaks[0] < step * 4 * n ** 2 * 8 / 2
 
     def test_memory_does_not_grow_with_the_pairs(self):
-        self.assert_peak_stays_flat(64, (2, 40))  # 2 and 40 chunks of 1 pair
+        self.assert_peak_stays_flat(64, (1, 40))  # 1 and 40 chunks of 1 pair
 
-    # BATCH_ENTRIES // N^2 pairs, several chunks at N = 10 and 24, and 5 times as many.
-    @pytest.mark.parametrize("n, counts", [(10, (81, 405)), (24, (14, 70))])
+    # One chunk of BATCH_ENTRIES // (4*N^2) pairs at N = 10 and 24, and 5 chunks.
+    @pytest.mark.parametrize("n, counts", [(10, (20, 100)), (24, (3, 15))])
     def test_memory_does_not_grow_with_the_pairs_at_smaller_n(self, n, counts):
         self.assert_peak_stays_flat(n, counts)
 

@@ -1,9 +1,10 @@
 import random
+import sys
 from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 from conftest import I, exp_symbols, gaussian_rationals, rand_poly
 from moyalmetric import (G, KERNEL_EXP, NegativeXPower,
@@ -11,8 +12,10 @@ from moyalmetric import (G, KERNEL_EXP, NegativeXPower,
                          TRIVIAL_EXP, X, format_expression, parse_expression,
                          parse_hbar_scalar)
 from moyalmetric import parsing
+from moyalmetric.errors import PowerTooLarge
+from moyalmetric.parsing import MAX_DEPTH, _to_quadratic, _tokenize
 from moyalmetric.rationals import GaussianRational, HbarScalar
-from moyalmetric.symbols import ExpQuadratic
+from moyalmetric.symbols import MAX_POWER_TERM_PAIRS, ExpQuadratic, _sum
 
 mono = PhaseSymbol.monomial
 
@@ -226,3 +229,218 @@ class TestRoundTrip:
             values.append(PhaseSymbol.exponential(eq))
         for sym in values:
             assert parse_expression(format_expression(sym, "text")) == sym
+
+
+# -- the earlier parser as the oracle ------------------------------------------
+#
+# It built a PhaseSymbol for every factor and multiplied them through
+# PhaseSymbol.__mul__; parse_expression now folds monomial factors as
+# (key, coefficient) pairs and must give the same symbol or the same error.
+
+_VARIABLES = {
+    "x": PhaseSymbol.monomial(1, x=1),
+    "p": PhaseSymbol.monomial(1, p=1),
+    "hbar": PhaseSymbol.monomial(1, hbar=1),
+    "g": PhaseSymbol.monomial(1, g=1),
+    "i": PhaseSymbol.monomial(GaussianRational(0, 1)),
+}
+
+
+class _Parser:
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = _tokenize(text)
+        self.pos = 0
+        self.depth = 0  # factors enclosing the one being parsed
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def advance(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect(self, kind: str):
+        tok = self.peek()
+        if tok[0] != kind:
+            raise ParseError(f"expected {kind!r}, found {tok[1] or 'end of input'!r}", tok[2])
+        return self.advance()
+
+    def number(self) -> int:
+        _, text, offset = self.expect("number")
+        try:
+            return int(text)
+        except ValueError:  # past the interpreter's int-to-string digit limit
+            raise ParseError(f"number has more than {sys.get_int_max_str_digits()} digits",
+                             offset) from None
+
+    def parse(self) -> PhaseSymbol:
+        value = self.expr()
+        tok = self.peek()
+        if tok[0] != "end":
+            raise ParseError(f"unexpected trailing input {tok[1]!r}", tok[2])
+        return value
+
+    def expr(self) -> PhaseSymbol:
+        terms = [self.term()]
+        while self.peek()[0] in ("+", "-"):
+            op = self.advance()
+            rhs = self.term()
+            terms.append(rhs if op[0] == "+" else -rhs)
+        return terms[0] if len(terms) == 1 else _sum(terms)
+
+    def term(self) -> PhaseSymbol:
+        value = self.factor()
+        while self.peek()[0] in ("*", "/"):
+            op = self.advance()
+            rhs = self.factor()
+            if op[0] == "*":
+                value = value * rhs
+            else:
+                value = self._divide(value, rhs, op[2])
+        return value
+
+    def _divide(self, num: PhaseSymbol, den: PhaseSymbol, offset: int) -> PhaseSymbol:
+        """num / den for a monomial den, term by term: each quotient term has the
+        exponents of a term of num less those of den, and so may keep x or g."""
+        if not den:
+            raise ParseError("division by zero", offset)
+        (eq, terms), *rest = den.sorted_parts()
+        if rest or not eq.is_trivial or len(terms) != 1:
+            raise ParseError(
+                "divisor must be a product of literals and variable powers", offset)
+        ((dx, dp, dh, dg), dc), = terms
+        try:
+            return PhaseSymbol({part: {(x - dx, p - dp, h - dh, g - dg): c / dc
+                                       for (x, p, h, g), c in poly.items()}
+                                for part, poly in num.parts.items()})
+        except ValueError:
+            raise NegativeXPower(
+                "division would produce a negative power of x or g", offset) from None
+
+    def factor(self) -> PhaseSymbol:
+        # every recursion of the grammar passes through here
+        tok = self.peek()
+        if self.depth > MAX_DEPTH:
+            raise ParseError(f"expression nests deeper than {MAX_DEPTH} levels", tok[2])
+        self.depth += 1
+        if tok[0] == "-":
+            self.advance()
+            value = -self.factor()
+        else:
+            value = self.power()
+        self.depth -= 1
+        return value
+
+    def power(self) -> PhaseSymbol:
+        base_offset = self.peek()[2]
+        value = self.atom()
+        if self.peek()[0] != "^":
+            return value
+        self.advance()
+        negate = False
+        if self.peek()[0] == "-":
+            self.advance()
+            negate = True
+        exponent = -self.number() if negate else self.number()
+        try:
+            return value ** exponent
+        except ValueError as exc:
+            if value.max_xdeg() or value.max_gdeg():
+                raise NegativeXPower(
+                    "negative power of x or g is not representable", base_offset) from None
+            raise ParseError(str(exc), base_offset) from None  # e.g. a sum or an exponential
+
+    def atom(self) -> PhaseSymbol:
+        tok = self.peek()
+        kind, text, offset = tok
+        if kind == "number":
+            return PhaseSymbol.monomial(self.number())
+        if kind == "name":
+            self.advance()
+            if text == "exp":
+                self.expect("(")
+                inner = self.expr()
+                self.expect(")")
+                return PhaseSymbol.exponential(_to_quadratic(inner, offset))
+            sym = _VARIABLES.get(text)
+            if sym is None:
+                raise ParseError(f"unknown name {text!r}", offset)
+            return sym
+        if kind == "(":
+            self.advance()
+            inner = self.expr()
+            self.expect(")")
+            return inner
+        raise ParseError(f"expected a value, found {text or 'end of input'!r}", offset)
+
+
+def outcome(parse, text):
+    try:
+        return "value", parse(text)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "offset", None)
+
+
+def assert_parses_like_the_oracle(text):
+    assert (outcome(parse_expression, text)
+            == outcome(lambda t: _Parser(t).parse(), text)), text
+
+
+def _grow_expression(inner):
+    return st.one_of(
+        st.tuples(inner, st.sampled_from(["+", "-", "*", "/", "*-", "/-"]), inner).map("".join),
+        inner.map("({})".format),
+        inner.map("-{}".format),
+        inner.map("exp({})".format),
+        st.tuples(inner, st.integers(-3, 4)).map("{0[0]}^{0[1]}".format),
+        st.tuples(inner, st.integers(-3, 4)).map("({0[0]})^{0[1]}".format))
+
+
+_PARSER_EXPRESSIONS = st.recursive(
+    st.sampled_from(["0", "1", "2", "7", "12", "i", "x", "p", "hbar", "g", "q",
+                     "exp(i*x*p/hbar)", "exp(-p^2)", "exp(hbar*x^2)", "exp(x)"]),
+    _grow_expression, max_leaves=8)
+
+
+def _short(text):
+    return text if len(text) < 40 else f"{text[:30]}...({len(text)} chars)"
+
+
+class TestAgainstTheEarlierParser:
+    @pytest.mark.parametrize("text", [
+        "+".join(f"x^{k}" for k in range(1, 8001)),
+        "(" * MAX_DEPTH + "x" + ")" * MAX_DEPTH,
+        "(" * (MAX_DEPTH + 1) + "x" + ")" * (MAX_DEPTH + 1),
+        "-" * MAX_DEPTH + "2*x", "-" * (MAX_DEPTH + 1) + "2*x",
+        "x*" + "-" * MAX_DEPTH + "p", "x*" + "-" * (MAX_DEPTH + 1) + "p",
+        "x/0", "x/(1-1)", "0/x", "0*p/x", "2/x", "x^-1", "g^-2", "0^-1", "0^0", "0^3",
+        "(x+p)^-1", "(2*x)^-1", "(1+1)^-2", "2^-2", "i^-3", "hbar^-2*p^-1", "p/x", "x/(2*x)",
+        "x/(x+1)", "x/exp(x^2)", "exp(x^2)/x", "x*g/g^2", "(x^3*g + x*exp(x^2))/(2*i*x)",
+        "2*-x", "x^2^3", "x y", "3/4*i", "x^4/(4*hbar*p)", "exp(2*i*x*p/hbar)*x^2/hbar",
+        "2^100000", "(3*i)^-100000", "i^" + "9" * 1000, "x^" + "9" * 5000,
+        "(1+x+p)^30*exp(x^2)",
+    ], ids=_short)
+    def test_listed_texts(self, text):
+        assert_parses_like_the_oracle(text)
+
+    @pytest.mark.parametrize("text", [
+        "(1+x)^200*(1+p)^100", "(" + "+".join(f"x^{k}" for k in range(20001)) + ")*2*p",
+    ], ids=_short)
+    def test_products_past_the_budget(self, text):
+        kind, message, _ = outcome(parse_expression, text)
+        assert kind is PowerTooLarge
+        assert message.endswith(f"past the limit of {MAX_POWER_TERM_PAIRS}")
+        assert_parses_like_the_oracle(text)
+
+    @settings(max_examples=400, derandomize=True)
+    @given(_PARSER_EXPRESSIONS)
+    def test_grammar_strings(self, text):
+        assert_parses_like_the_oracle(text)
+
+    @settings(max_examples=300, derandomize=True)
+    @given(st.one_of(st.text(" 0123456789ixpghbarexp()+-*/^", max_size=30),
+                     st.text(max_size=20)))
+    def test_arbitrary_text(self, text):
+        assert_parses_like_the_oracle(text)

@@ -37,6 +37,19 @@ def evaluate_exact(sym: PhaseSymbol, x, p, hbar, g) -> GaussianRational:
     return total
 
 
+def _term_pair_product(a: PhaseSymbol, b: PhaseSymbol) -> PhaseSymbol:
+    """a * b by the loop over every pair of terms, through the checking constructor."""
+    acc = {}
+    for eq1, poly1 in a.parts.items():
+        for eq2, poly2 in b.parts.items():
+            dst = acc.setdefault(eq1.combined(eq2), {})
+            for k1, c1 in poly1.items():
+                for k2, c2 in poly2.items():
+                    key = tuple(u + v for u, v in zip(k1, k2))
+                    dst[key] = dst.get(key, 0) + c1 * c2
+    return PhaseSymbol(acc)
+
+
 class TestRingOps:
     def test_additive_inverse(self):
         assert X + (-X) == ZERO
@@ -73,6 +86,21 @@ class TestRingOps:
             X ** -1
         with pytest.raises(ValueError):
             (X + P) ** -1
+
+    @given(st.one_of(poly_symbols(), exp_symbols(), st.just(ZERO)), poly_symbols(max_terms=1))
+    def test_products_with_a_monomial_match_the_term_pair_loop(self, sym, m):
+        expected = _term_pair_product(sym, m)
+        for product in (sym * m, m * sym):
+            assert product == expected
+            rebuilt = PhaseSymbol(product.parts)  # the product skips the checking constructor
+            assert list(product.parts.items()) == list(rebuilt.parts.items())
+
+    def test_monomials_are_canonical(self):
+        assert mono(0, x=-1) == mono(0, g=-2) == ZERO and not mono(0, x=3).parts
+        for bad in ({"x": -1}, {"g": -1}):
+            with pytest.raises(ValueError, match="negative power"):
+                mono(2, **bad)
+        assert mono(3, x=2, p=-1, hbar=-2, g=1).parts == {TRIVIAL_EXP: {(2, -1, -2, 1): 3}}
 
     def test_power_matches_repeated_products(self):
         base = ONE + X + mono(I, p=1) + PhaseSymbol.exponential(quad(t=1))
