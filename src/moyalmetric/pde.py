@@ -10,8 +10,10 @@ Solutions of L[Theta] = 0 are metric candidates.
 
 L is star_terms(H, "x") - star_terms(H^dag, "p"), a `DifferentialOperator`:
 the operator type of `symbols`, which the star product and the twist apply
-too.  The package exports it from here, and perfbench patches its `apply`
-here (`pde:DifferentialOperator.apply`).
+too.  The two halves hold d_p^k and d_x^k terms, so they meet, and subtract,
+only at k = 0; a hermitian H cancels there.  The package exports the operator
+type from here, and perfbench patches its `apply` here
+(`pde:DifferentialOperator.apply`).
 
 The quadratic model
 a*p^2 + b*x^2 + i*c*p*x additionally admits exact Gaussian solutions
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 
 from .errors import IrrationalDiscriminant, NonPolynomialHamiltonian, ZeroParameter
 from .rationals import ONE, GaussianRational, HbarScalar, I
-from .symbols import ZERO, DifferentialOperator, ExpQuadratic, PhaseSymbol, star_terms
+from .symbols import DifferentialOperator, ExpQuadratic, PhaseSymbol, star_terms
 
 
 def derive_metric_operator(hamiltonian: PhaseSymbol) -> DifferentialOperator:
@@ -33,10 +35,11 @@ def derive_metric_operator(hamiltonian: PhaseSymbol) -> DifferentialOperator:
     if not hamiltonian.is_polynomial or hamiltonian.min_pdeg() < 0:
         raise NonPolynomialHamiltonian(
             "Hamiltonian symbol must be polynomial in x and p")
-    left = star_terms(hamiltonian, "x")
-    right = star_terms(hamiltonian.dagger(), "p")
-    return DifferentialOperator({key: left.get(key, ZERO) - right.get(key, ZERO)
-                                 for key in {**left, **right}})
+    terms = star_terms(hamiltonian, "x")
+    # the keys (0, k) of the left half meet the keys (k, 0) of the right only at (0, 0)
+    for key, coeff in star_terms(hamiltonian.dagger(), "p").items():
+        terms[key] = terms[key] - coeff if key in terms else -coeff
+    return DifferentialOperator(terms)
 
 
 def residual(hamiltonian: PhaseSymbol, theta: PhaseSymbol) -> PhaseSymbol:

@@ -11,7 +11,9 @@ Fractions appear only at the edges: the `re` and `im` parts, the sort key of a
 scalar, and as constructor input.
 Exponents of Gaussian factors need one more layer: Laurent polynomials in
 hbar over Q(i), e.g. the 2i/hbar of the kernel exponential, each the tuple
-of its (power, coefficient) pairs.
+of its (power, coefficient) pairs.  Only outside input passes through
+`HbarScalar.__new__`; the arithmetic builds its results canonical and wraps
+them with `_scalar`, as `_triple` and `from_integers` do for coefficients.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from fractions import Fraction
 from .errors import CoefficientTooLong, RootTooLong
 
 _gcd = math.gcd
-_new = object.__new__
+_new, _tuple_new = object.__new__, tuple.__new__
 _HASH_MODULUS, _HASH_INF = sys.hash_info.modulus, sys.hash_info.inf
 
 
@@ -241,9 +243,10 @@ class HbarScalar(tuple):
     """Laurent polynomial in hbar with Gaussian-rational coefficients.
 
     The scalar is the tuple of its (hbar_power, coefficient) pairs, sorted by
-    power, one pair per power and no zero coefficient, built once in
-    `__new__`.  Equality, hashing, truth and length are the tuple's, and
-    iterating a scalar yields its pairs.
+    power, one pair per power and no zero coefficient.  `__new__` builds it
+    from outside input; the operations build their results canonical and wrap
+    them by `_scalar`.  Equality, hashing, truth and length are the tuple's,
+    and iterating a scalar yields its pairs.
     """
 
     __slots__ = ()
@@ -274,7 +277,7 @@ class HbarScalar(tuple):
         return HbarScalar.constant(GaussianRational.coerce(value))
 
     def __add__(self, other):
-        return HbarScalar([*self, *HbarScalar.coerce(other)])
+        return _merged([*self, *HbarScalar.coerce(other)])
 
     __radd__ = __add__
 
@@ -285,11 +288,11 @@ class HbarScalar(tuple):
         return HbarScalar.coerce(other) - self
 
     def __neg__(self):
-        return HbarScalar([(h, -c) for h, c in self])
+        return _scalar([(h, -c) for h, c in self])
 
     def __mul__(self, other):
         o = HbarScalar.coerce(other)
-        return HbarScalar([(h1 + h2, c1 * c2) for h1, c1 in self for h2, c2 in o])
+        return _merged([(h1 + h2, c1 * c2) for h1, c1 in self for h2, c2 in o])
 
     __rmul__ = __mul__
 
@@ -298,14 +301,14 @@ class HbarScalar(tuple):
         if len(o) != 1:
             raise ValueError("can only divide by a single-term hbar scalar")
         (h, c), = o
-        return HbarScalar([(hd - h, cd / c) for hd, cd in self])
+        return _scalar([(hd - h, cd / c) for hd, cd in self])
 
     def shifted(self, k: int) -> HbarScalar:
         """Multiply by hbar**k."""
-        return HbarScalar([(h + k, c) for h, c in self])
+        return _scalar([(h + k, c) for h, c in self])
 
     def conjugate(self) -> HbarScalar:
-        return HbarScalar([(h, c.conjugate()) for h, c in self])
+        return _scalar([(h, c.conjugate()) for h, c in self])
 
     def sqrt(self) -> HbarScalar | None:
         """Exact square root in the Laurent ring, or None if not a square: from the root of
@@ -335,6 +338,20 @@ class HbarScalar(tuple):
 
     def evaluate(self, hval: complex) -> complex:
         return sum((c.to_complex() * hval ** h for h, c in self), 0j)
+
+
+def _scalar(pairs) -> HbarScalar:
+    """The scalar of pairs already canonical: sorted by power, one per power, no zero."""
+    return _tuple_new(HbarScalar, pairs)
+
+
+def _merged(pairs) -> HbarScalar:
+    """The scalar of pairs with coefficients already coerced: merged per power into a
+    {power: coeff} dict, zero sums dropped, sorted."""
+    acc: dict[int, GaussianRational] = {}
+    for h, c in pairs:
+        acc[h] = acc[h] + c if h in acc else c
+    return _scalar(sorted([(h, c) for h, c in acc.items() if c]))
 
 
 HS_ZERO = HbarScalar()

@@ -26,8 +26,9 @@ Star, twist and the metric operator of `pde` are all sums c_mn * d_x^m d_p^n
 acting on a symbol: one `DifferentialOperator` in integer terms, which the star
 builds with `_star_ops(part, var)`.  `apply` takes every coefficient through
 `_apply_integer`, after the chain rule where a derivative meets an exponential.
-So do derivatives: `diff` and the chain rule repeat one step (`_step`),
-exp(-eq) * d_var(exp(eq) * poly), the operator "chain factor + d_var" on poly.
+Derivatives repeat one step (`_step`), exp(-eq) * d_var(exp(eq) * poly): on an
+exponential part the operator "chain factor + d_var" through `_apply_integer`,
+on a polynomial part d_var alone in closed form.  Both keep the terms canonical.
 """
 
 from __future__ import annotations
@@ -291,9 +292,9 @@ class PhaseSymbol:
         if order < 0:
             raise ValueError("order must be non-negative")
         parts = self._parts
-        for _ in range(order):
-            parts = {eq: _step(eq, poly, var) for eq, poly in parts.items()}
-        return PhaseSymbol(parts)
+        for _ in range(order):  # a step keeps terms canonical, and may empty a part
+            parts = {eq: out for eq, poly in parts.items() if (out := _step(eq, poly, var))}
+        return PhaseSymbol._from_parts(parts)
 
     def conjugate(self) -> PhaseSymbol:
         """Complex conjugation; x, p, hbar and g are treated as real."""
@@ -471,12 +472,12 @@ def star_terms(sym: PhaseSymbol, var: str) -> dict[tuple[int, int], PhaseSymbol]
             (PhaseSymbol.monomial(1, x=top), "in the Hamiltonian") if var == "x"
             else (PhaseSymbol.monomial(1, p=top), "in its adjoint")))
     terms = {}
-    k = 0
+    k, re, im = 0, 1, 0  # i^k = re + i*im
     while sym:
-        coeff = PhaseSymbol.monomial(I ** k * from_integers(1, 0, math.factorial(k)), hbar=k)
+        coeff = PhaseSymbol.monomial(from_integers(re, im, math.factorial(k)), hbar=k)
         terms[(0, k) if var == "x" else (k, 0)] = sym * coeff
         sym = sym.diff(var)
-        k += 1
+        k, re, im = k + 1, -im, re
     return terms
 
 
@@ -574,11 +575,16 @@ class DifferentialOperator:
 
 def _step(eq: ExpQuadratic, poly: dict[MonoKey, GaussianRational], var: str):
     """exp(-eq) * d_var(exp(eq) * poly): poly times the chain factor, s*p + 2*t*x
-    for var x and 2*r*p + s*x for var p, plus d_var poly, as one operator on poly."""
+    for var x and 2*r*p + s*x for var p, plus d_var poly, as one operator on poly.
+    A polynomial part has no chain factor and takes d_var alone, in closed form."""
+    if eq.is_trivial:
+        if var == "x":
+            return {(a - 1, b, h, g): from_integers(a * c._re, a * c._im, c._den)
+                    for (a, b, h, g), c in poly.items() if a}
+        return {(a, b - 1, h, g): from_integers(b * c._re, b * c._im, c._den)
+                for (a, b, h, g), c in poly.items() if b}
     (on_p, wp), (on_x, wx), d_var = (((eq.s, 1), (eq.t, 2), (1, 0)) if var == "x"
                                      else ((eq.r, 2), (eq.s, 1), (0, 1)))
-    if eq.is_trivial:  # a polynomial part has no chain factor
-        return _apply_integer([(*d_var, [((0, 0, 0, 0), 1, 0)])], 1, poly)
     den, cterms = _integer_terms({**{(0, 1, h, 0): c * wp for h, c in on_p},
                                   **{(1, 0, h, 0): c * wx for h, c in on_x}})
     return _apply_integer([(0, 0, cterms), (*d_var, [((0, 0, 0, 0), den, 0)])], den, poly)

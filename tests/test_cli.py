@@ -29,6 +29,27 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _count_hbar_scalars(monkeypatch) -> list:
+    """Record every HbarScalar built from here on: by the constructor, and by the
+    private constructor through which the arithmetic wraps its canonical results."""
+    from moyalmetric import rationals
+
+    built = []
+    tuple_new, canonical = rationals.HbarScalar.__new__, rationals._scalar
+
+    def counting_new(cls, terms=()):
+        built.append(terms)
+        return tuple_new(cls, terms)
+
+    def counting_scalar(pairs):
+        built.append(pairs)
+        return canonical(pairs)
+
+    monkeypatch.setattr(rationals.HbarScalar, "__new__", staticmethod(counting_new))
+    monkeypatch.setattr(rationals, "_scalar", counting_scalar)
+    return built
+
+
 def finite_demo_oracle(n: int, pairs: int, seed: int, tolerance: float) -> str:
     """finite-demo's text output as the earlier handler printed it, line by line under
     numpy's default print options, rendered by the installed numpy."""
@@ -318,15 +339,10 @@ class TestBasicCommands:
     def test_polynomial_requests_build_no_hbar_scalar(self, capsys, monkeypatch):
         from moyalmetric.rationals import HbarScalar
 
-        built = []
-        tuple_new = HbarScalar.__new__
-
-        def counting_new(cls, terms=()):
-            built.append(terms)
-            return tuple_new(cls, terms)
-
-        monkeypatch.setattr(HbarScalar, "__new__", staticmethod(counting_new))
-        assert HbarScalar([(1, 2)]) == ((1, 2),) and len(built) == 1
+        built = _count_hbar_scalars(monkeypatch)
+        scalar = HbarScalar([(1, 2)])
+        assert scalar == ((1, 2),) and len(built) == 1
+        assert -scalar == ((1, -2),) and scalar * scalar == ((2, 4),) and len(built) == 3
         built.clear()
         for argv in (("positivity", "--potential", "i*x^3", "--order", "5"),
                      ("solve-metric", "--potential", "i*x^3+x^2", "--order", "8",
@@ -337,8 +353,6 @@ class TestBasicCommands:
         assert built == []
 
     def test_polynomial_documents_load_no_hbar_scalar(self, capsys, monkeypatch, tmp_path):
-        from moyalmetric.rationals import HbarScalar
-
         doc = tmp_path / "series.json"
         code, out, _ = run(capsys, "solve-metric", "--potential", "i*x^3", "--order", "5",
                            "--format", "json")
@@ -346,14 +360,7 @@ class TestBasicCommands:
         doc.write_text(out)
         code, expected, _ = run(capsys, "positivity", "--potential", "i*x^3", "--order", "5")
         assert code == 0
-        built = []
-        tuple_new = HbarScalar.__new__
-
-        def counting_new(cls, terms=()):
-            built.append(terms)
-            return tuple_new(cls, terms)
-
-        monkeypatch.setattr(HbarScalar, "__new__", staticmethod(counting_new))
+        built = _count_hbar_scalars(monkeypatch)
         assert run(capsys, "positivity", "--from-json", str(doc)) == (0, expected, "")
         assert built == []
 

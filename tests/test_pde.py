@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -14,10 +15,11 @@ from moyalmetric import (DifferentialOperator, G, HBAR, IrrationalDiscriminant,
                          derive_metric_operator,
                          gaussian_metric_candidates, residual,
                          swanson_from_ladder)
-from moyalmetric.errors import MoyalError
+from moyalmetric.errors import ExponentTooLong, LiveOrderTooLarge, MoyalError
 from moyalmetric.rationals import GaussianRational, HbarScalar, HS_ZERO
-from moyalmetric.symbols import (TRIVIAL_EXP, ExpQuadratic, _apply_integer, _derivatives,
-                                 _gaussian_terms, _live_order, _star_ops, star_terms)
+from moyalmetric.symbols import (MAX_LIVE_ORDER, TRIVIAL_EXP, ExpQuadratic, _apply_integer,
+                                 _derivatives, _gaussian_terms, _live_order, _star_ops, _step,
+                                 star_terms)
 
 mono = PhaseSymbol.monomial
 KERNEL = PhaseSymbol.exponential(KERNEL_EXP)
@@ -131,12 +133,49 @@ def _derive_oracle(hamiltonian: PhaseSymbol) -> DifferentialOperator:
     return DifferentialOperator(acc)
 
 
+def _step_by_kernel(poly, var):
+    """d_var of a polynomial part as the one-term operator on the integer kernel,
+    the route _step took before its closed form."""
+    m, n = (1, 0) if var == "x" else (0, 1)
+    return _apply_integer([(m, n, [((0, 0, 0, 0), 1, 0)])], 1, poly)
+
+
 class TestDeriveOracle:
-    """star_terms and the integer star kernel against the loops they replaced."""
+    """star_terms, the integer star kernel and the closed-form d_var against the
+    loops and the kernel route they replaced."""
 
     @given(poly_symbols(min_p=0))
     def test_derive_matches_chain_rule_loops(self, H):
-        assert derive_metric_operator(H).terms == _derive_oracle(H).terms
+        # the raw integer terms: each part's denominator and every numerator pair
+        assert derive_metric_operator(H)._ops == _derive_oracle(H)._ops
+
+    @given(poly_symbols(min_p=0))
+    def test_hermitian_hamiltonians_lose_the_zero_order_term(self, base):
+        H = base + base.dagger()
+        L = derive_metric_operator(H)
+        assert L._ops == _derive_oracle(H)._ops
+        assert all((m, n) != (0, 0) for _, ops in L._ops.values() for m, n, _ in ops)
+
+    @given(poly_symbols(max_x=4, min_p=-4, max_p=4), st.sampled_from("xp"), st.integers(0, 5))
+    def test_closed_form_diff_matches_the_kernel_route(self, a, var, order):
+        poly = a.parts.get(TRIVIAL_EXP, {})
+        for _ in range(order):
+            assert _step(TRIVIAL_EXP, poly, var) == _step_by_kernel(poly, var)
+            poly = _step_by_kernel(poly, var)
+        assert a.diff(var, order) == PhaseSymbol({TRIVIAL_EXP: poly})
+
+    def test_live_order_refusals_name_the_hamiltonian_or_its_adjoint(self):
+        top = MAX_LIVE_ORDER + 1
+        for H, power in ((P ** 2 + I * X ** top, f"x^{top} in the Hamiltonian"),
+                         (P ** top + I * X ** 3, f"p^{top} in its adjoint")):
+            with pytest.raises(LiveOrderTooLarge) as info:
+                derive_metric_operator(H)
+            assert str(info.value) == (f"metric operator needs order {top}, past the limit of "
+                                       f"{MAX_LIVE_ORDER}, for {power}")
+        huge = 10 ** sys.get_int_max_str_digits()
+        for H in (P ** 2 + mono(1, x=huge), P ** huge + X):
+            with pytest.raises(ExponentTooLong):
+                derive_metric_operator(H)
 
     @given(poly_symbols())
     def test_integer_star_terms_match_star_terms(self, a):

@@ -663,6 +663,13 @@ def _scalar_outcome(fn, *args):
 
 class TestAgainstSeedScalar:
     @given(term_lists, term_lists, numbers)
+    # sums and products that cancel at a shared power: 1 - 1, (1 + i*hbar)*(1 - i*hbar)
+    @example([(0, 1)], [(0, -1)], 0)
+    @example([(0, 1), (1, I)], [(0, 1), (1, -I)], Fraction(-1, 2))
+    # a zero operand on either side, and Gaussian-rational operands
+    @example([], [(1, 2), (-1, I)], I)
+    @example([(1, 2), (-1, I)], [], GaussianRational(Fraction(1, 3), -1))
+    @example([(2, Fraction(1, 2))], [(2, Fraction(-1, 2)), (0, 3)], GaussianRational(0))
     def test_ring_operations(self, a, b, c):
         for new, old in (((HbarScalar(a), HbarScalar(b)), (SeedScalar(a), SeedScalar(b))),
                          ((HbarScalar(a), c), (SeedScalar(a), c)),
