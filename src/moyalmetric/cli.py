@@ -1,13 +1,13 @@
 """Batch command-line front end.
 
-Every subcommand but finite-demo is one row of one command table,
-`_COMMANDS`: its help text, its flags in --help order, the call that computes
-its result from the parsed arguments, the value that serialize.dumps writes
-as its JSON and a renderer of the whole text or LaTeX output.  `main`
-computes, dumps or renders, and only then prints, so a command that fails
-leaves stdout empty.  finite-demo keeps its own handler, which writes its
-check table even when a check fails; it alone imports numpy and `finite`, so
-the other commands start without them.
+Every subcommand is one row of one command table, `_COMMANDS`: its help
+text, its flags in --help order, the call that computes its result from the
+parsed arguments, the value that serialize.dumps writes as its JSON, a
+renderer of the whole text or LaTeX output and the exit code once that output
+is written.  `main` computes, dumps or renders, and only then prints, so a
+command that fails leaves stdout empty; finite-demo's result holds its failed
+checks, so it writes its check table and then exits 1.  Only finite-demo's
+functions import numpy and `finite`, so the other commands start without them.
 
 Exit codes: 0 on success, 1 on domain errors (non-terminating series,
 irrational discriminants, failed finite-dimensional checks, ...), 2 on usage
@@ -130,88 +130,6 @@ def _show_candidates(candidates, fmt: str) -> str:
     return _lines(format_expression(PhaseSymbol.exponential(eq), fmt) for eq in candidates)
 
 
-class _Command(NamedTuple):
-    help: str
-    flags: tuple  # (flag, add_argument keywords) pairs, in --help order after --format
-    compute: Callable[[argparse.Namespace], object]
-    json_value: Callable[[object], object]  # result -> what dumps writes; late-bound builders
-    render: Callable[[object, str], str]  # (result, text or latex) -> the whole stdout
-
-
-def _itself(result):
-    return result
-
-
-def _symbol_flags(name: str, json_flag: str = "--from-json") -> tuple:
-    return (f"--{name}", {}), (json_flag, {"metavar": "PATH"})
-
-
-def _series_flags() -> tuple:
-    return (("--potential", {}), ("--order", {"type": _int_at_least(1), "default": 1}),
-            ("--from-json", {"metavar": "PATH", "help": "metric series document"}))
-
-
-def _fraction_flags(*names: str) -> tuple:
-    return tuple((f"--{name}", {"type": _fraction, "required": True}) for name in names)
-
-
-_COMMANDS = {
-    "star": _Command(
-        "star product of two symbols",
-        _symbol_flags("left", "--left-from-json") + _symbol_flags("right", "--right-from-json"),
-        lambda args: _symbol(args, "left", "left_from_json").star(
-            _symbol(args, "right", "right_from_json")),
-        _itself, _show_symbol),
-    "dagger": _Command("symbol of the hermitian-conjugate operator", _symbol_flags("expr"),
-                       lambda args: _symbol(args, "expr").dagger(),
-                       _itself, _show_symbol),
-    "conj": _Command("complex conjugate of a symbol", _symbol_flags("expr"),
-                     lambda args: _symbol(args, "expr").conjugate(),
-                     _itself, _show_symbol),
-    "is-hermitian": _Command("test the hermiticity criterion", _symbol_flags("expr"),
-                             lambda args: _symbol(args, "expr").is_hermitian(),
-                             lambda flag: {"hermitian": flag},
-                             lambda flag, fmt: _word(flag) + "\n"),
-    "derive-pde": _Command("differential operator of the metric equation",
-                           _symbol_flags("hamiltonian"),
-                           lambda args: derive_metric_operator(_symbol(args, "hamiltonian")),
-                           lambda op: serialize.operator_to_obj(op), _show_operator),
-    "apply-pde": _Command("apply the metric operator of H to a symbol",
-                          (("--hamiltonian", {"required": True}),
-                           *_symbol_flags("target", "--target-from-json")),
-                          lambda args: _applied(args, "target"),
-                          _itself, _show_symbol),
-    "residual": _Command("metric-equation residual of a candidate",
-                         (("--hamiltonian", {"required": True}),
-                          *_symbol_flags("metric", "--metric-from-json")),
-                         lambda args: _applied(args, "metric"),
-                         _itself, _show_symbol),
-    "solve-metric": _Command(
-        "perturbative metric series for p^2 + g*V(x)",
-        (("--potential", {"required": True}),
-         ("--order", {"type": _int_at_least(1), "required": True})),
-        lambda args: solve_metric_series(parse_expression(args.potential), args.order),
-        _itself, _show_series),
-    "log-metric": _Command("star-logarithm of a metric series", _series_flags(),
-                           lambda args: star_log(_series(args)),
-                           _itself, _show_series),
-    "positivity": _Command("hermiticity report for the star-log", _series_flags(),
-                           lambda args: positivity_evidence(_series(args)),
-                           lambda report: serialize.report_to_obj(report), _show_report),
-    "swanson": _Command("quadratic-model couplings from ladder parameters",
-                        _fraction_flags("omega", "alpha", "beta"),
-                        lambda args: swanson_from_ladder(args.omega, args.alpha, args.beta),
-                        lambda params: serialize.swanson_to_obj(params), _show_swanson),
-    "gaussian-candidates": _Command(
-        "exact Gaussian metrics of the quadratic model",
-        (*_fraction_flags("a", "b", "c"),
-         ("--s", {"default": "0", "help": "hbar-Laurent scalar expression"})),
-        lambda args: gaussian_metric_candidates(SwansonParams(args.a, args.b, args.c),
-                                                parse_hbar_scalar(args.s)),
-        lambda eqs: serialize.candidates_to_obj(eqs), _show_candidates),
-}
-
-
 # Budget of finite-demo --pairs: at N = 64 one pair takes about 0.013 s on a 2-vCPU Xeon
 # VM, the whole budget about 13 s.
 MAX_PAIRS = 1000
@@ -313,22 +231,112 @@ def _finite_header(n: int) -> str:
                        "shift matrix:", str(finite.shift(n))])
 
 
-def _cmd_finite_demo(args) -> int:
-    n = args.n
-    checks = _finite_checks(n, args.pairs, args.seed)
-    passed = all(dev < args.tolerance for dev in checks.values())
-    if args.format == "json":
-        finite_checks = {name: dev if math.isfinite(dev) else None  # JSON has no NaN
-                         for name, dev in checks.items()}
-        out = serialize.dumps({"n": n, "pairs": args.pairs, "seed": args.seed,
-                               "tolerance": args.tolerance, "checks": finite_checks,
-                               "pass": passed}) + "\n"
-    else:
-        out = _finite_header(n) + _lines(
-            [*(f"{name}: max deviation {dev:.3e}" for name, dev in checks.items()),
-             f"result: {'ok' if passed else 'FAILED'} (tolerance {args.tolerance:g})"])
-    sys.stdout.write(out)
-    return 0 if passed else 1
+def _finite_demo(args) -> dict:
+    checks = _finite_checks(args.n, args.pairs, args.seed)
+    return {"n": args.n, "pairs": args.pairs, "seed": args.seed, "tolerance": args.tolerance,
+            "checks": checks, "pass": all(dev < args.tolerance for dev in checks.values())}
+
+
+def _finite_json(doc: dict) -> dict:
+    return {**doc, "checks": {name: dev if math.isfinite(dev) else None  # JSON has no NaN
+                              for name, dev in doc["checks"].items()}}
+
+
+def _show_finite(doc: dict, fmt: str) -> str:
+    return _finite_header(doc["n"]) + _lines(
+        [*(f"{name}: max deviation {dev:.3e}" for name, dev in doc["checks"].items()),
+         f"result: {'ok' if doc['pass'] else 'FAILED'} (tolerance {doc['tolerance']:g})"])
+
+
+class _Command(NamedTuple):
+    help: str
+    flags: tuple  # (flag, add_argument keywords) pairs, in --help order after --format
+    compute: Callable[[argparse.Namespace], object]
+    json_value: Callable[[object], object]  # result -> what dumps writes; late-bound builders
+    render: Callable[[object, str], str]  # (result, text or latex) -> the whole stdout
+    exit_code: Callable[[object], int] = lambda result: 0  # result -> code once stdout is written
+
+
+def _itself(result):
+    return result
+
+
+def _symbol_flags(name: str, json_flag: str = "--from-json") -> tuple:
+    return (f"--{name}", {}), (json_flag, {"metavar": "PATH"})
+
+
+def _series_flags() -> tuple:
+    return (("--potential", {}), ("--order", {"type": _int_at_least(1), "default": 1}),
+            ("--from-json", {"metavar": "PATH", "help": "metric series document"}))
+
+
+def _fraction_flags(*names: str) -> tuple:
+    return tuple((f"--{name}", {"type": _fraction, "required": True}) for name in names)
+
+
+_COMMANDS = {
+    "star": _Command(
+        "star product of two symbols",
+        _symbol_flags("left", "--left-from-json") + _symbol_flags("right", "--right-from-json"),
+        lambda args: _symbol(args, "left", "left_from_json").star(
+            _symbol(args, "right", "right_from_json")),
+        _itself, _show_symbol),
+    "dagger": _Command("symbol of the hermitian-conjugate operator", _symbol_flags("expr"),
+                       lambda args: _symbol(args, "expr").dagger(),
+                       _itself, _show_symbol),
+    "conj": _Command("complex conjugate of a symbol", _symbol_flags("expr"),
+                     lambda args: _symbol(args, "expr").conjugate(),
+                     _itself, _show_symbol),
+    "is-hermitian": _Command("test the hermiticity criterion", _symbol_flags("expr"),
+                             lambda args: _symbol(args, "expr").is_hermitian(),
+                             lambda flag: {"hermitian": flag},
+                             lambda flag, fmt: _word(flag) + "\n"),
+    "derive-pde": _Command("differential operator of the metric equation",
+                           _symbol_flags("hamiltonian"),
+                           lambda args: derive_metric_operator(_symbol(args, "hamiltonian")),
+                           lambda op: serialize.operator_to_obj(op), _show_operator),
+    "apply-pde": _Command("apply the metric operator of H to a symbol",
+                          (("--hamiltonian", {"required": True}),
+                           *_symbol_flags("target", "--target-from-json")),
+                          lambda args: _applied(args, "target"),
+                          _itself, _show_symbol),
+    "residual": _Command("metric-equation residual of a candidate",
+                         (("--hamiltonian", {"required": True}),
+                          *_symbol_flags("metric", "--metric-from-json")),
+                         lambda args: _applied(args, "metric"),
+                         _itself, _show_symbol),
+    "solve-metric": _Command(
+        "perturbative metric series for p^2 + g*V(x)",
+        (("--potential", {"required": True}),
+         ("--order", {"type": _int_at_least(1), "required": True})),
+        lambda args: solve_metric_series(parse_expression(args.potential), args.order),
+        _itself, _show_series),
+    "log-metric": _Command("star-logarithm of a metric series", _series_flags(),
+                           lambda args: star_log(_series(args)),
+                           _itself, _show_series),
+    "positivity": _Command("hermiticity report for the star-log", _series_flags(),
+                           lambda args: positivity_evidence(_series(args)),
+                           lambda report: serialize.report_to_obj(report), _show_report),
+    "swanson": _Command("quadratic-model couplings from ladder parameters",
+                        _fraction_flags("omega", "alpha", "beta"),
+                        lambda args: swanson_from_ladder(args.omega, args.alpha, args.beta),
+                        lambda params: serialize.swanson_to_obj(params), _show_swanson),
+    "gaussian-candidates": _Command(
+        "exact Gaussian metrics of the quadratic model",
+        (*_fraction_flags("a", "b", "c"),
+         ("--s", {"default": "0", "help": "hbar-Laurent scalar expression"})),
+        lambda args: gaussian_metric_candidates(SwansonParams(args.a, args.b, args.c),
+                                                parse_hbar_scalar(args.s)),
+        lambda eqs: serialize.candidates_to_obj(eqs), _show_candidates),
+    "finite-demo": _Command(  # writes its check table even when a check fails
+        "clock/shift matrices and isomorphism checks",
+        (("--n", {"type": int, "required": True}),
+         ("--pairs", {"type": _int_at_least(1), "default": 50}),
+         ("--seed", {"type": _int_at_least(0), "default": 7}),
+         ("--tolerance", {"type": _positive_float, "default": 1e-9})),
+        _finite_demo, _finite_json, _show_finite,
+        lambda doc: 0 if doc["pass"] else 1),
+}
 
 
 @functools.cache  # parsing leaves the parsers unchanged; build them once per process
@@ -340,20 +348,11 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
                     "non-hermitian Hamiltonians.")
     sub = parser.add_subparsers(dest="command", required=True)
     commands = {}
-
-    def add(name, help_text, flags):
-        p = commands[name] = sub.add_parser(name, help=help_text)
-        p.add_argument("--format", choices=("text", "latex", "json"), default="text")
-        for flag, options in flags:
-            p.add_argument(flag, **options)
-
     for name, command in _COMMANDS.items():
-        add(name, command.help, command.flags)
-    add("finite-demo", "clock/shift matrices and isomorphism checks", (
-        ("--n", {"type": int, "required": True}),
-        ("--pairs", {"type": _int_at_least(1), "default": 50}),
-        ("--seed", {"type": _int_at_least(0), "default": 7}),
-        ("--tolerance", {"type": _positive_float, "default": 1e-9})))
+        p = commands[name] = sub.add_parser(name, help=command.help)
+        p.add_argument("--format", choices=("text", "latex", "json"), default="text")
+        for flag, options in command.flags:
+            p.add_argument(flag, **options)
     return parser, commands
 
 
@@ -398,8 +397,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
     try:
-        if args.command == "finite-demo":
-            return _cmd_finite_demo(args)
         command = _COMMANDS[args.command]
         result = command.compute(args)
         out = (serialize.dumps(command.json_value(result)) + "\n" if args.format == "json"
@@ -411,7 +408,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     sys.stdout.write(out)
-    return 0
+    return command.exit_code(result)
 
 
 def run() -> None:

@@ -422,6 +422,9 @@ class TestBasicCommands:
 
         assert build_parser() is build_parser()
 
+    def test_every_sub_parser_is_a_table_row(self):
+        assert set(cli._parsers()[1]) == set(cli._COMMANDS)
+
     def test_order_past_the_limit_exits_1(self, capsys, tmp_path):
         from moyalmetric.series import MAX_ORDER
 
@@ -532,7 +535,7 @@ class TestBasicCommands:
 
         pairs = 3
         for name, check in (("from_symbol", "round_trip"), ("discrete_star", "star_isomorphism")):
-            for fmt in ("text", "json"):
+            for fmt in ("text", "latex", "json"):
                 exact, calls = getattr(finite, name), []
 
                 def nan_in_the_last_pair(*args, exact=exact, calls=calls):
@@ -547,7 +550,7 @@ class TestBasicCommands:
                     code, out, _ = run(capsys, "finite-demo", "--n", str(n), "--pairs", str(pairs),
                                        "--format", fmt)
                 assert code == 1 and len(calls) == pairs
-                if fmt == "text":
+                if fmt != "json":
                     assert f"{check}: max deviation nan" in out and "result: FAILED" in out
                     assert out.count(" nan") == 1
                 else:
@@ -741,6 +744,24 @@ class TestLightImports:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": src}, check=True).stdout
         assert out == "False\n"
+
+
+class TestProcessEntryPoint:
+    @pytest.mark.parametrize("argv, code, stdout, stderr", [
+        (("finite-demo", "--n", "3", "--pairs", "2"), 0, "table", ""),
+        (("finite-demo", "--n", "1", "--pairs", "1"), 1, "",
+         "error: dimension must be an integer in [2, 256], got 1\n"),
+        (("dagger", "--expr", "x^-1"), 2, "",
+         "error: negative power of x or g is not representable (at byte 0)\n"),
+    ], ids=["checks-pass", "domain-error", "parse-error"])
+    def test_python_m_exits_with_the_code_main_returns(self, argv, code, stdout, stderr):
+        if stdout == "table":
+            stdout = finite_demo_oracle(3, pairs=2, seed=7, tolerance=1e-9)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        done = subprocess.run([sys.executable, "-m", "moyalmetric.cli", *argv],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert (done.returncode, done.stdout, done.stderr) == (code, stdout, stderr)
 
 
 class TestDashValues:
