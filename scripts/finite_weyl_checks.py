@@ -8,7 +8,7 @@ Exits 1 when any dimension fails a check.
 
 import sys
 
-from moyalmetric.cli import _finite_checks
+from moyalmetric.finite import isomorphism_checks
 
 
 def main() -> int:
@@ -17,7 +17,7 @@ def main() -> int:
     names = None
     failed = False
     for n in dims:
-        checks = _finite_checks(n, pairs=25, seed=11)
+        checks = isomorphism_checks(n, pairs=25, seed=11)
         if names is None:
             names = list(checks)
             print("N    " + "  ".join(f"{name:>20s}" for name in names))

@@ -6,8 +6,9 @@ parsed arguments, the value that serialize.dumps writes as its JSON, a
 renderer of the whole text or LaTeX output and the exit code once that output
 is written.  `main` computes, dumps or renders, and only then prints, so a
 command that fails leaves stdout empty; finite-demo's result holds its failed
-checks, so it writes its check table and then exits 1.  Only finite-demo's
-functions import numpy and `finite`, so the other commands start without them.
+checks, so it writes its check table and then exits 1.  Those checks and their
+budgets live in `finite.isomorphism_checks`; only finite-demo's two functions
+import numpy and `finite`, so the other commands start without them.
 
 Exit codes: 0 on success, 1 on domain errors (non-terminating series,
 irrational discriminants, failed finite-dimensional checks, ...), 2 on usage
@@ -130,92 +131,7 @@ def _show_candidates(candidates, fmt: str) -> str:
     return _lines(format_expression(PhaseSymbol.exponential(eq), fmt) for eq in candidates)
 
 
-# Budget of finite-demo --pairs: at N = 64 one pair takes about 0.013 s on a 2-vCPU Xeon
-# VM, the whole budget about 13 s.
-MAX_PAIRS = 1000
-
-
-def _finite_checks(n: int, pairs: int, seed: int) -> dict[str, float]:
-    """finite-demo's deviations: the per-N checks of _weyl_checks, then per random pair
-    the round trip, star and dagger."""
-    if pairs > MAX_PAIRS:
-        raise ValueError(f"--pairs {pairs} exceeds the limit of {MAX_PAIRS}")
-    import numpy as np
-
-    from . import finite
-
-    checks = dict(_weyl_checks(n))  # a fresh dict; refuses n outside 2..256 first
-    rng = np.random.default_rng(seed)
-    # The pairs go in chunks of at most BATCH_ENTRIES // (4*N^2), so that a chunk's
-    # stack of four operators per pair holds at most BATCH_ENTRIES entries (one pair
-    # for N > 45).  Each chunk is drawn as one array in the order of four (N, N) draws
-    # per pair, and its arrays are freed before the next is drawn.  A NaN in any pair
-    # survives np.max.
-    step = max(1, finite.BATCH_ENTRIES // (4 * n ** 2))
-    devs = np.empty((pairs, 3))  # round trip, star, dagger per pair
-    for first in range(0, pairs, step):
-        devs[first:first + step] = _pair_deviations(
-            rng.normal(size=(min(step, pairs - first), 4, n, n)))
-    checks["round_trip"], checks["star_isomorphism"], checks["dagger_transpose"] = (
-        float(dev) for dev in np.max(devs, axis=0))
-    return checks
-
-
-def _pair_deviations(draws):
-    """The round trip, star and dagger deviations, shaped (pairs, 3), of the pairs
-    A = draws[:, 0] + i*draws[:, 1] and B = draws[:, 2] + i*draws[:, 3]."""
-    import numpy as np
-
-    from . import finite
-
-    ops = np.empty(draws.shape, dtype=complex)  # A, B, A @ B and A^dagger per pair
-    ops[:, 0], ops[:, 1] = draws[:, 0] + 1j * draws[:, 1], draws[:, 2] + 1j * draws[:, 3]
-    A = ops[:, 0]
-    ops[:, 2], ops[:, 3] = A @ ops[:, 1], A.conj().swapaxes(1, 2)
-    symbols = finite.to_symbol(ops).coeffs
-    # from_symbol and discrete_star take one pair at a time (a stacked contraction moves
-    # the round trip's last digits), each in a loop of its own while its tables are in cache.
-    rebuilt, products = np.empty_like(A), np.empty_like(A)
-    for k in range(len(ops)):
-        rebuilt[k] = finite.from_symbol(finite.DiscreteSymbol(symbols[k, 0]))
-    for k in range(len(ops)):
-        a, b = finite.DiscreteSymbol(symbols[k, 0]), finite.DiscreteSymbol(symbols[k, 1])
-        products[k] = finite.discrete_star(a, b).coeffs
-    daggers = finite.discrete_dagger(finite.DiscreteSymbol(symbols[:, 0])).coeffs
-    return np.stack([np.abs(rebuilt - A).max(axis=(1, 2)),
-                     np.abs(products - symbols[:, 2]).max(axis=(1, 2)),
-                     np.abs(daggers - symbols[:, 3]).max(axis=(1, 2))], axis=1)
-
-
-# Depends on n alone, so each N is checked once per process.  finite.clock refuses n
-# outside 2..256 before anything is cached; typed, so that an equal float or numpy n
-# misses the cache and is refused too.
-@functools.lru_cache(maxsize=None, typed=True)
-def _weyl_checks(n: int) -> dict[str, float]:
-    """finite-demo's deviations that depend on N alone: the Weyl relations, and the
-    words' trace orthogonality from the clock table.  Callers copy the dict."""
-    import numpy as np
-
-    from . import finite
-
-    g, h = finite.clock(n), finite.shift(n)
-    phi = finite.phase_angle(n)
-    eye = np.eye(n)
-    checks: dict[str, float] = {}
-    checks["gh_phase"] = float(np.max(np.abs(g @ h - np.exp(1j * phi) * h @ g)))
-    checks["g_power_n"] = float(np.max(np.abs(np.linalg.matrix_power(g, n) - eye)))
-    checks["h_power_n"] = float(np.max(np.abs(np.linalg.matrix_power(h, n) - eye)))
-    checks["trace_gh"] = float(abs(np.trace(g @ h)))
-
-    # Gram matrix tr(U_i^dag U_j) = N * delta_ij of the words g^a h^b: words of different
-    # shifts b have disjoint supports, and those of one shift meet where their clock
-    # diagonals do, so every block is the Gram matrix of the table's rows.
-    table = finite.clock_powers(n)  # [a, i]: the diagonal of g^a
-    checks["trace_orthogonality"] = float(np.abs(np.conj(table) @ table.T - n * eye).max())
-    return checks
-
-
-@functools.cache  # n alone, like _weyl_checks; _finite_checks refuses n outside 2..64 first
+@functools.cache  # n alone; finite.isomorphism_checks refuses n outside 2..64 first
 def _finite_header(n: int) -> str:
     """finite-demo's dimension line and matrices, under every numpy print option pinned so
     that a caller's options neither change the text nor freeze into the cache."""
@@ -232,7 +148,9 @@ def _finite_header(n: int) -> str:
 
 
 def _finite_demo(args) -> dict:
-    checks = _finite_checks(args.n, args.pairs, args.seed)
+    from . import finite
+
+    checks = finite.isomorphism_checks(args.n, args.pairs, args.seed)
     return {"n": args.n, "pairs": args.pairs, "seed": args.seed, "tolerance": args.tolerance,
             "checks": checks, "pass": all(dev < args.tolerance for dev in checks.values())}
 

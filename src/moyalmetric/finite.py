@@ -26,6 +26,9 @@ from_symbol takes any N up to MAX_DIMENSION.
 DiscreteSymbol and every map but discrete_star also take a stack of operators
 along leading axes, in the same code through `...` indexing; discrete_star takes
 one symbol per operand.
+
+isomorphism_checks is finite-demo's check suite.  It refuses more than MAX_PAIRS
+pairs, then an N that basis_words refuses, before it draws, maps or caches anything.
 """
 
 from __future__ import annotations
@@ -83,7 +86,6 @@ def clock_powers(n: int) -> np.ndarray:
 
 def clock(n: int) -> np.ndarray:
     """Diagonal phase matrix diag(exp(2*pi*i*k/N)), k = 0..N-1."""
-    _check_dim(n)
     return np.diag(clock_powers(n)[1])
 
 
@@ -204,3 +206,76 @@ def discrete_dagger(symbol: DiscreteSymbol) -> DiscreteSymbol:
     flipped = np.conj(symbol.coeffs)[..., idx[:, None], idx]
     return DiscreteSymbol(flipped * _tables(n).dft)
 
+
+# Budget of finite-demo --pairs: at N = 64 one pair takes about 0.013 s on a 2-vCPU Xeon
+# VM, the whole budget about 13 s.
+MAX_PAIRS = 1000
+
+
+def isomorphism_checks(n: int, pairs: int, seed: int) -> dict[str, float]:
+    """finite-demo's deviations: the per-N checks of _weyl_checks, then per random pair
+    the round trip, star and dagger.  Both budgets are checked before any work: pairs
+    first, then n through basis_words, the tensor from_symbol reads for every pair."""
+    if pairs > MAX_PAIRS:
+        raise ValueError(f"--pairs {pairs} exceeds the limit of {MAX_PAIRS}")
+    basis_words(n)  # refuses n outside 2..64
+    checks = dict(_weyl_checks(n))  # a fresh dict
+    rng = np.random.default_rng(seed)
+    # The pairs go in chunks of at most BATCH_ENTRIES // (4*N^2), so that a chunk's
+    # stack of four operators per pair holds at most BATCH_ENTRIES entries (one pair
+    # for N > 45).  Each chunk is drawn as one array in the order of four (N, N) draws
+    # per pair, and its arrays are freed before the next is drawn.  A NaN in any pair
+    # survives np.max.
+    step = max(1, BATCH_ENTRIES // (4 * n ** 2))
+    devs = np.empty((pairs, 3))  # round trip, star, dagger per pair
+    for first in range(0, pairs, step):
+        devs[first:first + step] = _pair_deviations(
+            rng.normal(size=(min(step, pairs - first), 4, n, n)))
+    checks["round_trip"], checks["star_isomorphism"], checks["dagger_transpose"] = (
+        float(dev) for dev in np.max(devs, axis=0))
+    return checks
+
+
+def _pair_deviations(draws):
+    """The round trip, star and dagger deviations, shaped (pairs, 3), of the pairs
+    A = draws[:, 0] + i*draws[:, 1] and B = draws[:, 2] + i*draws[:, 3]."""
+    ops = np.empty(draws.shape, dtype=complex)  # A, B, A @ B and A^dagger per pair
+    ops[:, 0], ops[:, 1] = draws[:, 0] + 1j * draws[:, 1], draws[:, 2] + 1j * draws[:, 3]
+    A = ops[:, 0]
+    ops[:, 2], ops[:, 3] = A @ ops[:, 1], A.conj().swapaxes(1, 2)
+    symbols = to_symbol(ops).coeffs
+    # from_symbol and discrete_star take one pair at a time (a stacked contraction moves
+    # the round trip's last digits), each in a loop of its own while its tables are in cache.
+    rebuilt, products = np.empty_like(A), np.empty_like(A)
+    for k in range(len(ops)):
+        rebuilt[k] = from_symbol(DiscreteSymbol(symbols[k, 0]))
+    for k in range(len(ops)):
+        a, b = DiscreteSymbol(symbols[k, 0]), DiscreteSymbol(symbols[k, 1])
+        products[k] = discrete_star(a, b).coeffs
+    daggers = discrete_dagger(DiscreteSymbol(symbols[:, 0])).coeffs
+    return np.stack([np.abs(rebuilt - A).max(axis=(1, 2)),
+                     np.abs(products - symbols[:, 2]).max(axis=(1, 2)),
+                     np.abs(daggers - symbols[:, 3]).max(axis=(1, 2))], axis=1)
+
+
+# Depends on n alone, so each N is checked once per process; isomorphism_checks refuses
+# n outside 2..64 first, so only those are cached.
+@functools.lru_cache(maxsize=None, typed=True)
+def _weyl_checks(n: int) -> dict[str, float]:
+    """finite-demo's deviations that depend on N alone: the Weyl relations, and the
+    words' trace orthogonality from the clock table.  Callers copy the dict."""
+    g, h = clock(n), shift(n)
+    phi = phase_angle(n)
+    eye = np.eye(n)
+    checks: dict[str, float] = {}
+    checks["gh_phase"] = float(np.max(np.abs(g @ h - np.exp(1j * phi) * h @ g)))
+    checks["g_power_n"] = float(np.max(np.abs(np.linalg.matrix_power(g, n) - eye)))
+    checks["h_power_n"] = float(np.max(np.abs(np.linalg.matrix_power(h, n) - eye)))
+    checks["trace_gh"] = float(abs(np.trace(g @ h)))
+
+    # Gram matrix tr(U_i^dag U_j) = N * delta_ij of the words g^a h^b: words of different
+    # shifts b have disjoint supports, and those of one shift meet where their clock
+    # diagonals do, so every block is the Gram matrix of the table's rows.
+    table = clock_powers(n)  # [a, i]: the diagonal of g^a
+    checks["trace_orthogonality"] = float(np.abs(np.conj(table) @ table.T - n * eye).max())
+    return checks

@@ -56,9 +56,8 @@ def finite_demo_oracle(n: int, pairs: int, seed: int, tolerance: float) -> str:
     import numpy as np
 
     from moyalmetric import finite
-    from moyalmetric.cli import _finite_checks
 
-    checks = _finite_checks(n, pairs, seed)
+    checks = finite.isomorphism_checks(n, pairs, seed)
     passed = all(dev < tolerance for dev in checks.values())
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -560,7 +559,7 @@ class TestBasicCommands:
                     assert all(dev < 1e-9 for dev in doc["checks"].values() if dev is not None)
 
     def test_finite_demo_past_the_pairs_budget_exits_1(self, capsys):
-        from moyalmetric.cli import MAX_PAIRS
+        from moyalmetric.finite import MAX_PAIRS
 
         assert MAX_PAIRS >= 50  # the default
         for pairs in (MAX_PAIRS + 1, 10 ** 12):  # 10^12 pairs would be a 24 TB array
@@ -584,6 +583,29 @@ class TestBasicCommands:
         for _ in range(2):  # the second time 65 and 256 have passed the per-N checks before
             assert (run(capsys, "finite-demo", "--n", str(n), "--pairs", "1")
                     == (1, "", f"error: {message}\n"))
+
+    @pytest.mark.parametrize("argv", [["--n", "65"], ["--n", "256", "--pairs", "1"]])
+    def test_a_refused_dimension_draws_maps_and_caches_nothing(self, capsys, monkeypatch, argv):
+        import numpy as np
+
+        from moyalmetric import finite
+
+        calls = []
+        for owner, name in ((finite, "to_symbol"), (np.random, "default_rng")):
+            def counted(*args, exact=getattr(owner, name), name=name):
+                calls.append(name)
+                return exact(*args)
+            monkeypatch.setattr(owner, name, counted)
+        cached = finite._weyl_checks.cache_info().currsize
+        message = f"the basis tensor takes 16*N^4 bytes; dimension must be at most 64, got {argv[1]}"
+        for _ in range(2):
+            assert run(capsys, "finite-demo", *argv) == (1, "", f"error: {message}\n")
+        assert calls == []
+        assert finite._weyl_checks.cache_info().currsize == cached
+
+    def test_the_pairs_budget_is_refused_before_the_dimension(self, capsys):
+        assert (run(capsys, "finite-demo", "--n", "65", "--pairs", "1001")
+                == (1, "", "error: --pairs 1001 exceeds the limit of 1000\n"))
 
 class TestDeterminismAndJson:
     def test_identical_invocations_byte_identical(self, capsys):

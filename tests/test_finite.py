@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 
 import hypothesis.strategies as st
@@ -8,10 +9,10 @@ import pytest
 from hypothesis import given
 
 from moyalmetric import BadDimension, DimensionMismatch, finite
-from moyalmetric.cli import MAX_PAIRS, _finite_checks, main
-from moyalmetric.finite import (MAX_BASIS_DIMENSION, DiscreteSymbol, basis_words, clock,
-                                clock_powers, discrete_dagger, discrete_star, from_symbol,
-                                phase_angle, shift, to_symbol)
+from moyalmetric.cli import main
+from moyalmetric.finite import (MAX_BASIS_DIMENSION, MAX_PAIRS, DiscreteSymbol, basis_words,
+                                clock, clock_powers, discrete_dagger, discrete_star,
+                                from_symbol, isomorphism_checks, phase_angle, shift, to_symbol)
 
 TOL = 1e-9
 DIMS = (2, 3, 5, 8)
@@ -35,10 +36,11 @@ class TestClockShift:
         assert np.allclose(h @ e0, [0, 1, 0, 0])
 
     def test_bad_dimensions(self):
-        for n in (1, 0, -3, 257):
-            with pytest.raises(BadDimension):
+        for n in (1, 0, -3, 257, 2.0, np.int64(3)):  # clock's check is _tables'
+            message = re.escape(f"dimension must be an integer in [2, 256], got {n!r}")
+            with pytest.raises(BadDimension, match=message):
                 clock(n)
-            with pytest.raises(BadDimension):
+            with pytest.raises(BadDimension, match=message):
                 shift(n)
 
     @pytest.mark.parametrize("n", DIMS)
@@ -233,10 +235,10 @@ class TestBasisBudget:
 
     def test_orthogonality_check_allocates_no_n4_temporary(self):
         n = 24
-        _finite_checks(n, 2, 0)  # caches the basis tensor
+        isomorphism_checks(n, 2, 0)  # caches the basis tensor
         tracemalloc.start()
         try:
-            _finite_checks(n, 2, 0)
+            isomorphism_checks(n, 2, 0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -471,7 +473,7 @@ class TestDiagonalDFT:
         power = np.linalg.matrix_power
         swapped = np.array([[power(h, b) @ power(g, a) for b in range(n)] for a in range(n)])
         monkeypatch.setattr(finite, "basis_words", lambda _n: swapped)
-        checks = _finite_checks(n, 2, 0)
+        checks = isomorphism_checks(n, 2, 0)
         assert checks["trace_orthogonality"] < TOL
         assert checks["round_trip"] > 1
         assert checks["star_isomorphism"] < TOL and checks["dagger_transpose"] < TOL
@@ -500,7 +502,7 @@ class TestLoopOracles:
 
     @pytest.mark.parametrize("n", ORACLE_DIMS)
     def test_orthogonality_check_matches_vdot_loop(self, n, monkeypatch, capsys):
-        checked = _finite_checks(n, pairs=1, seed=0)["trace_orthogonality"]
+        checked = isomorphism_checks(n, pairs=1, seed=0)["trace_orthogonality"]
         assert abs(checked - loop_trace_orthogonality(n)) < ORACLE_TOL
         # A broken basis: one word rescaled, another nudged off orthogonality.  The Gram
         # check and the DFT to_symbol read the clock table, but from_symbol's word sum
@@ -539,7 +541,7 @@ class TestLoopOracles:
                 assert math.isnan(checked)
             else:
                 assert abs(checked - loop_trace_orthogonality(n)) < ORACLE_TOL
-            round_trip = _finite_checks(n, pairs=1, seed=0)["round_trip"]
+            round_trip = isomorphism_checks(n, pairs=1, seed=0)["round_trip"]
         # one entry moves by `change` (a whole word for "zero"); every coefficient of the
         # round trip's seed-0 operator is at least 0.02 in magnitude for N <= 8
         change = {"scale": abs(value - 1), "off_support": abs(value), "zero": 1.0,
@@ -575,7 +577,7 @@ class TestBatchedKernels:
         basis_words.cache_clear()
         expected = block_loop_trace_orthogonality(n)
         basis_words.cache_clear()
-        assert _finite_checks(n, pairs=1, seed=0)["trace_orthogonality"] == expected
+        assert isomorphism_checks(n, pairs=1, seed=0)["trace_orthogonality"] == expected
         basis_words.cache_clear()
 
     def test_discrete_star_allocates_batches_not_an_n3_stack(self):
@@ -604,7 +606,7 @@ class TestClockTable:
 
     def test_deviations_at_49_stay_at_rounding(self):
         # the unreduced exponent j*k read 8.4e-14 and 1.4e-13 here
-        checks = _finite_checks(49, 3, 7)
+        checks = isomorphism_checks(49, 3, 7)
         assert checks["round_trip"] < 2e-14 and checks["star_isomorphism"] < 2e-14
 
     @pytest.mark.parametrize("n", range(2, 65))
@@ -643,6 +645,34 @@ def chunk_pairs(n):
     return max(1, finite.BATCH_ENTRIES // (4 * n ** 2))
 
 
+class TestCheckBudgets:
+    """isomorphism_checks refuses its pairs, then its dimension, before any work, for
+    library callers as for finite-demo."""
+
+    def test_pairs_past_the_budget_are_refused_before_allocating(self):
+        tracemalloc.start()
+        try:
+            for n in (2, 65, 1):  # the pairs budget comes before the dimension
+                for pairs in (MAX_PAIRS + 1, 10 ** 12):  # 10^12 pairs would be a 24 TB array
+                    with pytest.raises(ValueError, match=(
+                            f"^--pairs {pairs} exceeds the limit of {MAX_PAIRS}$")):
+                        isomorphism_checks(n, pairs, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 16
+
+    @pytest.mark.parametrize("n", [1, 65, 256, 300, 4.0, np.int64(4)])
+    def test_a_refused_dimension_runs_no_check(self, n, monkeypatch):
+        calls = []
+        monkeypatch.setattr(finite, "to_symbol", lambda *args: calls.append(args))
+        monkeypatch.setattr(finite, "clock", lambda *args: calls.append(args))
+        cached = finite._weyl_checks.cache_info().currsize
+        with pytest.raises(BadDimension):
+            isomorphism_checks(n, 1, 0)
+        assert calls == [] and finite._weyl_checks.cache_info().currsize == cached
+
+
 class TestPairChunks:
     """finite-demo draws and maps its random pairs one chunk at a time, through the
     stacked to_symbol and discrete_dagger; the checks are the pair loop's bit for bit."""
@@ -652,7 +682,7 @@ class TestPairChunks:
         step = chunk_pairs(n)
         for pairs in sorted({1, 2, 3, 4, min(step, MAX_PAIRS), min(step + 1, MAX_PAIRS)}):
             for seed in (0, 1, 7):
-                assert (bits(_finite_checks(n, pairs, seed))
+                assert (bits(isomorphism_checks(n, pairs, seed))
                         == bits(pair_loop_finite_checks(n, pairs, seed))), (pairs, seed)
 
     @pytest.mark.parametrize("n", [2, 3, 5, 10, 24, 64, 65, 256])
@@ -700,12 +730,12 @@ class TestPairChunks:
         chunk's draw, so no chunk's arrays outlive the next chunk's draw."""
         step = chunk_pairs(n)
         assert counts[0] <= step < counts[1]
-        _finite_checks(n, 2, 0)  # builds the basis tensor before either run is measured
+        isomorphism_checks(n, 2, 0)  # builds the basis tensor before either run is measured
         peaks = []
         for pairs in counts:
             tracemalloc.start()
             try:
-                _finite_checks(n, pairs, 0)
+                isomorphism_checks(n, pairs, 0)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -722,11 +752,11 @@ class TestPairChunks:
     def test_per_n_checks_run_once_per_n(self, monkeypatch):
         n = 9
         expected = bits(pair_loop_finite_checks(n, 2, 3))
-        first = _finite_checks(n, 2, 3)
+        first = isomorphism_checks(n, 2, 3)
         for name in first:  # a caller's edits must not reach the cached checks
             first[name] = math.nan
         calls, exact = [], np.linalg.matrix_power
         monkeypatch.setattr(np.linalg, "matrix_power",
                             lambda *args: calls.append(args) or exact(*args))
-        assert bits(_finite_checks(n, 2, 3)) == expected
+        assert bits(isomorphism_checks(n, 2, 3)) == expected
         assert calls == []
