@@ -27,8 +27,9 @@ DiscreteSymbol and every map but discrete_star also take a stack of operators
 along leading axes, in the same code through `...` indexing; discrete_star takes
 one symbol per operand.
 
-isomorphism_checks is finite-demo's check suite.  It refuses more than MAX_PAIRS
-pairs, then an N that basis_words refuses, before it draws, maps or caches anything.
+isomorphism_checks is finite-demo's check suite.  It refuses fewer than 1 or more
+than MAX_PAIRS pairs, then an N that basis_words refuses, before it draws, maps or
+caches anything.
 """
 
 from __future__ import annotations
@@ -218,6 +219,8 @@ def isomorphism_checks(n: int, pairs: int, seed: int) -> dict[str, float]:
     first, then n through basis_words, the tensor from_symbol reads for every pair."""
     if pairs > MAX_PAIRS:
         raise ValueError(f"--pairs {pairs} exceeds the limit of {MAX_PAIRS}")
+    if pairs < 1:
+        raise ValueError(f"--pairs {pairs} is below the minimum of 1")
     basis_words(n)  # refuses n outside 2..64
     checks = dict(_weyl_checks(n))  # a fresh dict
     rng = np.random.default_rng(seed)

@@ -8,12 +8,13 @@ symbol coefficients:
 
 Solutions of L[Theta] = 0 are metric candidates.
 
-L is star_terms(H, "x") - star_terms(H^dag, "p"), a `DifferentialOperator`:
-the operator type of `symbols`, which the star product and the twist apply
-too.  The two halves hold d_p^k and d_x^k terms, so they meet, and subtract,
-only at k = 0; a hermitian H cancels there.  The package exports the operator
-type from here, and perfbench patches its `apply` here
-(`pde:DifferentialOperator.apply`).
+derive_metric_operator builds both halves in one loop, H under d_p^k and H^dag
+under d_x^k, stepping with `PhaseSymbol.diff` and scaling by a monomial, and
+refuses a live order past MAX_LIVE_ORDER in each half before building it.  The
+halves meet only at k = 0, where their terms add; a hermitian H cancels there.
+L is a `DifferentialOperator`, the operator type of `symbols`, which the star
+product and the twist apply too.  The package exports the operator type from
+here, and perfbench patches its `apply` here (`pde:DifferentialOperator.apply`).
 
 The quadratic model
 a*p^2 + b*x^2 + i*c*p*x additionally admits exact Gaussian solutions
@@ -23,11 +24,13 @@ whenever the discriminant is a perfect square.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import IrrationalDiscriminant, NonPolynomialHamiltonian, ZeroParameter
-from .rationals import ONE, GaussianRational, HbarScalar, I
-from .symbols import DifferentialOperator, ExpQuadratic, PhaseSymbol, star_terms
+from .rationals import ONE, GaussianRational, HbarScalar, I, from_integers
+from .symbols import (MAX_LIVE_ORDER, DifferentialOperator, ExpQuadratic, PhaseSymbol,
+                      _live_order, _past_live_order)
 
 
 def derive_metric_operator(hamiltonian: PhaseSymbol) -> DifferentialOperator:
@@ -35,10 +38,22 @@ def derive_metric_operator(hamiltonian: PhaseSymbol) -> DifferentialOperator:
     if not hamiltonian.is_polynomial or hamiltonian.min_pdeg() < 0:
         raise NonPolynomialHamiltonian(
             "Hamiltonian symbol must be polynomial in x and p")
-    terms = star_terms(hamiltonian, "x")
-    # the keys (0, k) of the left half meet the keys (k, 0) of the right only at (0, 0)
-    for key, coeff in star_terms(hamiltonian.dagger(), "p").items():
-        terms[key] = terms[key] - coeff if key in terms else -coeff
+    terms = {}
+    for var, sign, where in (("x", 1, "in the Hamiltonian"), ("p", -1, "in its adjoint")):
+        # the dagger only after the x half passed, so that this refusal names H's power
+        sym = hamiltonian if var == "x" else hamiltonian.dagger()
+        top = _live_order(sym._parts, "xp".index(var))
+        if top > MAX_LIVE_ORDER:
+            raise _past_live_order("metric operator", top,
+                                   PhaseSymbol.monomial(1, **{var: top}), where)
+        k, re, im = 0, sign, 0  # sign * i^k = re + i*im
+        while sym:
+            coeff = sym * PhaseSymbol.monomial(from_integers(re, im, math.factorial(k)), hbar=k)
+            # the keys (0, k) of the x half meet the keys (k, 0) of the p half only at (0, 0)
+            key = (0, k) if var == "x" else (k, 0)
+            terms[key] = terms[key] + coeff if key in terms else coeff
+            sym = sym.diff(var)
+            k, re, im = k + 1, -im, re
     return DifferentialOperator(terms)
 
 

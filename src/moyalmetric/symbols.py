@@ -50,10 +50,10 @@ MonoKey = tuple[int, int, int, int]
 # (1+x+p)^30 * (1+x+p)^30 needs 496 x 496, so neither does.
 MAX_POWER_TERM_PAIRS = 20_000
 
-# Budget of star, exp_twist and star_terms: the largest live order, the last k
-# at which a derivative term of the series leaves a term alive.  positivity
-# --order 20 on i*x^3 reaches 58; the twist of x^3000*p^3000 (order 3000) takes
-# seconds.
+# Budget of star, exp_twist and the metric operator of `pde`: the largest live
+# order, the last k at which a derivative term of the series leaves a term alive.
+# positivity --order 20 on i*x^3 reaches 58; the twist of x^3000*p^3000 (order
+# 3000) takes seconds.
 MAX_LIVE_ORDER = 1000
 
 
@@ -457,30 +457,6 @@ def _blocker(parts, i: int) -> str:
     return f"negative power p^{min(key[1] for poly in parts.values() for key in poly)}"
 
 
-def star_terms(sym: PhaseSymbol, var: str) -> dict[tuple[int, int], PhaseSymbol]:
-    """Operator terms (i*hbar)^k / k! * d_var^k sym for k = 0, 1, ...
-
-    They stand under d_p^k for var x and under d_x^k for var p, so that
-    A * B = star_terms(A, "x") applied to B = star_terms(B, "p") applied to A.
-    The only caller builds the metric operator star_terms(H, "x") -
-    star_terms(H^dag, "p"), so a live order past MAX_LIVE_ORDER is refused,
-    before any term is built, as a power in the Hamiltonian or its adjoint.
-    """
-    top = _live_order(sym._parts, "xp".index(var))
-    if top > MAX_LIVE_ORDER:
-        raise _past_live_order("metric operator", top, *(
-            (PhaseSymbol.monomial(1, x=top), "in the Hamiltonian") if var == "x"
-            else (PhaseSymbol.monomial(1, p=top), "in its adjoint")))
-    terms = {}
-    k, re, im = 0, 1, 0  # i^k = re + i*im
-    while sym:
-        coeff = PhaseSymbol.monomial(from_integers(re, im, math.factorial(k)), hbar=k)
-        terms[(0, k) if var == "x" else (k, 0)] = sym * coeff
-        sym = sym.diff(var)
-        k, re, im = k + 1, -im, re
-    return terms
-
-
 class DifferentialOperator:
     """Finite sum of PhaseSymbol coefficients times d_x^m d_p^n.
 
@@ -618,8 +594,9 @@ def _integer_terms(poly: dict[MonoKey, GaussianRational]):
 
 
 def _star_ops(poly: dict[MonoKey, GaussianRational], var: str, top: int = MAX_LIVE_ORDER):
-    """The integer terms of star_terms(part, var) through k = top, for one part
-    whose d_var dies.
+    """The integer terms of (i*hbar)^k / k! * d_var^k part through k = top, for
+    one part whose d_var dies: A * B is _star_ops(A, "x") applied to B, or
+    _star_ops(B, "p") applied to A.
 
     For var x, x^a p^b gives C(a, k) * i^k * x^(a-k) p^b hbar^k under d_p^k;
     for var p, C(b, k) * i^k * x^a p^(b-k) hbar^k under d_x^k.  Returned as

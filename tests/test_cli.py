@@ -333,7 +333,7 @@ class TestBasicCommands:
             assert run(capsys, "dagger", "--expr", expr) == (0, expected, "")
         code, out, err = run(capsys, "dagger", "--expr", "(x+p)^-1")
         assert (code, out) == (2, "")
-        assert err == "error: negative power of x or g is not representable (at byte 0)\n"
+        assert err == "error: only a single monomial can be inverted (at byte 0)\n"
 
     def test_polynomial_requests_build_no_hbar_scalar(self, capsys, monkeypatch):
         from moyalmetric.rationals import HbarScalar
@@ -366,7 +366,9 @@ class TestBasicCommands:
     def test_non_invertible_power_names_its_reason(self, capsys):
         negative = "negative power of x or g is not representable"
         monomial = "only a single monomial can be inverted"
-        for expr, reason, offset in (("x^-1", negative, 0), ("(x+p)^-1", negative, 0),
+        for expr, reason, offset in (("x^-1", negative, 0), ("(x)^-1", negative, 0),
+                                     ("(x*p)^-1", negative, 0), ("g^-2", negative, 0),
+                                     ("(x+p)^-1", monomial, 0), ("(x*exp(p^2))^-1", monomial, 0),
                                      ("p*exp(x^2)^-1", monomial, 2), ("1+0^-1", monomial, 2)):
             code, out, err = run(capsys, "dagger", "--expr", expr)
             assert (code, out) == (2, "")
@@ -905,6 +907,7 @@ class TestLiveOrderBudget:
 
     def test_metric_operator_past_the_budget_exits_1(self, capsys):
         for hamiltonian, power in (("p^2+i*x^20000", "x^20000 in the Hamiltonian"),
+                                   ("x^1001*p^1001", "x^1001 in the Hamiltonian"),
                                    ("p^2000+i*x^3", "p^2000 in its adjoint")):
             start = time.perf_counter()
             code, out, err = run(capsys, "derive-pde", "--hamiltonian", hamiltonian)

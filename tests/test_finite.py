@@ -662,6 +662,17 @@ class TestCheckBudgets:
             tracemalloc.stop()
         assert peak < 2 ** 16
 
+    @pytest.mark.parametrize("pairs", [0, -1])
+    def test_pairs_below_one_are_refused_before_any_check(self, pairs, monkeypatch):
+        calls = []
+        monkeypatch.setattr(finite, "to_symbol", lambda *args: calls.append(args))
+        monkeypatch.setattr(finite, "clock", lambda *args: calls.append(args))
+        finite._weyl_checks.cache_clear()
+        for n in (3, 65):  # also before the dimension
+            with pytest.raises(ValueError, match=f"^--pairs {pairs} is below the minimum of 1$"):
+                isomorphism_checks(n, pairs, 0)
+        assert calls == [] and finite._weyl_checks.cache_info().currsize == 0
+
     @pytest.mark.parametrize("n", [1, 65, 256, 300, 4.0, np.int64(4)])
     def test_a_refused_dimension_runs_no_check(self, n, monkeypatch):
         calls = []

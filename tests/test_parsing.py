@@ -347,10 +347,10 @@ class _Parser:
         try:
             return value ** exponent
         except ValueError as exc:
-            if value.max_xdeg() or value.max_gdeg():
-                raise NegativeXPower(
-                    "negative power of x or g is not representable", base_offset) from None
-            raise ParseError(str(exc), base_offset) from None  # e.g. a sum or an exponential
+            # only a one-term polynomial, x^a*g^b with a or b, is refused for its x or g
+            parts = value.parts
+            raise (NegativeXPower if len(parts.get(TRIVIAL_EXP, ())) == 1 == len(parts)
+                   else ParseError)(str(exc), base_offset) from None
 
     def atom(self) -> PhaseSymbol:
         tok = self.peek()

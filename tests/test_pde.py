@@ -18,8 +18,7 @@ from moyalmetric import (DifferentialOperator, G, HBAR, IrrationalDiscriminant,
 from moyalmetric.errors import ExponentTooLong, LiveOrderTooLarge, MoyalError
 from moyalmetric.rationals import GaussianRational, HbarScalar, HS_ZERO
 from moyalmetric.symbols import (MAX_LIVE_ORDER, TRIVIAL_EXP, ExpQuadratic, _apply_integer,
-                                 _derivatives, _gaussian_terms, _live_order, _star_ops, _step,
-                                 star_terms)
+                                 _derivatives, _gaussian_terms, _live_order, _star_ops, _step)
 
 mono = PhaseSymbol.monomial
 KERNEL = PhaseSymbol.exponential(KERNEL_EXP)
@@ -105,7 +104,7 @@ class TestDeriveMetricOperator:
 
 
 def _derive_oracle(hamiltonian: PhaseSymbol) -> DifferentialOperator:
-    """The chain-rule loops derive_metric_operator used before star_terms, verbatim."""
+    """The chain-rule loops of an earlier derive_metric_operator, verbatim."""
     if not hamiltonian.is_polynomial or hamiltonian.min_pdeg() < 0:
         raise NonPolynomialHamiltonian(
             "Hamiltonian symbol must be polynomial in x and p")
@@ -141,7 +140,7 @@ def _step_by_kernel(poly, var):
 
 
 class TestDeriveOracle:
-    """star_terms, the integer star kernel and the closed-form d_var against the
+    """The derive, the integer star kernel and the closed-form d_var against the
     loops and the kernel route they replaced."""
 
     @given(poly_symbols(min_p=0))
@@ -166,7 +165,9 @@ class TestDeriveOracle:
 
     def test_live_order_refusals_name_the_hamiltonian_or_its_adjoint(self):
         top = MAX_LIVE_ORDER + 1
+        # x^top*p^top is refused by its x half before its dagger's twist could refuse it
         for H, power in ((P ** 2 + I * X ** top, f"x^{top} in the Hamiltonian"),
+                         (X ** top * P ** top, f"x^{top} in the Hamiltonian"),
                          (P ** top + I * X ** 3, f"p^{top} in its adjoint")):
             with pytest.raises(LiveOrderTooLarge) as info:
                 derive_metric_operator(H)
@@ -178,11 +179,14 @@ class TestDeriveOracle:
                 derive_metric_operator(H)
 
     @given(poly_symbols())
-    def test_integer_star_terms_match_star_terms(self, a):
+    def test_integer_star_terms_match_the_whole_symbol_terms(self, a):
         den, ops = _star_ops(a.parts.get(TRIVIAL_EXP, {}), "x")
         integer = {(m, n): PhaseSymbol({TRIVIAL_EXP: _gaussian_terms(
             {key: [re, im] for key, re, im in cterms}, den)}) for m, n, cterms in ops}
-        assert integer == star_terms(a, "x")
+        # (i*hbar)^k / k! * d_x^k a under d_p^k, over whole symbols
+        whole = {(0, k): a.diff("x", k) * mono(I ** k * Fraction(1, math.factorial(k)), hbar=k)
+                 for k in range(a.max_xdeg() + 1)}
+        assert integer == {key: coeff for key, coeff in whole.items() if coeff}
 
 
 class TestApplyAndResidual:
